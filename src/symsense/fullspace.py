@@ -1,10 +1,17 @@
 """Small-N full-Hilbert-space verification layer.
 
-Everything here is dense and deliberately simple: this module exists to
-certify the scalable Dicke-block code paths against brute force, not to
-scale itself.  Qubit 1 is the most significant bit of the basis index, so
-"the first k qubits" are the high bits and the nested subsets [k] of the
-sequential angular-momentum measurement are prefixes of the index.
+Everything here is brute force over the full 2^N space and deliberately
+simple: this module exists to certify the scalable Dicke-block code paths,
+not to scale itself.  Qubit 1 is the most significant bit of the basis
+index, so "the first k qubits" are the high bits and the nested subsets [k]
+of the sequential angular-momentum measurement are prefixes of the index.
+
+Paulis are applied to 2^N vectors as (x|z) bit masks (Aaronson & Gottesman,
+PRA 70, 052328 (2004)) by ``pauli_apply``, in O(2^N) per vector; the dense
+``pauli_op`` matrix is kept for building Kraus inputs and as the reference
+the bit-mask form is tested against.  The recovery channel of
+``general_qec_smallN`` is kept factored through the codewords instead of as
+dense 2^N x 2^N Kraus operators.
 
 Two-row Young diagrams (r1, r2) label the Schur-Weyl blocks of N qubits;
 standard tableaux of a diagram are in bijection with the admissible
@@ -87,6 +94,39 @@ def pauli_op(N: int, positions: tuple[int, ...], kinds: tuple[str, ...]) -> np.n
     for name in ops:
         out = np.kron(out, _PAULI[name])
     return out
+
+
+@lru_cache(maxsize=None)
+def _parity_table(N: int) -> np.ndarray:
+    """popcount(i) mod 2 for every N-bit basis index i."""
+    parity = np.zeros(2**N, dtype=np.int8)
+    for b in range(N):
+        parity[1 << b : 2 << b] = 1 - parity[: 1 << b]
+    return parity
+
+
+def pauli_apply(
+    N: int, positions: tuple[int, ...], kinds: tuple[str, ...], vecs: np.ndarray
+) -> np.ndarray:
+    """``pauli_op(N, positions, kinds) @ v`` for each vector v, without the matrix.
+
+    With x (z) the bit mask of the X or Y (Z or Y) letters, Y = iXZ gives
+    (P v)[i] = i^{#Y} (-1)^{popcount((i xor x) and z)} v[i xor x].  ``vecs``
+    is one 2^N vector or a stack of them with the basis index last.
+    """
+    x = z = n_y = 0
+    for pos, kind in zip(positions, kinds):
+        if kind not in "IXYZ":
+            raise ValueError(f"unknown Pauli letter {kind!r}")
+        bit = 1 << (N - pos)
+        if kind in "XY":
+            x |= bit
+        if kind in "YZ":
+            z |= bit
+        n_y += kind == "Y"
+    src = np.arange(2**N) ^ x
+    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _parity_table(N)[src & z])
+    return phase * np.asarray(vecs)[..., src]
 
 
 def enumerate_paulis(N: int, max_weight: int):
@@ -328,32 +368,24 @@ def sequential_j2_measure(
 # ---------------------------------------------------------------------------
 
 
-def _transposition_perm(N: int, i: int, k: int) -> np.ndarray:
-    """Basis-index permutation swapping qubits i and k (1-based)."""
-    idx = np.arange(2**N)
-    bit_i = (idx >> (N - i)) & 1
-    bit_k = (idx >> (N - k)) & 1
-    swapped = idx & ~(1 << (N - i)) & ~(1 << (N - k))
-    swapped |= bit_k << (N - i)
-    swapped |= bit_i << (N - k)
-    return swapped
-
-
 def symmetrize_channel(rho: np.ndarray, N: int) -> np.ndarray:
     """Average over all qubit permutations: rho -> (1/N!) sum_sigma P rho P^dag.
 
     Evaluated by the coset recursion (average over S_k built from the S_{k-1}
     average and k transpositions), so the cost is O(N^2) conjugations instead
-    of N! terms.
+    of N! terms.  Conjugating by the transposition of qubits i and k swaps
+    their row axes and their column axes of rho viewed as a (2,)*2N tensor.
     """
-    out = rho.astype(complex)
+    out = np.array(rho, dtype=complex).reshape((2,) * (2 * N))
     for k in range(2, N + 1):
         acc = out.copy()  # i = k term (identity)
         for i in range(1, k):
-            perm = _transposition_perm(N, i, k)
-            acc += out[np.ix_(perm, perm)]
+            axes = list(range(2 * N))
+            axes[i - 1], axes[k - 1] = k - 1, i - 1
+            axes[N + i - 1], axes[N + k - 1] = N + k - 1, N + i - 1
+            acc += out.transpose(axes)
         out = acc / k
-    return out
+    return out.reshape(2**N, 2**N)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +400,14 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
     Returns the worst deviation and the offending Pauli label.
     """
     N = code_states[0].n_qubits
-    vecs = [cs.vec for cs in code_states]
+    vecs = np.array([cs.vec for cs in code_states])
     M = len(vecs)
     worst = 0.0
     worst_label = None
     for positions, kinds in enumerate_paulis(N, 2 * t):
-        op = pauli_op(N, positions, kinds)
-        applied = [op @ v for v in vecs]
-        c = sum(np.vdot(vecs[i], applied[i]) for i in range(M)) / M
-        dev = 0.0
-        for i in range(M):
-            for j in range(M):
-                val = np.vdot(vecs[i], applied[j])
-                dev = max(dev, abs(val - (c if i == j else 0.0)))
+        overlaps = vecs.conj() @ pauli_apply(N, positions, kinds, vecs).T  # <i|E|j>
+        c = np.trace(overlaps) / M
+        dev = float(np.max(np.abs(overlaps - c * np.eye(M))))
         if dev > worst:
             worst, worst_label = dev, (positions, kinds)
     return {"max_violation": worst, "worst_pauli": worst_label}
@@ -389,10 +416,6 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
 # ---------------------------------------------------------------------------
 # general QEC on tiny instances
 # ---------------------------------------------------------------------------
-
-
-def _block_projector_coeffs(blk: SchurBlock, vec: np.ndarray) -> np.ndarray:
-    return blk.vectors.conj() @ vec
 
 
 def general_qec_smallN(
@@ -410,26 +433,43 @@ def general_qec_smallN(
 
     Returns the entanglement fidelity of recover(symmetrize(channel(.)))
     on the maximally mixed code state, together with per-block subspace
-    counts r_T and their (2 j_T + 1)/M ceilings.
+    counts r_T and their (2 j_T + 1)/M ceilings, and ``output_trace``, the
+    trace of the recovered maximally mixed code state.  The orthonormalization
+    uses the first codeword's Gram matrix for all of them, so when the code
+    fails Knill-Laflamme for the spanning set the recovery is not trace
+    preserving and ``output_trace`` departs from 1: for GnuParams(2, 3) at
+    max_weight=1 it is 1.259 under the channel of ``verify.check_general_qec``
+    (identity, X_1 and Z_1 with amplitudes 1, 1/2, 1/2, normalized); the
+    value depends on the channel.
+
+    The recovery Kraus operators are kept factored, K_k = sum_j |j_L><b_kj|,
+    plus the dense remainder R = I - sum_kj |b_kj><b_kj|, and only the
+    overlaps <j_L|recover(y)|k_L> and the trace that the fidelity needs are
+    evaluated from them.
     """
     N = code_states[0].n_qubits
     M = len(code_states)
-    vecs = [cs.vec for cs in code_states]
+    vecs = np.array([cs.vec for cs in code_states])  # (M, 2^N)
     blocks = schur_blocks(N)
 
-    # spanning error set: all Paulis of weight <= max_weight
-    errors = [pauli_op(N, pos, kinds) for pos, kinds in enumerate_paulis(N, max_weight)]
+    # spanning error set: all Paulis of weight <= max_weight, applied to the
+    # codewords once, then expanded in the whole Schur basis; block blk owns
+    # the next blk.vectors.shape[0] coefficients
+    errored = np.array(
+        [pauli_apply(N, pos, kinds, vecs) for pos, kinds in enumerate_paulis(N, max_weight)]
+    )
+    schur = np.vstack([blk.vectors for blk in blocks])
+    coeffs_all = (errored.reshape(-1, 2**N) @ schur.conj().T).reshape(errored.shape)
 
-    recovery = []  # Kraus operators of the recovery channel
-    covered = np.zeros((2**N, 2**N), dtype=complex)
+    factors = []  # per recovery Kraus operator K_k, its rows b_kj, shape (M, 2^N)
     r_report = []
+    start = 0
     for blk in blocks:
+        dim_block = blk.vectors.shape[0]
         # coefficients of Pi^T E |j_L> in the block's magnetic basis
-        coeffs_per_j = []
-        for j in range(M):
-            rows = np.array([_block_projector_coeffs(blk, E @ vecs[j]) for E in errors])
-            coeffs_per_j.append(rows)
-        gram = coeffs_per_j[0] @ coeffs_per_j[0].conj().T
+        coeffs = coeffs_all[:, :, start : start + dim_block]
+        start += dim_block
+        gram = coeffs[:, 0] @ coeffs[:, 0].conj().T
         # KL equality of Gram matrices across j is what makes one coefficient
         # matrix serve all codewords
         evals, evecs = np.linalg.eigh(gram)
@@ -437,39 +477,40 @@ def general_qec_smallN(
         r_t = int(np.sum(keep))
         if r_t == 0:
             continue
-        dim_block = blk.vectors.shape[0]
         r_report.append({"j_path": blk.j_path_doubled, "r_T": r_t, "bound": dim_block / M})
         # orthonormalizing combinations: columns v with v^dag Gram v = delta
         combo = evecs[:, keep] / np.sqrt(evals[keep])
-        for k in range(r_t):
-            kraus = np.zeros((2**N, 2**N), dtype=complex)
-            basis_vecs = []
-            for j in range(M):
-                v = (combo[:, k].conj() @ coeffs_per_j[j]) @ blk.vectors
-                basis_vecs.append(v)
-            for j in range(M):
-                kraus += np.outer(vecs[j], basis_vecs[j].conj())
-            recovery.append(kraus)
-            for v in basis_vecs:
-                covered += np.outer(v, v.conj())
-    # complete the recovery channel on the uncovered remainder
-    recovery.append(np.eye(2**N) - covered)
+        factors.append(np.einsum("ek,ejm->kjm", combo.conj(), coeffs) @ blk.vectors)
+    b_rows = np.concatenate(factors)  # (recovery ops, M, 2^N)
+    b_flat = b_rows.reshape(-1, 2**N)
+    # the recovery channel is completed on the uncovered remainder R (Hermitian)
+    remainder = np.eye(2**N) - b_flat.T @ b_flat.conj()
+    rem_vecs = vecs @ remainder.T  # rows R|j_L>
+    rem_sq_t = (remainder @ remainder).T.ravel()  # tr(R y R) = sum_ab y_ab (R^2)_ba
+    code_gram = vecs.conj() @ vecs.T  # <j_L|k_L>
 
-    rho_in = sum(np.outer(v, v.conj()) for v in vecs) / M
+    def recovered(y):
+        """<j_L|recover(y)|k_L> for all j, k, and tr recover(y)."""
+        b_y = (b_flat.conj() @ y).reshape(b_rows.shape)
+        inner = np.einsum("kjd,kld->jl", b_y, b_rows)  # sum_k B_k^* y B_k^T
+        overlaps = code_gram @ inner @ code_gram + rem_vecs.conj() @ y @ rem_vecs.T
+        trace = np.trace(inner @ code_gram) + y.ravel() @ rem_sq_t
+        return overlaps, trace
 
-    def channel(x):
-        return sum(K @ x @ K.conj().T for K in kraus_ops)
+    # K|j_L> for every input Kraus operator: channel(|j><k|) = sum_K (K|j>)(K|k>)^dag
+    kraus_vecs = np.array([(K @ vecs.T).T for K in kraus_ops])  # (kraus, M, 2^N)
 
-    def recover(x):
-        return sum(R @ x @ R.conj().T for R in recovery)
-
-    # entanglement fidelity F_e = (1/M^2) sum_{jk} <j|Phi(|j><k|)|k>
+    # entanglement fidelity F_e = (1/M^2) sum_{jk} <j|Phi(|j><k|)|k>; the trace
+    # of Phi on the maximally mixed code state is the mean over the j == k terms
     fid = 0.0 + 0.0j
+    trace_out = 0.0 + 0.0j
     for j in range(M):
         for k in range(M):
-            x = np.outer(vecs[j], vecs[k].conj())
-            y = recover(symmetrize_channel(channel(x), N))
-            fid += np.vdot(vecs[j], y @ vecs[k])
+            y = kraus_vecs[:, j].T @ kraus_vecs[:, k].conj()
+            overlaps, trace = recovered(symmetrize_channel(y, N))
+            fid += overlaps[j, k]
+            if j == k:
+                trace_out += trace
     fid = float(fid.real) / (M * M)
-    trace_out = float(np.trace(recover(symmetrize_channel(channel(rho_in), N))).real)
+    trace_out = float(trace_out.real) / M
     return {"entanglement_fidelity": fid, "blocks": r_report, "output_trace": trace_out}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from symsense.codes import GnuParams
-from symsense.symcore import SymState, jz_moments
+from symsense.symcore import SymState, binom, jz_moments
 
 
 def qfi_pure(state: SymState) -> float:
@@ -70,8 +70,10 @@ def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:
     Under the exp(-i theta Jz) signal the outcome probabilities are
     ``p+ = cos^(2n)(g theta/2)`` and ``p- = sin^(2n)(g theta/2)``; the two-outcome
     FI sums (dp/dtheta)^2/p over the plus/minus results, and the three-outcome
-    variant also scores the leak outcome 1 - p+ - p-.  Terms at probability
-    zeros are returned as their analytic limits (the division cancels).
+    variant also scores the leak outcome 1 - p+ - p-, summed as its binomial
+    tail so that it keeps full relative precision at small theta.  Terms at
+    probability zeros are returned as their analytic limits (the division
+    cancels).
     """
     g, n = params.g, params.n
     x = 0.5 * g * theta
@@ -82,7 +84,7 @@ def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:
     fi_two = fi_plus + fi_minus
     if n == 1:
         return fi_two, fi_two  # leak outcome has probability identically zero
-    p_other = 1.0 - c ** (2 * n) - s ** (2 * n)
+    p_other = sum(binom(n, k) * c ** (2 * k) * s ** (2 * (n - k)) for k in range(1, n))
     dp_other = g * n * s * c * (c ** (2 * n - 2) - s ** (2 * n - 2))
     if p_other <= 1e-200:
         # p_other vanishes only at x = 0 mod pi/2, where dp_other^2 / p_other

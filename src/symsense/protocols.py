@@ -323,6 +323,19 @@ class BatchResult:
         }
 
 
+def parse_threads(raw: str | None) -> int:
+    """Worker count from a SYMSENSE_THREADS value: 1 when unset, at most os.cpu_count()."""
+    if raw is None:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SYMSENSE_THREADS must be an integer >= 1, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     """Lock-step Monte-Carlo over n_traj trajectories on the code lattice.
 
@@ -331,10 +344,11 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     quantities the reference path computes on full Dicke vectors.
 
     Randomness is keyed per trajectory index, so results are independent of
-    chunking; SYMSENSE_THREADS > 1 distributes index ranges over worker
-    processes and concatenates, byte-identically to the serial run.
+    chunking; SYMSENSE_THREADS > 1 (clamped to the CPU count) distributes
+    index ranges over worker processes and concatenates, byte-identically to
+    the serial run.
     """
-    workers = int(os.environ.get("SYMSENSE_THREADS", "1"))
+    workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
     if workers > 1 and n_traj >= 4 * workers:
         chunk = (n_traj + workers - 1) // workers
         spans = [(i, min(i + chunk, n_traj)) for i in range(0, n_traj, chunk)]

@@ -59,18 +59,25 @@ def check_deletion_oracle(rng) -> float:
 
 
 def _ad_kraus_brute(psi: SymState, gamma: float) -> np.ndarray:
+    """Amplitude damping on every qubit of the full 2^N density matrix.
+
+    The N-fold product of the one-qubit channel is applied one qubit at a
+    time: qubit q's Kraus pair acts on q's row index and column index of
+    rho.  Equal to the sum over the 2^N Kraus strings, without forming them.
+    """
     N = psi.n_qubits
     vec = embed_sym(psi).vec
     rho = np.outer(vec, vec.conj())
     a0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
     a1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    out = np.zeros_like(rho)
-    for string in range(2**N):
-        K = np.array([[1.0 + 0j]])
-        for pos in range(N):
-            K = np.kron(K, a1 if (string >> (N - 1 - pos)) & 1 else a0)
-        out += K @ rho @ K.conj().T
-    return out
+    for q in range(N):
+        # rows and columns split as (qubits before q, qubit q, qubits after q)
+        r = rho.reshape(2**q, 2, 2 ** (N - q - 1), 2**q, 2, 2 ** (N - q - 1))
+        rho = sum(
+            np.einsum("ab,ibjkcl,dc->iajkdl", a, r, a.conj(), optimize=True) for a in (a0, a1)
+        )
+        rho = rho.reshape(2**N, 2**N)
+    return rho
 
 
 def _ad_insertion_reconstruction(psi: SymState, gamma: float) -> np.ndarray:

@@ -11,12 +11,14 @@ from symsense.fullspace import (
     DenseState,
     YoungDiagram2,
     embed_sym,
+    enumerate_paulis,
     enumerate_syt,
     general_qec_smallN,
     insert_zeros,
     j2_dense,
     kl_check,
     partial_trace_first,
+    pauli_apply,
     pauli_op,
     project_sym,
     schur_blocks,
@@ -26,6 +28,7 @@ from symsense.fullspace import (
 )
 from symsense.noise import delete
 from symsense.symcore import SymState
+from symsense.verify import _ad_kraus_brute
 
 
 def test_embed_round_trip():
@@ -344,3 +347,108 @@ def test_sequential_measurement_returns_valid_tableau():
             assert sum(1 for r in tab.row1 if r < label) >= pos
         d = tab.diagram
         assert d.j_total_doubled == tab.j_path_doubled[-1]
+
+
+def test_pauli_apply_matches_dense_pauli():
+    N = 4
+    rng = np.random.default_rng(17)
+    vecs = rng.standard_normal((3, 2**N)) + 1j * rng.standard_normal((3, 2**N))
+    labels = list(enumerate_paulis(N, 2))
+    assert len(labels) == 1 + 4 * 3 + 6 * 9
+    for positions, kinds in labels:
+        want = vecs @ pauli_op(N, positions, kinds).T
+        assert np.max(np.abs(pauli_apply(N, positions, kinds, vecs) - want)) < 1e-14
+        single = pauli_apply(N, positions, kinds, vecs[0])
+        assert np.max(np.abs(single - want[0])) < 1e-14
+    with pytest.raises(ValueError):
+        pauli_apply(N, (1,), ("W",), vecs)
+
+
+def _kraus_string_damping(rho, N, gamma):
+    """Reference: sum over all 2^N Kraus strings of one-qubit damping operators."""
+    a0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]])
+    a1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])
+    out = np.zeros_like(rho)
+    for string in range(2**N):
+        K = np.array([[1.0]])
+        for pos in range(N):
+            K = np.kron(K, a1 if (string >> (N - 1 - pos)) & 1 else a0)
+        out += K @ rho @ K.T
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_per_qubit_damping_matches_kraus_strings(N):
+    rng = np.random.default_rng(40 + N)
+    psi = SymState.random(N, rng)
+    vec = embed_sym(psi).vec
+    for gamma in (0.0, 0.3, 1.0):
+        want = _kraus_string_damping(np.outer(vec, vec.conj()), N, gamma)
+        assert np.max(np.abs(_ad_kraus_brute(psi, gamma) - want)) < 1e-14
+
+
+def _dense_recovery_qec(code_states, kraus_ops, max_weight):
+    """Reference for general_qec_smallN with dense Paulis and recovery Kraus operators."""
+    N = code_states[0].n_qubits
+    M = len(code_states)
+    vecs = [cs.vec for cs in code_states]
+    errors = [pauli_op(N, pos, kinds) for pos, kinds in enumerate_paulis(N, max_weight)]
+    recovery, blocks = [], []
+    covered = np.zeros((2**N, 2**N), dtype=complex)
+    for blk in schur_blocks(N):
+        coeffs = [np.array([blk.vectors.conj() @ (E @ v) for E in errors]) for v in vecs]
+        evals, evecs = np.linalg.eigh(coeffs[0] @ coeffs[0].conj().T)
+        keep = evals > 1e-10
+        if not keep.any():
+            continue
+        dim = blk.vectors.shape[0]
+        blocks.append({"j_path": blk.j_path_doubled, "r_T": int(keep.sum()), "bound": dim / M})
+        combo = evecs[:, keep] / np.sqrt(evals[keep])
+        for k in range(combo.shape[1]):
+            rows = [(combo[:, k].conj() @ c) @ blk.vectors for c in coeffs]
+            recovery.append(sum(np.outer(v, b.conj()) for v, b in zip(vecs, rows)))
+            covered += sum(np.outer(b, b.conj()) for b in rows)
+    recovery.append(np.eye(2**N) - covered)
+
+    def phi(x):
+        y = symmetrize_channel(sum(K @ x @ K.conj().T for K in kraus_ops), N)
+        return sum(R @ y @ R.conj().T for R in recovery)
+
+    fid = sum(np.vdot(a, phi(np.outer(a, b.conj())) @ b) for a in vecs for b in vecs)
+    rho_in = sum(np.outer(v, v.conj()) for v in vecs) / M
+    return fid.real / M**2, np.trace(phi(rho_in)).real, blocks
+
+
+def _random_orthonormal_states(N, M, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2**N, M)) + 1j * rng.standard_normal((2**N, M))
+    q, _ = np.linalg.qr(z)
+    return [DenseState(N, q[:, j]) for j in range(M)]
+
+
+@pytest.mark.parametrize(
+    "states, max_weight",
+    [
+        # the (2, 3) code fails KL for the weight-1 spanning set, so the
+        # recovery is not trace preserving there
+        ([embed_sym(cw) for cw in logical_pair(GnuParams(2, 3, Fraction(1), 0))], 1),
+        # a random pair is no code at all: the codewords leak into the remainder
+        (_random_orthonormal_states(4, 2, seed=9), 0),
+        (_random_orthonormal_states(4, 2, seed=9), 1),
+    ],
+)
+def test_general_qec_matches_dense_recovery_reference(states, max_weight):
+    N = states[0].n_qubits
+    kraus = [
+        np.eye(2**N, dtype=complex),
+        0.5 * pauli_op(N, (1,), ("X",)),
+        0.4 * pauli_op(N, (1, 2), ("Y", "Z")),
+        0.3 * pauli_op(N, (2, N), ("X", "X")),
+    ]
+    kraus = [K / math.sqrt(1.0 + 0.25 + 0.16 + 0.09) for K in kraus]
+    rep = general_qec_smallN(states, kraus, max_weight=max_weight)
+    fid, trace, blocks = _dense_recovery_qec(states, kraus, max_weight=max_weight)
+    assert abs(rep["entanglement_fidelity"] - fid) < 1e-12
+    assert abs(rep["output_trace"] - trace) < 1e-12
+    assert abs(rep["output_trace"] - 1.0) > 0.1
+    assert rep["blocks"] == blocks

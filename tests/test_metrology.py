@@ -115,6 +115,14 @@ def test_fi_code_basis_data_processing():
     assert max(ratios) < 1.0
 
 
+@pytest.mark.parametrize("theta", [1e-8, 3e-9])
+def test_fi_code_basis_three_outcome_small_theta(theta):
+    # the leak probability 1 - p+ - p- is summed as a binomial tail; the
+    # subtraction form gave 2001.6 and 2026.6 here against the limit g^2 n
+    _, f3 = fi_code_basis(GnuParams(20, 5, Fraction(1), 0), theta)
+    assert abs(f3 - 2000.0) <= 1e-6
+
+
 def test_fi_code_basis_suppression_with_n():
     # peak FI/QFI ratio decreases as the binomial width n grows (g fixed)
     peaks = []

@@ -1,6 +1,7 @@
 """Protocol Monte-Carlo: reference vs batch agreement, bookkeeping invariants, baselines."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from symsense.protocols import (
     ProtocolConfig,
     baselines,
     expected_fi_p1,
+    parse_threads,
     run_protocol1,
     run_protocol1_batch,
     run_protocol2,
@@ -222,6 +224,27 @@ def test_batch_parallel_matches_serial(monkeypatch):
     parallel = run_protocol1_batch(cfg, 300)
     for name in ("flag", "counts", "Phi", "dPhi_dtheta", "fisher_information"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+
+
+def test_parse_threads_defaults_and_clamps():
+    assert parse_threads(None) == 1
+    assert parse_threads("1") == 1
+    cpus = os.cpu_count() or 1
+    assert parse_threads(str(cpus)) == cpus
+    assert parse_threads("1000000") == cpus
+    assert parse_threads(str(10**30)) == cpus
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "", "two", "2.5", "1e3"])
+def test_parse_threads_rejects_bad_values(raw):
+    with pytest.raises(ValueError, match="SYMSENSE_THREADS"):
+        parse_threads(raw)
+
+
+def test_batch_rejects_bad_thread_count_before_any_work(monkeypatch):
+    monkeypatch.setenv("SYMSENSE_THREADS", "0")
+    with pytest.raises(ValueError, match="SYMSENSE_THREADS"):
+        run_protocol1_batch(small_config(), 300)
 
 
 def test_expected_fi_zero_signal_and_homogeneity():
