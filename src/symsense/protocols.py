@@ -9,10 +9,13 @@ theta-derivative.  Two implementations are provided:
   through the library channel/QEC operations, one trajectory at a time.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: because every reached
   state is supported on the n+1 code weights, the whole ensemble advances in
-  lock-step with (n_traj, n+1) amplitude arrays.  Identical randomness
-  consumption per trajectory (a pre-drawn (r, 3) uniform block from a Philox
-  stream keyed by (seed, trajectory index)) makes the two paths bitwise
-  replayable against each other.
+  lock-step with (n_traj, n+1) amplitude arrays, BATCH_SPAN trajectories at
+  a time.  Identical randomness consumption per trajectory (a pre-drawn
+  (r, 3) uniform block from a Philox stream keyed by (seed, trajectory
+  index)) makes the two paths bitwise replayable against each other.  The
+  batch reuses one Philox generator per span and resets it to each
+  trajectory's key (seed, index) instead of constructing one per trajectory;
+  the streams are the same.
 
 Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
 the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
@@ -36,6 +39,7 @@ from symsense.qec import pflag_closed_form, q_vectors, zeta
 from symsense.symcore import SymState, apply_signal, binom
 
 FD_THETA_STEP = 1e-6
+BATCH_SPAN = 16384  # trajectories per batch span, serial and pooled runs alike
 
 
 @dataclass(frozen=True)
@@ -262,12 +266,6 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     )
 
 
-def state_relative_phase(record_state: SymState, params: GnuParams) -> float:
-    """arg(<1_L|psi> / <0_L|psi>) for a codespace state (bookkeeping cross-check)."""
-    cw0, cw1 = logical_pair(params)
-    return float(np.angle(cw1.inner(record_state) / cw0.inner(record_state)))
-
-
 # ---------------------------------------------------------------------------
 # vectorized lattice batch
 # ---------------------------------------------------------------------------
@@ -343,66 +341,108 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     binomial ratios (N-w)/N and w/N, and the QEC projections are the same
     quantities the reference path computes on full Dicke vectors.
 
-    Randomness is keyed per trajectory index, so results are independent of
-    chunking; SYMSENSE_THREADS > 1 (clamped to the CPU count) distributes
-    index ranges over worker processes and concatenates, byte-identically to
-    the serial run.
+    ``[0, n_traj)`` is cut into spans of BATCH_SPAN trajectories that run
+    one after another, or on SYMSENSE_THREADS > 1 worker processes (clamped
+    to the CPU count), and are concatenated.  Randomness is keyed per
+    trajectory index, so serial and pooled runs agree bit for bit.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
-    if workers > 1 and n_traj >= 4 * workers:
-        chunk = (n_traj + workers - 1) // workers
-        spans = [(i, min(i + chunk, n_traj)) for i in range(0, n_traj, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_batch_span, [(config, lo, hi) for lo, hi in spans]))
-        merged = {
-            name: np.concatenate([getattr(part, name) for part in parts])
-            for name in (
-                "flag",
-                "invalid",
-                "counts",
-                "Phi",
-                "dPhi_dtheta",
-                "final_amp_a",
-                "fisher_information",
-                "n_deletions",
-                "final_shift",
-            )
-        }
-        return BatchResult(config=config, **merged)
-    return _run_batch_span(config, 0, n_traj)
+    los = range(0, n_traj, BATCH_SPAN)
+    spans = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
+    if workers > 1 and len(los) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
+            parts = list(pool.map(_run_batch_span, *spans))
+    else:
+        parts = list(map(_run_batch_span, *spans))
+    merged = {
+        name: np.concatenate([getattr(part, name) for part in parts])
+        for name in (
+            "flag",
+            "invalid",
+            "counts",
+            "Phi",
+            "dPhi_dtheta",
+            "final_amp_a",
+            "fisher_information",
+            "n_deletions",
+            "final_shift",
+        )
+    }
+    return BatchResult(config=config, **merged)
 
 
-def _batch_span(args):
-    config, lo, hi = args
-    return _run_batch_span(config, lo, hi)
+def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
+    """(hi - lo, r, 3) uniforms whose row j is trajectory_rng(seed, lo + j).random((r, 3)).
+
+    One Philox and Generator serve the span: before each row the bit generator
+    is put back into the state of a fresh Philox(key=[seed, index]) -- counter
+    0, buffer empty -- which is much cheaper than constructing a new one.
+    """
+    bitgen = np.random.Philox(key=[seed, lo])
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    out = np.empty((hi - lo, r, 3))
+    for j in range(hi - lo):
+        key[1] = lo + j
+        bitgen.state = fresh
+        gen.random(out=out[j])
+    return out
 
 
 def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
+    """Trajectories [lo, hi) in lock-step over full-width (hi - lo, 4) lattice arrays.
+
+    Every row is updated every round and aborts only clear ``alive``: an
+    aborted row's amplitudes are saved at the abort (before the round for a
+    flag or invalid regime, after the signal for a failed projection) and put
+    back at the end, so the outputs are those of a row frozen at its abort.
+    """
     n_traj = hi - lo
     p = config.params
-    g, n = p.g, p.n
+    g, N0, s0 = p.g, p.n_qubits, p.s
     tau, theta = config.tau, config.theta
     h = FD_THETA_STEP
     c_prof, q_prof = _n3_profiles()
     even = np.array([1.0, 0.0, 1.0, 0.0])
     odd = 1.0 - even
+    c_even, c_odd = c_prof * even, c_prof * odd
+    q_even, q_odd = q_prof * even, q_prof * odd
+    k_idx = np.arange(4, dtype=float)
+    U = _span_uniforms(config.seed, lo, hi, config.r)
 
-    # uniform blocks, one Philox stream per (global) trajectory index
-    U = np.empty((n_traj, config.r, 3))
-    for idx in range(n_traj):
-        U[idx] = trajectory_rng(config.seed, lo + idx).random((config.r, 3))
+    # phase increments of a round by outcome 2 t + syn (t = 1 rows are
+    # overwritten with their one-deletion phases); outcome 4 is an aborted row
+    z_now = _zeta_pair(g, theta * tau)
+    z_plus = _zeta_pair(g, (theta + h) * tau)
+    z_minus = _zeta_pair(g, (theta - h) * tau)
+    z_dthe = [(z_plus[j] - z_minus[j]) / (2 * h) for j in (0, 1)]
+    z_inc = np.array([*z_now, *z_now, 0.0])
+    z_dinc = np.array([*z_dthe, *z_dthe, 0.0])
+
+    # the signal phases of a row depend only on its deletions d and shifts k
+    # so far (n = N0 - d, s = s0 - k): row d * (dcap + 1) + k of ph_tab
+    def phase_table(dcap):
+        steps = np.arange(dcap + 1)
+        n_tab = (N0 - steps)[:, None, None]
+        w_tab = g * k_idx + (s0 - steps)[None, :, None].astype(float)
+        return np.exp(-1j * theta * tau * (0.5 * n_tab - w_tab)).reshape(-1, 4)
+
+    dcap = 4
+    ph_tab = phase_table(dcap)
 
     amp = np.tile((c_prof / math.sqrt(2.0)).astype(complex), (n_traj, 1))
-    n_cur = np.full(n_traj, p.n_qubits, dtype=np.int64)
-    s_cur = np.full(n_traj, p.s, dtype=np.int64)
+    n_cur = np.full(n_traj, N0, dtype=np.int64)
+    s_cur = np.full(n_traj, s0, dtype=np.int64)
     alive = np.ones(n_traj, dtype=bool)
     flag = np.zeros(n_traj, dtype=bool)
     invalid = np.zeros(n_traj, dtype=bool)
-    counts = np.zeros((n_traj, 2, 2), dtype=np.int64)
+    counts = np.zeros((4, n_traj), dtype=np.int64)  # row 2 t + syn
     Phi = np.zeros(n_traj)
     dPhi = np.zeros(n_traj)
-    n_dels = np.zeros(n_traj, dtype=np.int64)
-    k_idx = np.arange(4, dtype=float)
+    frozen_idx, frozen_amp = [], []
 
     for i in range(config.r):
         if not alive.any():
@@ -410,111 +450,102 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         u_del, u_sigma, u_syn = U[:, i, 0], U[:, i, 1], U[:, i, 2]
         lam = config.n_del * n_cur * tau
         p0 = np.exp(-lam)
-        t1 = alive & (u_del >= p0) & (u_del < p0 * (1.0 + lam))
         t2 = alive & (u_del >= p0 * (1.0 + lam))
-        flag |= t2
-        alive &= ~t2
-        low = alive & (n_cur - t1.astype(int) < p.n_qubits / 2)
-        invalid |= low
-        alive &= ~low
+        t1 = alive & (u_del >= p0) & ~t2
+        low = alive & ~t2 & (n_cur - t1 < N0 / 2)
+        stop = t2 | low
+        if stop.any():
+            flag |= t2
+            invalid |= low
+            alive &= ~stop
+            t1 &= ~low
+            frozen_idx.append(np.nonzero(stop)[0])
+            frozen_amp.append(amp[frozen_idx[-1]])
 
         # --- one-deletion rows: branch sample and amplitude update
-        rows = alive & t1
-        if rows.any():
-            w = g * k_idx[None, :] + s_cur[rows, None].astype(float)
-            ratio1 = w / n_cur[rows, None]
-            prob1 = np.sum(np.abs(amp[rows]) ** 2 * ratio1, axis=1)
-            sigma = (u_sigma[rows] < prob1).astype(np.int64)
+        drow = np.nonzero(t1)[0]
+        if drow.size:
+            pre_n, pre_s = n_cur[drow], s_cur[drow]
+            w = g * k_idx[None, :] + pre_s[:, None].astype(float)
+            ratio1 = w / pre_n[:, None]
+            prob1 = np.sum(np.abs(amp[drow]) ** 2 * ratio1, axis=1)
+            sigma = (u_sigma[drow] < prob1).astype(np.int64)
             ratio = np.where(sigma[:, None] > 0, ratio1, 1.0 - ratio1)
-            new = amp[rows] * np.sqrt(np.maximum(ratio, 0.0))
+            new = amp[drow] * np.sqrt(np.maximum(ratio, 0.0))
             new /= np.sqrt(np.sum(np.abs(new) ** 2, axis=1))[:, None]
-            amp[rows] = new
-            pre_n = n_cur[rows].copy()
-            pre_s = s_cur[rows].copy()
-            n_cur[rows] -= 1
-            s_cur[rows] -= sigma
-            n_dels[rows] += 1
+            amp[drow] = new
+            n_cur[drow] -= 1
+            s_cur[drow] -= sigma
+            dmax = N0 - int(n_cur[drow].min())
+            if dmax > dcap:
+                dcap = 2 * dmax
+                ph_tab = phase_table(dcap)
 
         # --- signal phases on the (post-deletion) lattice
-        act = alive
-        w_act = g * k_idx[None, :] + s_cur[act, None].astype(float)
-        ph = np.exp(-1j * theta * tau * (0.5 * n_cur[act, None] - w_act))
-        amp[act] = amp[act] * ph
+        amp *= ph_tab[(N0 - n_cur) * (dcap + 1) + (s0 - s_cur)]
 
         # --- QEC projections
-        e0 = amp[act] @ (c_prof * even)
-        e1 = amp[act] @ (c_prof * odd)
-        d0 = amp[act] @ (q_prof * even)
-        d1 = amp[act] @ (q_prof * odd)
+        e0 = amp @ c_even
+        e1 = amp @ c_odd
+        d0 = amp @ q_even
+        d1 = amp @ q_odd
         p_code = np.abs(e0) ** 2 + np.abs(e1) ** 2
         p_q = np.abs(d0) ** 2 + np.abs(d1) ** 2
-        us = u_syn[act]
-        syn0 = us < p_code
-        syn1 = (~syn0) & (us < p_code + p_q)
-        failed = ~(syn0 | syn1)
-
-        # post-projection amplitudes on the lattice
-        newamp = np.where(
-            syn0[:, None],
-            (e0[:, None] * (c_prof * even)[None, :] + e1[:, None] * (c_prof * odd)[None, :])
-            / np.sqrt(np.where(syn0, p_code, 1.0))[:, None],
-            (d0[:, None] * (c_prof * even)[None, :] + d1[:, None] * (c_prof * odd)[None, :])
-            / np.sqrt(np.where(syn1, p_q, 1.0))[:, None],
-        )
-        act_idx = np.nonzero(act)[0]
-        amp[act_idx[~failed]] = newamp[~failed]
-        flag[act_idx[failed]] = True
-        alive[act_idx[failed]] = False
+        syn0 = u_syn < p_code
+        syn1 = (~syn0) & (u_syn < p_code + p_q)
+        failed = alive & ~(syn0 | syn1)
+        if failed.any():
+            flag |= failed
+            alive &= ~failed
+            t1 &= ~failed
+            frozen_idx.append(np.nonzero(failed)[0])
+            frozen_amp.append(amp[frozen_idx[-1]])
+        # (e0 c_even + e1 c_odd) / sqrt(p_code) on syn = 0, the d pair over
+        # sqrt(p_q) on syn = 1: scaling by the reciprocal gives the bits of
+        # that complex division
+        lc0 = np.where(syn0, e0, d0)
+        lc1 = np.where(syn0, e1, d1)
+        scl = 1.0 / np.sqrt(np.where(syn0, p_code, np.where(syn1, p_q, 1.0)))
+        amp[:, 0::2] = lc0[:, None] * c_prof[0::2]
+        amp[:, 1::2] = lc1[:, None] * c_prof[1::2]
+        amp *= scl[:, None]
 
         # --- bookkeeping: counts, Phi, dPhi
-        keep = act_idx[~failed]
-        t_round = t1[keep].astype(int)
-        syn_round = syn1[~failed].astype(int)
-        counts[keep, t_round, syn_round] += 1
-
-        z_now = _zeta_pair(g, theta * tau)
-        z_plus = _zeta_pair(g, (theta + h) * tau)
-        z_minus = _zeta_pair(g, (theta - h) * tau)
-        inc = np.where(syn_round == 0, z_now[0], z_now[1])
-        dinc = np.where(
-            syn_round == 0,
-            (z_plus[0] - z_minus[0]) / (2 * h),
-            (z_plus[1] - z_minus[1]) / (2 * h),
-        )
-        del_rows = t_round == 1
-        if del_rows.any():
-            sel = keep[del_rows]
-            # recover pre-deletion data for those rows
-            sub = np.nonzero(rows)[0]
-            pos = {traj: j for j, traj in enumerate(sub)}
-            take = np.array([pos[traj] for traj in sel])
-            sg = sigma[take]
-            pn = pre_n[take]
-            ps = pre_s[take]
-            sel_syn = syn_round[del_rows]
+        outcome = np.where(alive, 2 * t1 + syn1, 4)
+        for j in range(4):
+            counts[j] += outcome == j
+        inc = z_inc[outcome]
+        dinc = z_dinc[outcome]
+        if drow.size and t1[drow].any():
+            kept = t1[drow]
+            rows = drow[kept]
             vals = []
             for th in (theta, theta + h, theta - h):
-                u0_, u1_ = one_deletion_ratios(g, pn, ps, sg, th * tau)
-                vals.append(np.angle(np.where(sel_syn == 1, u1_, u0_)))
-            inc[del_rows] = vals[0]
-            dinc[del_rows] = (vals[1] - vals[2]) / (2 * h)
-        Phi[keep] += inc
-        dPhi[keep] += dinc
+                u0_, u1_ = one_deletion_ratios(
+                    g, pre_n[kept], pre_s[kept], sigma[kept], th * tau
+                )
+                vals.append(np.angle(np.where(syn1[rows], u1_, u0_)))
+            inc[rows] = vals[0]
+            dinc[rows] = (vals[1] - vals[2]) / (2 * h)
+        Phi += inc
+        dPhi += dinc
 
+    if frozen_idx:
+        amp[np.concatenate(frozen_idx)] = np.concatenate(frozen_amp)
     ok = ~(flag | invalid)
-    a0 = amp @ (c_prof * even)
-    a1 = amp @ (c_prof * odd)
+    a0 = amp @ c_even
+    a1 = amp @ c_odd
     phi_amp = np.arctan2(np.abs(a1), np.abs(a0))
     fi = np.where(ok, fi_phase_readout_vec(phi_amp, Phi, dPhi), 0.0)
     return BatchResult(
         flag=flag,
         invalid=invalid,
-        counts=counts,
+        counts=np.ascontiguousarray(counts.T).reshape(n_traj, 2, 2),
         Phi=Phi,
         dPhi_dtheta=dPhi,
         final_amp_a=np.abs(a0),
         fisher_information=fi,
-        n_deletions=n_dels,
+        n_deletions=N0 - n_cur,
         final_shift=s_cur,
         config=config,
     )
@@ -736,26 +767,51 @@ def baselines(N: int, eta: float, q: float, gamma_rounds: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
+_JSONL_ROW = (
+    '{"index": %d, "flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]], '
+    '"Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, "fisher_information": %s, '
+    '"n_deletions": %d, "final_shift": %d}\n'
+)
+_JSON_BOOL = ("false", "true")
+
+
+def _json_floats(col: np.ndarray) -> list[str]:
+    """json.dumps spellings of a float column, each distinct bit pattern spelled once.
+
+    A Monte-Carlo column holds few distinct values (trajectories with the
+    same outcomes share them); keying on the bits keeps -0.0 apart from 0.0.
+    """
+    bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
+    spelled = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return spelled[where].tolist()
+
+
 def write_trajectories_jsonl(batch: BatchResult, path):
+    """One JSON object per trajectory, byte-identical to json.dumps of each row dict.
+
+    Columns are converted BATCH_SPAN rows at a time and poured into a fixed
+    row template.
+    """
     with open(path, "w") as fh:
-        for i in range(batch.flag.size):
-            fh.write(
-                json.dumps(
-                    {
-                        "index": i,
-                        "flag": bool(batch.flag[i]),
-                        "invalid_regime": bool(batch.invalid[i]),
-                        "counts": batch.counts[i].tolist(),
-                        "Phi": float(batch.Phi[i]),
-                        "dPhi_dtheta": float(batch.dPhi_dtheta[i]),
-                        "final_amp_a": float(batch.final_amp_a[i]),
-                        "fisher_information": float(batch.fisher_information[i]),
-                        "n_deletions": int(batch.n_deletions[i]),
-                        "final_shift": int(batch.final_shift[i]),
-                    }
-                )
-                + "\n"
+        for lo in range(0, batch.flag.size, BATCH_SPAN):
+            sl = slice(lo, lo + BATCH_SPAN)
+            counts = batch.counts[sl]
+            cols = (
+                range(lo, lo + counts.shape[0]),
+                map(_JSON_BOOL.__getitem__, batch.flag[sl].tolist()),
+                map(_JSON_BOOL.__getitem__, batch.invalid[sl].tolist()),
+                counts[:, 0, 0].tolist(),
+                counts[:, 0, 1].tolist(),
+                counts[:, 1, 0].tolist(),
+                counts[:, 1, 1].tolist(),
+                _json_floats(batch.Phi[sl]),
+                _json_floats(batch.dPhi_dtheta[sl]),
+                _json_floats(batch.final_amp_a[sl]),
+                _json_floats(batch.fisher_information[sl]),
+                batch.n_deletions[sl].tolist(),
+                batch.final_shift[sl].tolist(),
             )
+            fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
 
 
 def write_summary_csv(batch: BatchResult, path):

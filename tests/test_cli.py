@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from symsense.cli import main
 
 
@@ -75,6 +77,23 @@ def test_protocol1_command(tmp_path, capsys):
     assert len(lines) == 50
     rec = json.loads(lines[0])
     assert set(rec) >= {"flag", "Phi", "dPhi_dtheta", "fisher_information"}
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_protocol1_rejects_trial_count_below_one(tmp_path, capsys, recwarn, trials):
+    out = tmp_path / "traj.jsonl"
+    code = run_cli(
+        [
+            "protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12",
+            "--r", "6", "--q", "1.2", "--theta", "0.005", "--ndel", "0.002",
+            "--trials", trials, "--seed", "3", "--format", "json", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "n_traj" in captured.err and captured.out == ""
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_protocol3_command(capsys):

@@ -1,5 +1,6 @@
 """Protocol Monte-Carlo: reference vs batch agreement, bookkeeping invariants, baselines."""
 
+import json
 import math
 import os
 from fractions import Fraction
@@ -7,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symsense import protocols
 from symsense.codes import GnuParams
 from symsense.protocols import (
+    BatchResult,
     ProtocolConfig,
     baselines,
     expected_fi_p1,
@@ -217,13 +220,91 @@ def test_export_roundtrip(tmp_path):
     assert "mean_FI" in text and str(cfg.params.g) in text
 
 
+BATCH_ARRAYS = (
+    "flag",
+    "invalid",
+    "counts",
+    "Phi",
+    "dPhi_dtheta",
+    "final_amp_a",
+    "fisher_information",
+    "n_deletions",
+    "final_shift",
+)
+
+
 def test_batch_parallel_matches_serial(monkeypatch):
     cfg = small_config(seed=5, n_del=3e-3, r=10)
+    whole = run_protocol1_batch(cfg, 300)  # one span
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 64)  # spans of 64, the last one short
     serial = run_protocol1_batch(cfg, 300)
     monkeypatch.setenv("SYMSENSE_THREADS", "2")
     parallel = run_protocol1_batch(cfg, 300)
-    for name in ("flag", "counts", "Phi", "dPhi_dtheta", "fisher_information"):
-        assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+    assert serial.success.sum() < 300 and serial.n_deletions.any()
+    for name in BATCH_ARRAYS:
+        want = getattr(whole, name)
+        for got in (getattr(serial, name), getattr(parallel, name)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi",
+    [
+        (7, protocols.BATCH_SPAN - 3, protocols.BATCH_SPAN + 3),  # straddles a span boundary
+        (7, 2**33 + 3, 2**33 + 8),
+        (2**40 + 3, 0, 4),
+        (2**40 + 3, 2**33 + 5, 2**33 + 6),
+    ],
+)
+def test_span_uniforms_match_trajectory_rng(seed, lo, hi):
+    block = protocols._span_uniforms(seed, lo, hi, 5)
+    assert block.shape == (hi - lo, 5, 3)
+    for j, index in enumerate(range(lo, hi)):
+        assert np.array_equal(block[j], trajectory_rng(seed, index).random((5, 3))), index
+
+
+def test_batch_rejects_empty_run_before_any_work(monkeypatch):
+    def no_span(config, lo, hi):
+        raise AssertionError("a span ran")
+
+    monkeypatch.setattr(protocols, "_run_batch_span", no_span)
+    for n_traj in (0, -3):
+        with pytest.raises(ValueError, match="n_traj"):
+            run_protocol1_batch(small_config(), n_traj)
+
+
+def _jsonl_reference(batch: BatchResult) -> str:
+    """The exporter's format, spelled out row by row with json.dumps."""
+    lines = []
+    for i in range(batch.flag.size):
+        row = {
+            "index": i,
+            "flag": bool(batch.flag[i]),
+            "invalid_regime": bool(batch.invalid[i]),
+            "counts": batch.counts[i].tolist(),
+            "Phi": float(batch.Phi[i]),
+            "dPhi_dtheta": float(batch.dPhi_dtheta[i]),
+            "final_amp_a": float(batch.final_amp_a[i]),
+            "fisher_information": float(batch.fisher_information[i]),
+            "n_deletions": int(batch.n_deletions[i]),
+            "final_shift": int(batch.final_shift[i]),
+        }
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
+
+
+def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
+    batch = run_protocol1_batch(small_config(seed=8, n_del=4e-3), 40)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, -1e22, 1e16, 0.1]
+    for j, name in enumerate(("Phi", "dPhi_dtheta", "final_amp_a", "fisher_information")):
+        col = getattr(batch, name)
+        col[j : j + len(specials)] = specials
+        col[30:] = col[0]  # repeated values share one spelling
+    batch.flag[::3] = True
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 7)  # several chunks
+    path = tmp_path / "traj.jsonl"
+    write_trajectories_jsonl(batch, path)
+    assert path.read_text() == _jsonl_reference(batch)
 
 
 def test_parse_threads_defaults_and_clamps():
