@@ -93,16 +93,22 @@ def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:
     return fi_two, fi_two + dp_other**2 / p_other
 
 
+# |cos 2 phi| at or below this is the rounding of phi itself near pi/4 (one
+# ulp of phi moves cos 2 phi by 2.2e-16), so such a phi is pi/4
+PI_4_COS_FLOOR = 2.0**-51
+
+
 def fi_phase_readout(phi_amp: float, Phi: float, dPhi_dtheta: float) -> float:
     """FI of a plus/minus measurement on cos(phi)|a0> + e^{i Phi} sin(phi)|a1>.
 
-    F = sin^2(2 phi) sin^2(Phi) / (1 - sin^2(2 phi) cos^2(Phi)) * (dPhi/dtheta)^2.
-    At phi = pi/4 the prefactor is identically 1 (including the Phi -> 0 limit,
-    where the expression is 0/0 but continuous), so the FI is (dPhi/dtheta)^2.
+    F = sin^2(2 phi) sin^2(Phi) / (cos^2(2 phi) + sin^2(2 phi) sin^2(Phi)) * (dPhi/dtheta)^2.
+    The denominator equals 1 - sin^2(2 phi) cos^2(Phi) but has no cancellation
+    near phi = pi/4, Phi = 0.  At phi = pi/4 (to within the rounding of phi,
+    see PI_4_COS_FLOOR) the prefactor is identically 1, including the Phi -> 0
+    limit where the expression is 0/0, so the FI is (dPhi/dtheta)^2.
     """
-    s2 = math.sin(2.0 * phi_amp)
-    denom = 1.0 - s2 * s2 * math.cos(Phi) ** 2
-    if denom <= 0.0:
-        # sin^2(2 phi) = 1 and cos^2(Phi) = 1 simultaneously: the phi = pi/4 limit
+    c2 = math.cos(2.0 * phi_amp)
+    if abs(c2) <= PI_4_COS_FLOOR:
         return dPhi_dtheta**2
-    return (s2 * s2 * math.sin(Phi) ** 2 / denom) * dPhi_dtheta**2
+    num = (math.sin(2.0 * phi_amp) * math.sin(Phi)) ** 2
+    return num / (c2 * c2 + num) * dPhi_dtheta**2

@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
+from symsense.metrology import PI_4_COS_FLOOR
 from symsense.noise import delete
 from symsense.qec import pflag_closed_form, q_vectors, zeta
 from symsense.symcore import SymState, apply_signal, binom
@@ -145,9 +146,11 @@ def _zeta_pair(g: int, delta: float) -> tuple[float, float]:
 
 def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
     """Vectorized plus/minus readout FI (see metrology.fi_phase_readout)."""
-    s2 = np.sin(2.0 * np.asarray(phi_amp))
-    denom = 1.0 - s2 * s2 * np.cos(Phi) ** 2
-    pref = np.where(denom > 0.0, s2 * s2 * np.sin(Phi) ** 2 / np.where(denom > 0, denom, 1.0), 1.0)
+    phi_amp = np.asarray(phi_amp)
+    c2 = np.cos(2.0 * phi_amp)
+    num = (np.sin(2.0 * phi_amp) * np.sin(Phi)) ** 2
+    at_pi_4 = np.abs(c2) <= PI_4_COS_FLOOR
+    pref = np.where(at_pi_4, 1.0, num / np.where(at_pi_4, 1.0, c2 * c2 + num))
     return pref * np.asarray(dPhi) ** 2
 
 
