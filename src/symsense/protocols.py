@@ -28,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -149,8 +149,7 @@ def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
     phi_amp = np.asarray(phi_amp)
     c2 = np.cos(2.0 * phi_amp)
     num = (np.sin(2.0 * phi_amp) * np.sin(Phi)) ** 2
-    at_pi_4 = np.abs(c2) <= PI_4_COS_FLOOR
-    pref = np.where(at_pi_4, 1.0, num / np.where(at_pi_4, 1.0, c2 * c2 + num))
+    pref = np.where(np.abs(c2) <= PI_4_COS_FLOOR, 1.0, num / (c2 * c2 + num))
     return pref * np.asarray(dPhi) ** 2
 
 
@@ -353,25 +352,16 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
     los = range(0, n_traj, BATCH_SPAN)
-    spans = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
+    span_args = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
     if workers > 1 and len(los) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
-            parts = list(pool.map(_run_batch_span, *spans))
+            parts = list(pool.map(_run_batch_span, *span_args))
     else:
-        parts = list(map(_run_batch_span, *spans))
+        parts = list(map(_run_batch_span, *span_args))
     merged = {
-        name: np.concatenate([getattr(part, name) for part in parts])
-        for name in (
-            "flag",
-            "invalid",
-            "counts",
-            "Phi",
-            "dPhi_dtheta",
-            "final_amp_a",
-            "fisher_information",
-            "n_deletions",
-            "final_shift",
-        )
+        f.name: np.concatenate([getattr(part, f.name) for part in parts])
+        for f in fields(BatchResult)
+        if f.name != "config"
     }
     return BatchResult(config=config, **merged)
 
@@ -379,18 +369,18 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
 def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
     """(hi - lo, r, 3) uniforms whose row j is trajectory_rng(seed, lo + j).random((r, 3)).
 
-    One Philox and Generator serve the span: before each row the bit generator
-    is put back into the state of a fresh Philox(key=[seed, index]) -- counter
-    0, buffer empty -- which is much cheaper than constructing a new one.
+    One generator, trajectory_rng(seed, lo), serves the span: before each row
+    its Philox is put back into the state of a fresh stream with key
+    (seed, index) -- counter 0, buffer empty -- which is much cheaper than
+    constructing a generator per trajectory.
     """
-    bitgen = np.random.Philox(key=[seed, lo])
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
+    gen = trajectory_rng(seed, lo)
+    fresh = gen.bit_generator.state
     key = fresh["state"]["key"]
     out = np.empty((hi - lo, r, 3))
     for j in range(hi - lo):
         key[1] = lo + j
-        bitgen.state = fresh
+        gen.bit_generator.state = fresh
         gen.random(out=out[j])
     return out
 
