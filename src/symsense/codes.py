@@ -12,10 +12,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from symsense.symcore import SymState, as_fraction, binom
+
+# codewords (and the q-vectors of qec) kept per process, ~32 kB each on the
+# N = 2000 code: 200 Protocol-1 reference trajectories there visit 9 codes
+CODEWORD_CACHE = 64
 
 
 class Label(Enum):
@@ -87,9 +92,17 @@ def make_logical(params: GnuParams, label: Label | str) -> LogicalState:
     Zero/One carry the even-k/odd-k binomial amplitudes on weights g*k+s;
     Plus and Minus are their sum and difference over sqrt(2).  Minus is
     provided because the protocol readout measures in the plus-minus basis.
+
+    Codewords are built once per (params, label) and shared: the most recent
+    CODEWORD_CACHE of them are kept, and their amplitudes are read-only.
     """
     if isinstance(label, str):
         label = Label(label.lower())
+    return _make_logical(params, label)
+
+
+@lru_cache(maxsize=CODEWORD_CACHE)
+def _make_logical(params: GnuParams, label: Label) -> LogicalState:
     N = params.n_qubits
     profile = _binomial_profile(params)
     amps = np.zeros(N + 1, dtype=complex)
@@ -116,14 +129,16 @@ def logical_pair(params: GnuParams) -> tuple[SymState, SymState]:
 def code_projector_overlap(params: GnuParams, state: SymState) -> tuple[float, float, float]:
     """(p_plus, p_minus, p_other) for a normalized state against this code.
 
-    p_other is the leakage out of the span of the logical plus/minus pair and
-    can be a small negative float-noise number, bounded below by -1e-12.
+    p_other is the leakage out of the span of the logical plus/minus pair,
+    taken as the squared norm of the residual ``psi - <+|psi>|+> - <-|psi>|->``
+    rather than as ``1 - p_plus - p_minus``, which cancels: it is never
+    negative and keeps its relative precision for tiny leakage.
     """
     plus = make_logical(params, Label.PLUS).state
     minus = make_logical(params, Label.MINUS).state
-    p_plus = abs(plus.inner(state)) ** 2
-    p_minus = abs(minus.inner(state)) ** 2
-    return p_plus, p_minus, 1.0 - p_plus - p_minus
+    c_plus, c_minus = plus.inner(state), minus.inner(state)
+    residual = state.amps - c_plus * plus.amps - c_minus * minus.amps
+    return abs(c_plus) ** 2, abs(c_minus) ** 2, float(np.vdot(residual, residual).real)
 
 
 def codeword_to_json(logical: LogicalState) -> str:

@@ -5,6 +5,15 @@ on fewer qubits: deletions produce t+1 branches labelled by the weight shift a,
 amplitude damping produces N+1 branches labelled by the damped-excitation
 count x (insertion positions are traced out, which is harmless because every
 downstream quantity depends only on the branch states).
+
+Both channels work on the state's support (its non-zero weights).  Each
+branch evaluates its binomial factors on the support weights only, in one
+vectorized step, so a call costs O(t |support|) (deletion) or O(N |support|)
+(damping) arithmetic, plus one zero-filled output vector and its norm per
+branch.  A codeword has n + 1 support weights, so damping the N = 2000 code
+state no longer visits all N^2 / 2 (branch, weight) pairs in Python.  The
+branch amplitudes are bit-identical to evaluating each weight through
+``log_binom`` / ``sqrt_binom_ratio`` and ``math.exp``.
 """
 
 from __future__ import annotations
@@ -63,12 +72,19 @@ def delete(state: SymState, t: int) -> list[DeletionOutcome]:
     if not 1 <= t <= N:
         raise ValueError(f"deletion count t={t} outside 1..{N}")
     M = N - t
+    support = np.flatnonzero(state.amps)
+    lg = _lgamma_table(N)
+    # log C(N, w) on the support, in log_binom's operation order
+    log_den = lg[N] - lg[support] - lg[N - support]
     outcomes = BranchList()
     for a in range(t + 1):
+        lo, hi = np.searchsorted(support, (a, M + a + 1))
+        w = support[lo:hi]
+        k = w - a
+        log_num = lg[M] - lg[k] - lg[M - k]
+        ratio = np.fromiter(map(math.exp, (0.5 * (log_num - log_den[lo:hi])).tolist()), float)
         amps = np.zeros(M + 1, dtype=complex)
-        for w in range(a, M + a + 1):
-            if state.amps[w] != 0:
-                amps[w - a] = state.amps[w] * sqrt_binom_ratio(M, w - a, N, w)
+        amps[k] = state.amps[w] * ratio
         nsq = float(np.vdot(amps, amps).real)
         weight = binom(t, a) * nsq
         if weight <= PRUNE_EPS:
@@ -83,38 +99,43 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
 
     Branch x carries ``|phi_x> = sum_w a_w sqrt(p_w(x)) |D^{N-x}_{w-x}>`` with
     ``p_w(x) = C(w,x) gamma^x (1-gamma)^(w-x)``; branch weights sum to one.
+    Branches above the top support weight are exactly zero and are not
+    formed; their (zero) mass is the only thing they would add.
     """
     if not 0.0 <= gamma_ad <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
     N = state.n_qubits
+    support = np.flatnonzero(state.amps)
     outcomes = BranchList()
-    for x in range(N + 1):
+    if support.size == 0:
+        return outcomes
+    if 0.0 < gamma_ad < 1.0:
+        lg = _lgamma_table(N)
+        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
+    for x in range(int(support[-1]) + 1):
+        w = support[np.searchsorted(support, x):]
+        # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
+        if gamma_ad == 0.0:
+            pwx = np.ones(w.size) if x == 0 else np.zeros(w.size)
+        elif gamma_ad == 1.0:
+            pwx = (w == x).astype(float)
+        else:
+            log_p = lg[w] - lg[x] - lg[w - x] + x * log_g + (w - x) * log_1mg
+            pwx = np.fromiter(map(math.exp, log_p.tolist()), float, w.size)
+        keep = pwx > 0.0
         amps = np.zeros(N - x + 1, dtype=complex)
-        for w in range(x, N + 1):
-            if state.amps[w] == 0:
-                continue
-            # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
-            if gamma_ad == 0.0:
-                if x != 0:
-                    continue
-                pwx = 1.0 * (1.0 - gamma_ad) ** w
-            elif gamma_ad == 1.0:
-                pwx = 1.0 if x == w else 0.0
-            else:
-                log_p = (
-                    log_binom(w, x)
-                    + x * math.log(gamma_ad)
-                    + (w - x) * math.log1p(-gamma_ad)
-                )
-                pwx = math.exp(log_p)
-            if pwx > 0.0:
-                amps[w - x] = state.amps[w] * math.sqrt(pwx)
+        amps[w[keep] - x] = state.amps[w[keep]] * np.sqrt(pwx[keep])
         nsq = float(np.vdot(amps, amps).real)
         if nsq <= PRUNE_EPS:
             outcomes.pruned_mass += nsq
             continue
         outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
     return outcomes
+
+
+def _lgamma_table(n: int) -> np.ndarray:
+    """``lgamma(k + 1)`` for k = 0..n, by math.lgamma (the values log_binom uses)."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
 
 
 def deletion_qfi(params: GnuParams, t: int) -> float:
@@ -166,9 +187,9 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
     if gamma_ad == 0.0:
         return float(params.g**2 * params.n)
     g, n, s = params.g, params.n, params.s
-    N = params.n_qubits
     total = 0.0
-    for x in range(N + 1):
+    # no lattice weight lies above s + g n, so later branches are empty
+    for x in range(s + g * n + 1):
         probs = []
         wts = []
         for k in range(n + 1):

@@ -389,9 +389,9 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     """Trajectories [lo, hi) in lock-step over full-width (hi - lo, 4) lattice arrays.
 
     Every row is updated every round and aborts only clear ``alive``: an
-    aborted row's amplitudes are saved at the abort (before the round for a
-    flag or invalid regime, after the signal for a failed projection) and put
-    back at the end, so the outputs are those of a row frozen at its abort.
+    aborted row adds no counts, phases or deletions after its abort, and its
+    amplitudes, which keep being updated, are not read: as in
+    :func:`run_protocol1`, its ``final_amp_a`` is NaN and its FI is 0.
     """
     n_traj = hi - lo
     p = config.params
@@ -435,7 +435,6 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     counts = np.zeros((4, n_traj), dtype=np.int64)  # row 2 t + syn
     Phi = np.zeros(n_traj)
     dPhi = np.zeros(n_traj)
-    frozen_idx, frozen_amp = [], []
 
     for i in range(config.r):
         if not alive.any():
@@ -446,14 +445,10 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         t2 = alive & (u_del >= p0 * (1.0 + lam))
         t1 = alive & (u_del >= p0) & ~t2
         low = alive & ~t2 & (n_cur - t1 < N0 / 2)
-        stop = t2 | low
-        if stop.any():
-            flag |= t2
-            invalid |= low
-            alive &= ~stop
-            t1 &= ~low
-            frozen_idx.append(np.nonzero(stop)[0])
-            frozen_amp.append(amp[frozen_idx[-1]])
+        flag |= t2
+        invalid |= low
+        alive &= ~(t2 | low)
+        t1 &= ~low
 
         # --- one-deletion rows: branch sample and amplitude update
         drow = np.nonzero(t1)[0]
@@ -487,12 +482,9 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         syn0 = u_syn < p_code
         syn1 = (~syn0) & (u_syn < p_code + p_q)
         failed = alive & ~(syn0 | syn1)
-        if failed.any():
-            flag |= failed
-            alive &= ~failed
-            t1 &= ~failed
-            frozen_idx.append(np.nonzero(failed)[0])
-            frozen_amp.append(amp[frozen_idx[-1]])
+        flag |= failed
+        alive &= ~failed
+        t1 &= ~failed
         # (e0 c_even + e1 c_odd) / sqrt(p_code) on syn = 0, the d pair over
         # sqrt(p_q) on syn = 1: scaling by the reciprocal gives the bits of
         # that complex division
@@ -523,8 +515,6 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         Phi += inc
         dPhi += dinc
 
-    if frozen_idx:
-        amp[np.concatenate(frozen_idx)] = np.concatenate(frozen_amp)
     ok = ~(flag | invalid)
     a0 = amp @ c_even
     a1 = amp @ c_odd
@@ -536,7 +526,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         counts=np.ascontiguousarray(counts.T).reshape(n_traj, 2, 2),
         Phi=Phi,
         dPhi_dtheta=dPhi,
-        final_amp_a=np.abs(a0),
+        final_amp_a=np.where(ok, np.abs(a0), np.nan),
         fisher_information=fi,
         n_deletions=N0 - n_cur,
         final_shift=s_cur,

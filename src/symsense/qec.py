@@ -17,11 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from symsense.codes import GnuParams, logical_pair
+from symsense.codes import CODEWORD_CACHE, GnuParams, logical_pair
 from symsense.symcore import SymState, apply_signal, sqrt_binom_ratio, binom
 
 
@@ -92,11 +93,13 @@ def jz_apply(state: SymState) -> SymState:
     return SymState(state.n_qubits, state.amps * vals)
 
 
+@lru_cache(maxsize=CODEWORD_CACHE)
 def q_vectors(params: GnuParams) -> tuple[SymState, SymState, float]:
     """Normalized |q_0>, |q_1> and the common norm-square <Q_j|Q_j> (= g^2 n / 4 for n >= 3).
 
     ``|Q_j> = Jz |j_L> - <j_L|Jz|j_L> |j_L>`` is the component of the signal
     generator seen by codeword j, orthogonal to the codespace by construction.
+    Built once per code and shared, like the codewords of ``make_logical``.
     """
     cw0, cw1 = logical_pair(params)
     qs = []

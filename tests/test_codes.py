@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symsense import codes
 from symsense.codes import (
     GnuParams,
     Label,
@@ -76,6 +77,36 @@ def test_projector_overlap_off_lattice_state():
     p_plus, p_minus, p_other = code_projector_overlap(params, rogue)
     assert p_plus == 0.0 and p_minus == 0.0
     assert abs(p_other - 1.0) < 1e-15
+
+
+def test_projector_overlap_leakage_without_cancellation():
+    # exact codewords leak nothing: the residual is rounding noise, never negative
+    params = GnuParams(4, 3, Fraction(2), 5)
+    for label in (Label.PLUS, Label.MINUS, Label.ZERO, Label.ONE):
+        _, _, p_other = code_projector_overlap(params, make_logical(params, label).state)
+        assert 0.0 <= p_other < 1e-30
+    # a true leakage of 1e-20 is resolved, where 1 - p+ - p- would round it away
+    plus = make_logical(params, Label.PLUS).state
+    amps = math.sqrt(1.0 - 1e-20) * plus.amps
+    amps[params.s + 1] = 1e-10
+    _, _, p_other = code_projector_overlap(params, SymState(params.n_qubits, amps))
+    assert p_other == pytest.approx(1e-20, rel=1e-12)
+
+
+def test_make_logical_built_once_and_read_only():
+    params = GnuParams(7, 5, Fraction(3), 11)
+    first = make_logical(params, Label.PLUS)
+    before = codes._make_logical.cache_info()
+    for label in ("plus", "PLUS", Label.PLUS):
+        assert make_logical(params, label) is first
+    after = codes._make_logical.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    assert after.currsize == before.currsize
+    # shared codewords cannot be changed through any caller
+    assert not first.state.amps.flags.writeable
+    with pytest.raises(ValueError):
+        first.state.amps[params.s] = 0.0
+    assert make_logical(GnuParams(7, 5, 3, 11), "minus").label is Label.MINUS
 
 
 def test_jz_sandwich_identities():

@@ -8,6 +8,7 @@ import pytest
 
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
 from symsense.fullspace import (
+    KL_LABEL_FLOOR,
     DenseState,
     YoungDiagram2,
     embed_sym,
@@ -260,6 +261,23 @@ def test_kl_check_gnu_code_and_rotations():
     rotated = [DenseState(9, u @ s.vec) for s in states]
     report_rot = kl_check(rotated, t=1)
     assert report_rot["max_violation"] < 1e-10
+
+
+def test_kl_check_names_a_pauli_only_above_rounding():
+    # the exact (3,3) code leaves rounding noise, which names no Pauli
+    params = GnuParams(3, 3, Fraction(1), 0)
+    cw0, cw1 = (embed_sym(cw).vec for cw in logical_pair(params))
+    report = kl_check([DenseState(9, cw0), DenseState(9, cw1)], t=1)
+    assert report["max_violation"] <= KL_LABEL_FLOOR
+    assert report["worst_pauli"] is None
+    # mixing X_4 |1_L> into |0_L> breaks <0|X_4|1> = 0 at first order in eps;
+    # every other Pauli of weight <= 2 moves at second order only
+    eps = 1e-6
+    bent = cw0 + eps * pauli_apply(9, (4,), ("X",), cw1[None, :])[0]
+    bent /= np.linalg.norm(bent)
+    report = kl_check([DenseState(9, bent), DenseState(9, cw1)], t=1)
+    assert report["worst_pauli"] == ((4,), ("X",))
+    assert report["max_violation"] == pytest.approx(eps, rel=1e-6)
 
 
 def test_kl_check_repetition_code_fails():

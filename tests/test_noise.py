@@ -9,8 +9,17 @@ import pytest
 
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.fullspace import embed_sym, partial_trace_first
-from symsense.noise import amplitude_damp, delete, deletion_qfi, ad_qfi_bound
-from symsense.symcore import SymState, jz_moments
+from symsense.noise import (
+    PRUNE_EPS,
+    ADOutcome,
+    BranchList,
+    DeletionOutcome,
+    amplitude_damp,
+    delete,
+    deletion_qfi,
+    ad_qfi_bound,
+)
+from symsense.symcore import SymState, binom, jz_moments, log_binom, sqrt_binom_ratio
 
 
 def test_delete_single_dicke_by_hand():
@@ -178,3 +187,144 @@ def test_channel_ensemble_view():
     assert abs(ens.total_probability() - 1.0) < 1e-12
     for prob, state in ens:
         assert state.is_normalized()
+
+
+# ---------------------------------------------------------------------------
+# the support-only channels against the per-weight loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _delete_loop(state, t):
+    """Per-weight deletion channel: every (branch, weight) pair in Python."""
+    N = state.n_qubits
+    M = N - t
+    outcomes = BranchList()
+    for a in range(t + 1):
+        amps = np.zeros(M + 1, dtype=complex)
+        for w in range(a, M + a + 1):
+            if state.amps[w] != 0:
+                amps[w - a] = state.amps[w] * sqrt_binom_ratio(M, w - a, N, w)
+        nsq = float(np.vdot(amps, amps).real)
+        weight = binom(t, a) * nsq
+        if weight <= PRUNE_EPS:
+            outcomes.pruned_mass += weight
+            continue
+        outcomes.append(DeletionOutcome(a, weight, SymState(M, amps / math.sqrt(nsq))))
+    return outcomes
+
+
+def _amplitude_damp_loop(state, gamma_ad):
+    """Per-weight damping channel: all N + 1 branches, every weight in Python."""
+    N = state.n_qubits
+    outcomes = BranchList()
+    for x in range(N + 1):
+        amps = np.zeros(N - x + 1, dtype=complex)
+        for w in range(x, N + 1):
+            if state.amps[w] == 0:
+                continue
+            if gamma_ad == 0.0:
+                if x != 0:
+                    continue
+                pwx = 1.0 * (1.0 - gamma_ad) ** w
+            elif gamma_ad == 1.0:
+                pwx = 1.0 if x == w else 0.0
+            else:
+                log_p = (
+                    log_binom(w, x)
+                    + x * math.log(gamma_ad)
+                    + (w - x) * math.log1p(-gamma_ad)
+                )
+                pwx = math.exp(log_p)
+            if pwx > 0.0:
+                amps[w - x] = state.amps[w] * math.sqrt(pwx)
+        nsq = float(np.vdot(amps, amps).real)
+        if nsq <= PRUNE_EPS:
+            outcomes.pruned_mass += nsq
+            continue
+        outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
+    return outcomes
+
+
+def _branch_bits(result, label):
+    rows = [
+        (getattr(br, label), br.weight.hex(), br.state.n_qubits, br.state.amps.tobytes())
+        for br in result
+    ]
+    return rows, result.pruned_mass.hex()
+
+
+def _channel_states():
+    rng = np.random.default_rng(2024)
+    states = {f"random N={N}": SymState.random(N, rng) for N in (1, 7, 50, 300)}
+    states["code N=2000"] = make_logical(
+        GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS
+    ).state
+    states["Dicke N=40 w=17"] = SymState.from_weight(40, 17)
+    holes = SymState.random(60, rng).amps.copy()
+    holes[[0, 5, 6, 7, 31, 58]] = 0.0  # interior zeros and a zero end
+    holes[20:28] = 0.0
+    states["support with holes N=60"] = SymState(60, holes / np.linalg.norm(holes))
+    return states
+
+
+CHANNEL_STATES = _channel_states()
+GAMMAS = (0.0, 1e-9, 0.1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_STATES))
+def test_amplitude_damp_bit_equal_to_weight_loop(name):
+    psi = CHANNEL_STATES[name]
+    for gamma in GAMMAS:
+        got = amplitude_damp(psi, gamma)
+        want = _amplitude_damp_loop(psi, gamma)
+        assert _branch_bits(got, "damped") == _branch_bits(want, "damped"), (name, gamma)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_STATES))
+def test_delete_bit_equal_to_weight_loop(name):
+    psi = CHANNEL_STATES[name]
+    N = psi.n_qubits
+    # every t on the small states, a selection on the large ones
+    ts = range(1, N + 1) if N <= 60 else (1, 2, 3, 4, 100)
+    for t in ts:
+        got = delete(psi, t)
+        want = _delete_loop(psi, t)
+        assert _branch_bits(got, "shift") == _branch_bits(want, "shift"), (name, t)
+
+
+def _ad_qfi_bound_all_branches(params, gamma_ad):
+    """ad_qfi_bound's sum over every branch x = 0..N (empty ones skipped)."""
+    if gamma_ad == 0.0:
+        return float(params.g**2 * params.n)
+    g, n, s = params.g, params.n, params.s
+    total = 0.0
+    for x in range(params.n_qubits + 1):
+        probs, wts = [], []
+        for k in range(n + 1):
+            w = s + g * k
+            if x > w:
+                continue
+            if gamma_ad == 1.0:
+                pwx = 1.0 if x == w else 0.0
+            else:
+                pwx = math.exp(
+                    log_binom(w, x) + x * math.log(gamma_ad) + (w - x) * math.log1p(-gamma_ad)
+                )
+            probs.append(2.0**-n * binom(n, k) * pwx)
+            wts.append(float(w - x))
+        if not probs:
+            continue
+        probs, wts = np.array(probs), np.array(wts)
+        nx = probs.sum()
+        if nx <= 0.0:
+            continue
+        p = probs / nx
+        m1 = float(p @ wts)
+        total += nx * (float(p @ wts**2) - m1 * m1)
+    return 4.0 * total
+
+
+def test_ad_qfi_bound_unchanged_by_branch_cut():
+    for params in (GnuParams(40, 3, Fraction(53, 6), 940), GnuParams(3, 3, Fraction(2), 1)):
+        for gamma in GAMMAS:
+            assert ad_qfi_bound(params, gamma) == _ad_qfi_bound_all_branches(params, gamma)

@@ -170,6 +170,14 @@ def test_q_vector_norm_and_jz_overlap():
             assert abs(got - g * g * n / 4.0) < 1e-10 * max(1.0, g * g * n / 4.0)
 
 
+def test_q_vectors_built_once_and_read_only():
+    params = GnuParams(5, 7, Fraction(2), 3)
+    first = q_vectors(params)
+    assert q_vectors(GnuParams(5, 7, 2, 3)) is first
+    for q in first[:2]:
+        assert not q.amps.flags.writeable
+
+
 def test_qU_norm_sandwich_closed_form():
     # |<q_j|U|j_L>|^2 = (n/4) sin^2(2x) (sin^(2n-4) x + cos^(2n-4) x)
     for n in (3, 5, 7):
