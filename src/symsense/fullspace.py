@@ -141,11 +141,6 @@ def enumerate_paulis(N: int, max_weight: int):
                 yield positions, kinds
 
 
-def jz_dense(N: int) -> np.ndarray:
-    diag = np.array([0.5 * N - idx.bit_count() for idx in range(2**N)])
-    return np.diag(diag.astype(complex))
-
-
 def j2_dense(N: int, k: int) -> np.ndarray:
     """Total angular momentum squared of the first k qubits, on all N."""
     dim = 2**N

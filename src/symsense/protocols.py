@@ -3,43 +3,53 @@
 Protocol 1 runs r rounds of {Poisson deletions -> signal -> QEC round}, aborts
 on the failure flag, and reads out in the logical plus/minus basis; its Fisher
 information comes from the accumulated logical phase Phi and its
-theta-derivative.  Two implementations are provided:
+theta-derivative.
+
+Each round starts from a logical pair a|0_L> + b|1_L> of the current n = 3
+code and maps (a, b) -> (a X_0, b X_1) / sqrt(P).  With one deletion the
+factors are the lattice sums of :func:`one_deletion_ratios`: E_0, E_1 onto the
+codespace (syn = 0) or D_0, D_1 onto the q-space (syn = 1), the deletion's
+binomial sqrt-ratios folded in, returned with their analytic theta-derivatives
+and the deleted state's norm weights.  The phase increment is arg(X_1/X_0) and
+its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
+``zeta``, ``zeta_derivative`` and ``pflag_closed_form`` of :mod:`symsense.qec`
+take their place.  Two implementations are provided:
 
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking
-  through the library channel/QEC operations, one trajectory at a time.
-* :func:`run_protocol1_batch` -- vectorized lattice twin: because every reached
-  state is supported on the n+1 code weights, the whole ensemble advances in
-  lock-step with (n_traj, n+1) amplitude arrays, BATCH_SPAN trajectories at
-  a time.  Identical randomness consumption per trajectory (a pre-drawn
-  (r, 3) uniform block from a Philox stream keyed by (seed, trajectory
-  index)) makes the two paths bitwise replayable against each other.  The
-  batch reuses one Philox generator per span and resets it to each
-  trajectory's key (seed, index) instead of constructing one per trajectory;
-  the streams are the same.
+  through the library channel/QEC operations, one trajectory at a time; only
+  its Phi bookkeeping uses the shared formulas.
+* :func:`run_protocol1_batch` -- vectorized lattice twin: BATCH_SPAN
+  trajectories advance in lock-step, each as its logical weights
+  (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
+  from a Philox stream keyed by (seed, trajectory index), so the two paths
+  replay each other; the batch resets one Philox per span to each key.
 
 Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
 the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
-sigma, uniform[2] the QEC syndrome.
+sigma, uniform[2] the QEC syndrome.  A trajectory stops as an invalid regime
+before a deletion that would leave fewer than half its starting qubits, and
+after one that leaves a code which no longer fits (N - s < g n, or s < 0).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
 from symsense.metrology import PI_4_COS_FLOOR
 from symsense.noise import delete
-from symsense.qec import pflag_closed_form, q_vectors, zeta
-from symsense.symcore import SymState, apply_signal, binom
+from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
+from symsense.symcore import SymState, apply_signal
 
-FD_THETA_STEP = 1e-6
 BATCH_SPAN = 16384  # trajectories per batch span, serial and pooled runs alike
 
 
@@ -97,51 +107,56 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-round closed-form quantities (shared by both simulator paths)
+# per-round lattice sums (shared by every Protocol-1 path)
 # ---------------------------------------------------------------------------
 
-_CW = None  # codeword profile cache for n = 3
+# n = 3 profiles over the lattice k = 0..3: codeword amplitudes c_k (even k
+# carry |0_L>, odd k |1_L>) and q-vector amplitudes q_k
+_K = np.arange(4, dtype=float)
+_C = 0.5 * np.array([1.0, math.sqrt(3.0), math.sqrt(3.0), 1.0])
+_Q = _C * (2.0 / math.sqrt(3.0)) * (1.5 - _K)
 
 
-def _n3_profiles():
-    """(codeword profile c_k, q-vector profile q_k) over the lattice k = 0..3."""
-    global _CW
-    if _CW is None:
-        c = 0.5 * np.array([1.0, math.sqrt(3.0), math.sqrt(3.0), 1.0])
-        q = c * (2.0 / math.sqrt(3.0)) * (1.5 - np.arange(4))
-        _CW = (c, q)
-    return _CW
+class LatticeSums(NamedTuple):
+    """Factors X = (E_0, E_1, D_0, D_1) of a round with one deletion, stacked
+    on axis 0, their theta-derivatives dX, and the deleted state's norm
+    weights A (even k) and B (odd k)."""
+
+    X: np.ndarray
+    dX: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
 
-def one_deletion_ratios(
-    g: int, n_qubits, s, sigma, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sandwich ratios (u_syn0, u_syn1) after one deletion, vectorized.
+def _pairs(t, prof):
+    """(even-k, odd-k) sums of prof * t over the lattice (last) axis."""
+    return prof[0] * t[..., 0] + prof[2] * t[..., 2], prof[1] * t[..., 1] + prof[3] * t[..., 3]
+
+
+def one_deletion_ratios(g: int, n_qubits, s, sigma, delta: float, tau: float) -> LatticeSums:
+    """Lattice sums of a round with one deletion of shift sigma, vectorized.
 
     ``n_qubits``, ``s``, ``sigma`` refer to the code *before* the deletion and
-    may be arrays.  u_syn0 is the codespace ratio <1|U|1'>/<0|U|0'>, u_syn1 the
-    q-space ratio; their arguments are the per-round phases phi_{1,j}.
+    broadcast against each other.  Weight w = g k + s keeps sqrt((N - w)/N)
+    of its amplitude on sigma = 0 and sqrt(w/N) on sigma = 1, moves to
+    w - sigma and picks up e^{i delta (w - sigma)} (the common e^{-i delta N'/2}
+    is dropped), whose theta-derivative is i tau (w - sigma) times itself.
+    X_1/X_0 is the codespace ratio <1|U|1'>/<0|U|0'> for the E pair and the
+    q-space ratio for the D pair; their arguments are phi_{1,0} and phi_{1,1}.
     """
-    c, q = _n3_profiles()
     N = np.asarray(n_qubits, dtype=float)[..., None]
-    s_arr = np.asarray(s, dtype=float)[..., None]
     sig = np.asarray(sigma, dtype=float)[..., None]
-    k = np.arange(4, dtype=float)
-    w = g * k + s_arr
-    ratio = np.where(sig > 0.5, w / N, 1.0 - w / N)
-    amp = np.sqrt(np.maximum(ratio, 0.0)) * c  # primed-state amplitudes
-    phase = np.exp(1j * delta * (w - sig))  # e^{i Delta w'}; overall e^{-i Delta N'/2} cancels
-    term = amp * phase
-    num0 = c[1] * term[..., 1] + c[3] * term[..., 3]
-    den0 = c[0] * term[..., 0] + c[2] * term[..., 2]
-    num1 = q[1] * term[..., 1] + q[3] * term[..., 3]
-    den1 = q[0] * term[..., 0] + q[2] * term[..., 2]
-    return num0 / den0, num1 / den1
+    w = g * _K + np.asarray(s, dtype=float)[..., None]
+    ratio = np.maximum(np.where(sig > 0.5, w / N, 1.0 - w / N), 0.0)
+    term = np.sqrt(ratio) * _C * np.exp(1j * delta * (w - sig))
+    dterm = (1j * tau) * (w - sig) * term
+    X, dX = (np.stack([*_pairs(t, _C), *_pairs(t, _Q)]) for t in (term, dterm))
+    return LatticeSums(X, dX, *_pairs(ratio, _C * _C))
 
 
-def _zeta_pair(g: int, delta: float) -> tuple[float, float]:
-    x = 0.5 * g * delta
-    return 2.0 * math.atan(-math.tan(x) ** 3), 2.0 * math.atan(math.tan(x))
+def _phase_step(x0, x1, dx0, dx1):
+    """arg(x1 / x0) and its theta-derivative Im(dx1/x1 - dx0/x0)."""
+    return np.angle(x1 / x0), (dx1 / x1 - dx0 / x0).imag
 
 
 def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
@@ -151,6 +166,11 @@ def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
     num = (np.sin(2.0 * phi_amp) * np.sin(Phi)) ** 2
     pref = np.where(np.abs(c2) <= PI_4_COS_FLOOR, 1.0, num / (c2 * c2 + num))
     return pref * np.asarray(dPhi) ** 2
+
+
+def _code_fits(params: GnuParams, n_qubits, s):
+    """Whether the (g, n) code with shift s still exists on n_qubits: s >= 0 and u >= 1."""
+    return (s >= 0) & (n_qubits - s >= params.g * params.n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +191,14 @@ def _poisson_bucket(u: float, lam: float) -> int:
 def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> TrajectoryRecord:
     """One exact trajectory with full Dicke-vector state tracking.
 
-    The state is evolved exactly (deletion branch, signal, projective QEC); the
-    per-round phase increments are taken from the closed-form ratios and the
-    derivative dPhi/dtheta from central differences of the same formulas at
-    matched outcomes (common random numbers).
+    The state is evolved exactly (deletion branch, signal, projective QEC).
+    The per-round phase increments and their theta-derivatives at the
+    realized outcomes are analytic: ``zeta`` and ``zeta_derivative`` without
+    a deletion, the lattice sums of :func:`one_deletion_ratios` with one.
     """
     p = config.params
     g = p.g
     tau, theta = config.tau, config.theta
-    h = FD_THETA_STEP
     uniforms = rng.random((config.r, 3))
 
     state = make_logical(p, Label.PLUS).state
@@ -209,6 +228,9 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             n_deleted += 1
             pre_n, pre_s = n_cur, s_cur
             n_cur, s_cur = n_cur - 1, s_cur - sigma
+            if not _code_fits(p, n_cur, s_cur):
+                invalid = True
+                break
         state = apply_signal(state, theta * tau)
 
         cur = p.with_shift(s_cur, n_cur)
@@ -233,16 +255,12 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
         # analytic phase increment and its theta-derivative at this outcome
         if t == 0:
             Phi += zeta(cur, theta * tau, syn)
-            zp = zeta(cur, (theta + h) * tau, syn)
-            zm = zeta(cur, (theta - h) * tau, syn)
-            dPhi += (zp - zm) / (2.0 * h)
+            dPhi += tau * zeta_derivative(cur, theta * tau, syn)
         else:
-            vals = []
-            for th in (theta, theta + h, theta - h):
-                u_pair = one_deletion_ratios(g, [pre_n], [pre_s], [sigma], th * tau)
-                vals.append(float(np.angle(u_pair[syn][0])))
-            Phi += vals[0]
-            dPhi += (vals[1] - vals[2]) / (2.0 * h)
+            X, dX = one_deletion_ratios(g, pre_n, pre_s, sigma, theta * tau, tau)[:2]
+            inc, dinc = _phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
+            Phi += float(inc)
+            dPhi += float(dinc)
 
     if flag or invalid:
         return TrajectoryRecord(
@@ -254,18 +272,8 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     a0, a1 = cw0.inner(state), cw1.inner(state)
     phi_amp = math.atan2(abs(a1), abs(a0))
     fi = float(fi_phase_readout_vec(phi_amp, Phi, dPhi))
-    return TrajectoryRecord(
-        counts,
-        Phi,
-        dPhi,
-        False,
-        False,
-        s_cur,
-        abs(a0),
-        fi,
-        n_deleted,
-        state_phase=float(np.angle(a1 / a0)),
-    )
+    return TrajectoryRecord(counts, Phi, dPhi, False, False, s_cur, abs(a0), fi, n_deleted,
+                            state_phase=float(np.angle(a1 / a0)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,47 +394,36 @@ def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
 
 
 def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
-    """Trajectories [lo, hi) in lock-step over full-width (hi - lo, 4) lattice arrays.
+    """Trajectories [lo, hi) in lock-step over the logical weights (|a|^2, |b|^2) of each row.
 
-    Every row is updated every round and aborts only clear ``alive``: an
-    aborted row adds no counts, phases or deletions after its abort, and its
-    amplitudes, which keep being updated, are not read: as in
-    :func:`run_protocol1`, its ``final_amp_a`` is NaN and its FI is 0.
+    A round maps (a, b) -> (a X_0, b X_1) / sqrt(P) with the factors of its
+    outcome: the closed-form no-deletion ones, or the lattice sums of
+    :func:`one_deletion_ratios` on rows with a deletion.  Every probability
+    is |a|^2 |X_0|^2 + |b|^2 |X_1|^2 over the deleted norm |a|^2 A + |b|^2 B,
+    so the phases of a and b never feed back and only their squared moduli
+    are carried; Phi is the sum of the analytic increments.  Every row is
+    updated every round and aborts only clear ``alive``: an aborted row adds
+    no counts, phases or deletions after its abort, and its weights, which
+    keep being updated, are not read: as in :func:`run_protocol1`, its
+    ``final_amp_a`` is NaN and its FI is 0.
     """
     n_traj = hi - lo
     p = config.params
     g, N0, s0 = p.g, p.n_qubits, p.s
-    tau, theta = config.tau, config.theta
-    h = FD_THETA_STEP
-    c_prof, q_prof = _n3_profiles()
-    even = np.array([1.0, 0.0, 1.0, 0.0])
-    odd = 1.0 - even
-    c_even, c_odd = c_prof * even, c_prof * odd
-    q_even, q_odd = q_prof * even, q_prof * odd
-    k_idx = np.arange(4, dtype=float)
+    tau, delta = config.tau, config.theta * config.tau
     U = _span_uniforms(config.seed, lo, hi, config.r)
 
     # phase increments of a round by outcome 2 t + syn (t = 1 rows are
     # overwritten with their one-deletion phases); outcome 4 is an aborted row
-    z_now = _zeta_pair(g, theta * tau)
-    z_plus = _zeta_pair(g, (theta + h) * tau)
-    z_minus = _zeta_pair(g, (theta - h) * tau)
-    z_dthe = [(z_plus[j] - z_minus[j]) / (2 * h) for j in (0, 1)]
-    z_inc = np.array([*z_now, *z_now, 0.0])
-    z_dinc = np.array([*z_dthe, *z_dthe, 0.0])
+    z = [zeta(p, delta, j) for j in (0, 1)]
+    dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
+    z_inc = np.array([*z, *z, 0.0])
+    z_dinc = np.array([*dz, *dz, 0.0])
+    p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * g * delta)
+    fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])  # |X|^2 without deletion
+    both_sigmas = np.array([[0], [1]])
 
-    # the signal phases of a row depend only on its deletions d and shifts k
-    # so far (n = N0 - d, s = s0 - k): row d * (dcap + 1) + k of ph_tab
-    def phase_table(dcap):
-        steps = np.arange(dcap + 1)
-        n_tab = (N0 - steps)[:, None, None]
-        w_tab = g * k_idx + (s0 - steps)[None, :, None].astype(float)
-        return np.exp(-1j * theta * tau * (0.5 * n_tab - w_tab)).reshape(-1, 4)
-
-    dcap = 4
-    ph_tab = phase_table(dcap)
-
-    amp = np.tile((c_prof / math.sqrt(2.0)).astype(complex), (n_traj, 1))
+    mod2 = np.full((2, n_traj), 0.5)  # |a|^2, |b|^2
     n_cur = np.full(n_traj, N0, dtype=np.int64)
     s_cur = np.full(n_traj, s0, dtype=np.int64)
     alive = np.ones(n_traj, dtype=bool)
@@ -450,50 +447,38 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         alive &= ~(t2 | low)
         t1 &= ~low
 
-        # --- one-deletion rows: branch sample and amplitude update
+        # --- |X|^2 of this round's outcome and the deleted norm; the sigma = 1
+        # weights A, B give that branch's probability
+        fac = np.repeat(fac_nodel, n_traj, axis=1)
+        norm = np.ones(n_traj)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            pre_n, pre_s = n_cur[drow], s_cur[drow]
-            w = g * k_idx[None, :] + pre_s[:, None].astype(float)
-            ratio1 = w / pre_n[:, None]
-            prob1 = np.sum(np.abs(amp[drow]) ** 2 * ratio1, axis=1)
-            sigma = (u_sigma[drow] < prob1).astype(np.int64)
-            ratio = np.where(sigma[:, None] > 0, ratio1, 1.0 - ratio1)
-            new = amp[drow] * np.sqrt(np.maximum(ratio, 0.0))
-            new /= np.sqrt(np.sum(np.abs(new) ** 2, axis=1))[:, None]
-            amp[drow] = new
+            both = one_deletion_ratios(g, n_cur[drow], s_cur[drow], both_sigmas, delta, tau)
+            ma, mb = mod2[:, drow]
+            sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
+            cols = np.arange(drow.size)
+            X, dX = both.X[:, sigma, cols], both.dX[:, sigma, cols]
+            fac[:, drow] = X.real**2 + X.imag**2
+            norm[drow] = ma * both.A[sigma, cols] + mb * both.B[sigma, cols]
             n_cur[drow] -= 1
             s_cur[drow] -= sigma
-            dmax = N0 - int(n_cur[drow].min())
-            if dmax > dcap:
-                dcap = 2 * dmax
-                ph_tab = phase_table(dcap)
-
-        # --- signal phases on the (post-deletion) lattice
-        amp *= ph_tab[(N0 - n_cur) * (dcap + 1) + (s0 - s_cur)]
+            unfit = drow[~_code_fits(p, n_cur[drow], s_cur[drow])]
+            invalid[unfit] = True
+            alive[unfit] = t1[unfit] = False
 
         # --- QEC projections
-        e0 = amp @ c_even
-        e1 = amp @ c_odd
-        d0 = amp @ q_even
-        d1 = amp @ q_odd
-        p_code = np.abs(e0) ** 2 + np.abs(e1) ** 2
-        p_q = np.abs(d0) ** 2 + np.abs(d1) ** 2
+        P_code = mod2[0] * fac[0] + mod2[1] * fac[1]
+        P_q = mod2[0] * fac[2] + mod2[1] * fac[3]
+        p_code = P_code / norm
         syn0 = u_syn < p_code
-        syn1 = (~syn0) & (u_syn < p_code + p_q)
+        syn1 = (~syn0) & (u_syn < p_code + P_q / norm)
         failed = alive & ~(syn0 | syn1)
         flag |= failed
         alive &= ~failed
         t1 &= ~failed
-        # (e0 c_even + e1 c_odd) / sqrt(p_code) on syn = 0, the d pair over
-        # sqrt(p_q) on syn = 1: scaling by the reciprocal gives the bits of
-        # that complex division
-        lc0 = np.where(syn0, e0, d0)
-        lc1 = np.where(syn0, e1, d1)
-        scl = 1.0 / np.sqrt(np.where(syn0, p_code, np.where(syn1, p_q, 1.0)))
-        amp[:, 0::2] = lc0[:, None] * c_prof[0::2]
-        amp[:, 1::2] = lc1[:, None] * c_prof[1::2]
-        amp *= scl[:, None]
+        P_syn = np.where(syn0, P_code, np.where(syn1, P_q, 1.0))
+        mod2[0] *= np.where(syn0, fac[0], fac[2]) / P_syn
+        mod2[1] *= np.where(syn0, fac[1], fac[3]) / P_syn
 
         # --- bookkeeping: counts, Phi, dPhi
         outcome = np.where(alive, 2 * t1 + syn1, 4)
@@ -502,23 +487,18 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         inc = z_inc[outcome]
         dinc = z_dinc[outcome]
         if drow.size and t1[drow].any():
-            kept = t1[drow]
-            rows = drow[kept]
-            vals = []
-            for th in (theta, theta + h, theta - h):
-                u0_, u1_ = one_deletion_ratios(
-                    g, pre_n[kept], pre_s[kept], sigma[kept], th * tau
-                )
-                vals.append(np.angle(np.where(syn1[rows], u1_, u0_)))
-            inc[rows] = vals[0]
-            dinc[rows] = (vals[1] - vals[2]) / (2 * h)
+            done = np.nonzero(t1[drow])[0]
+            rows = drow[done]
+            j = 2 * syn1[rows]
+            inc[rows], dinc[rows] = _phase_step(
+                X[j, done], X[j + 1, done], dX[j, done], dX[j + 1, done]
+            )
         Phi += inc
         dPhi += dinc
 
     ok = ~(flag | invalid)
-    a0 = amp @ c_even
-    a1 = amp @ c_odd
-    phi_amp = np.arctan2(np.abs(a1), np.abs(a0))
+    a_abs, b_abs = np.sqrt(mod2)
+    phi_amp = np.arctan2(b_abs, a_abs)
     fi = np.where(ok, fi_phase_readout_vec(phi_amp, Phi, dPhi), 0.0)
     return BatchResult(
         flag=flag,
@@ -526,7 +506,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         counts=np.ascontiguousarray(counts.T).reshape(n_traj, 2, 2),
         Phi=Phi,
         dPhi_dtheta=dPhi,
-        final_amp_a=np.where(ok, np.abs(a0), np.nan),
+        final_amp_a=np.where(ok, a_abs, np.nan),
         fisher_information=fi,
         n_deletions=N0 - n_cur,
         final_shift=s_cur,
@@ -547,63 +527,38 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
 
     * no deletion, syn 0/1 -- phases zeta_0 / zeta_1, |u| = 1 exactly;
     * one deletion with shift sigma in {0, 1}, syn 0/1 -- phases and amplitude
-      ratios from the exact sandwich inner products.  The deleted state's
-      epsilon-component gives syn = 1 a per-round probability of order
-      g^2 n / N^2 here (vastly larger than the no-deletion q-space weight),
-      which is what makes these rare rounds dominate E[F].
+      ratios from the lattice sums of :func:`one_deletion_ratios` at the
+      initial (N, s).  The deleted state's epsilon-component gives syn = 1 a
+      per-round probability of order g^2 n / N^2 here (vastly larger than the
+      no-deletion q-space weight), which is what makes these rare rounds
+      dominate E[F].
 
     Probabilities are conditioned on not flagging (the flag remainder is
     dropped and the class weights renormalized by the caller).
     """
     p = config.params
     g, n, N, s = p.g, p.n, p.n_qubits, p.s
-    tau, theta = config.tau, config.theta
-    h = FD_THETA_STEP
+    tau, delta = config.tau, config.theta * config.tau
     lam = config.n_del * N * tau
     p_del = lam / (1.0 + lam)
 
-    x = 0.5 * g * theta * tau
-    p_code0, p_q0, _ = pflag_closed_form(n, x)
-    z_tri = [
-        (zeta(p, th * tau, 0), zeta(p, th * tau, 1))
-        for th in (theta, theta + h, theta - h)
-    ]
-    dz0 = (z_tri[1][0] - z_tri[2][0]) / (2 * h)
-    dz1 = (z_tri[1][1] - z_tri[2][1]) / (2 * h)
+    p_code0, p_q0, _ = pflag_closed_form(n, 0.5 * g * delta)
     classes = [
-        ((1.0 - p_del) * p_code0, 1.0, z_tri[0][0], dz0),
-        ((1.0 - p_del) * p_q0, 1.0, z_tri[0][1], dz1),
+        ((1.0 - p_del) * p_nodel, 1.0, zeta(p, delta, j), tau * zeta_derivative(p, delta, j))
+        for j, p_nodel in enumerate((p_code0, p_q0))
     ]
 
-    c_prof, q_prof = _n3_profiles()
-    k = np.arange(4, dtype=float)
-    w = g * k + s
-    prob_sigma1 = float(np.sum(0.5 * c_prof**2 * w) / N)
+    # sigma on axis 0; logical amplitudes a = b = 1/sqrt(2)
+    X, dX, A, B = one_deletion_ratios(g, N, s, np.array([0, 1]), delta, tau)
+    prob_sigma1 = 0.5 * (A[1] + B[1])
     for sigma in (0, 1):
-        ratio = w / N if sigma else 1.0 - w / N
-        prim = c_prof * np.sqrt(ratio)  # primed-state amplitudes (subnormalized)
-        norm_sq = float(prim @ prim)
-        tri0, tri1 = [], []
-        for th in (theta, theta + h, theta - h):
-            ph = np.exp(1j * th * tau * (w - sigma))
-            term = prim * ph
-            e0 = c_prof[0] * term[0] + c_prof[2] * term[2]
-            e1 = c_prof[1] * term[1] + c_prof[3] * term[3]
-            d0 = q_prof[0] * term[0] + q_prof[2] * term[2]
-            d1 = q_prof[1] * term[1] + q_prof[3] * term[3]
-            tri0.append((e0, e1))
-            tri1.append((d0, d1))
         p_sig = p_del * (prob_sigma1 if sigma else 1.0 - prob_sigma1)
-        # syn probabilities at equal logical amplitudes a = b = 1/sqrt(2)
-        e0, e1 = tri0[0]
-        d0, d1 = tri1[0]
-        p_code = 0.5 * (abs(e0) ** 2 + abs(e1) ** 2) / (0.5 * norm_sq)
-        p_q = 0.5 * (abs(d0) ** 2 + abs(d1) ** 2) / (0.5 * norm_sq)
-        for tri, p_syn in ((tri0, p_code), (tri1, p_q)):
-            us = [pair[1] / pair[0] for pair in tri]
-            phi = float(np.angle(us[0]))
-            dphi = float((np.angle(us[1]) - np.angle(us[2])) / (2 * h))
-            classes.append((p_sig * p_syn, abs(us[0]), phi, dphi))
+        norm = A[sigma] + B[sigma]
+        for j in (0, 2):  # the E pair (syn = 0), then the D pair (syn = 1)
+            x0, x1 = X[j, sigma], X[j + 1, sigma]
+            p_syn = (abs(x0) ** 2 + abs(x1) ** 2) / norm
+            phi, dphi = _phase_step(x0, x1, dX[j, sigma], dX[j + 1, sigma])
+            classes.append((p_sig * p_syn, abs(x1 / x0), float(phi), float(dphi)))
     return classes
 
 
@@ -652,9 +607,7 @@ def expected_fi_p1(
     mean = 0.0
     total_p = 0.0
     ranges = [range(min(cap, r) + 1) for cap in max_counts]
-    import itertools as _it
-
-    for counts in _it.product(*ranges):
+    for counts in itertools.product(*ranges):
         m = sum(counts)
         if m > r:
             continue
@@ -708,12 +661,7 @@ def run_protocol2(config: ProtocolConfig, n_traj: int = 2000) -> dict:
     reps = float(config.r) ** (config.q - 1.0)
     f1 = batch.failure_rate()
     fi = reps * (1.0 - f1) * batch.mean_fi()
-    return {
-        "fi_p2": fi,
-        "repetitions": reps,
-        "failure_rate": f1,
-        "mean_fi_p1": batch.mean_fi(),
-    }
+    return {"fi_p2": fi, "repetitions": reps, "failure_rate": f1, "mean_fi_p1": batch.mean_fi()}
 
 
 def run_protocol3(c1: float, k: int, q, e1, e2) -> list[Fraction]:
@@ -800,31 +748,10 @@ def write_trajectories_jsonl(batch: BatchResult, path):
 def write_summary_csv(batch: BatchResult, path):
     import csv as _csv
 
-    cfg = batch.config
-    s = batch.summary()
+    cfg, p = batch.config, batch.config.params
+    summary = batch.summary()
     with open(path, "w", newline="") as fh:
         wr = _csv.writer(fh)
-        header = ["g", "n", "u", "s", "N", "r", "q", "theta", "n_del", "seed"]
-        header += ["n_traj", "mean_FI", "se_FI", "p_flag_emp", "p_flag_bound", "mean_deletions"]
-        wr.writerow(header)
-        p = cfg.params
-        wr.writerow(
-            [
-                p.g,
-                p.n,
-                str(p.u),
-                p.s,
-                p.n_qubits,
-                cfg.r,
-                cfg.q,
-                cfg.theta,
-                cfg.n_del,
-                cfg.seed,
-                s["n_traj"],
-                s["mean_FI"],
-                s["se_FI"],
-                s["p_flag_emp"],
-                s["p_flag_bound"],
-                s["mean_deletions"],
-            ]
-        )
+        wr.writerow(["g", "n", "u", "s", "N", "r", "q", "theta", "n_del", "seed", *summary])
+        wr.writerow([p.g, p.n, str(p.u), p.s, p.n_qubits, cfg.r, cfg.q, cfg.theta, cfg.n_del,
+                     cfg.seed, *summary.values()])

@@ -212,7 +212,6 @@ def qec_sense(
     d0, d1 = q0.inner(mod.post_state), q1.inner(mod.post_state)
     p_code = abs(c0) ** 2 + abs(c1) ** 2
     p_q = abs(d0) ** 2 + abs(d1) ** 2
-    p_flag = max(1.0 - p_code - p_q, 0.0)
     u = rng.random()
     if u < p_code:
         amps = (c0 * cw0.amps + c1 * cw1.amps) / math.sqrt(p_code)
@@ -224,7 +223,13 @@ def qec_sense(
 
 
 def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, float, float]:
-    """(P[syn=0], P[syn=1], P[flag]) for the given input, without sampling."""
+    """(P[syn=0], P[syn=1], P[flag]) for the given input, without sampling.
+
+    A branch's flag weight is the squared norm of its residual outside the
+    orthonormal {|0_L>, |1_L>, |q_0>, |q_1>}, not ``1 - p_code - p_q``, which
+    cancels: it is never negative and keeps its relative precision for tiny
+    leakage.
+    """
     t = params.n_qubits - state.n_qubits
     branches = modulo_branches(state, params.g)
     p0 = p1 = pf = 0.0
@@ -236,11 +241,13 @@ def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, 
         small = params.with_shift(params.s - sigma, state.n_qubits)
         cw0, cw1 = logical_pair(small)
         q0, q1, _ = q_vectors(small)
-        pc = abs(cw0.inner(br.post_state)) ** 2 + abs(cw1.inner(br.post_state)) ** 2
-        pq = abs(q0.inner(br.post_state)) ** 2 + abs(q1.inner(br.post_state)) ** 2
+        coeffs = [(v, v.inner(br.post_state)) for v in (cw0, cw1, q0, q1)]
+        residual = br.post_state.amps - sum(c * v.amps for v, c in coeffs)
+        pc = abs(coeffs[0][1]) ** 2 + abs(coeffs[1][1]) ** 2
+        pq = abs(coeffs[2][1]) ** 2 + abs(coeffs[3][1]) ** 2
         p0 += br.probability * pc
         p1 += br.probability * pq
-        pf += br.probability * max(1.0 - pc - pq, 0.0)
+        pf += br.probability * float(np.vdot(residual, residual).real)
     return p0, p1, pf
 
 
@@ -277,6 +284,24 @@ def zeta(params: GnuParams, delta: float, j: int) -> float:
     sign_i = (-1) ** ((n - 1) // 2)
     x = 0.5 * params.g * delta
     return 2.0 * math.atan(((-1) ** j) * sign_i * math.tan(x) ** (n - 2 * j))
+
+
+def zeta_derivative(params: GnuParams, delta: float, j: int) -> float:
+    """d zeta_j / d delta = g m c tan^(m-1)(x) sec^2(x) / (1 + tan^(2m)(x)), closed form.
+
+    Here x = g delta / 2, m = n - 2j and c = (-1)^j i^(n-1) as in :func:`zeta`.
+    At n = 3 this is -3 g tan^2 x sec^2 x / (1 + tan^6 x) for j = 0 and g for
+    j = 1; unlike a difference of zeta values it keeps full relative
+    precision at small delta.
+    """
+    n = params.n
+    if n % 2 == 0:
+        raise ValueError("zeta_j is defined for odd n")
+    sign = ((-1) ** j) * (-1) ** ((n - 1) // 2)
+    m = n - 2 * j
+    x = 0.5 * params.g * delta
+    t = math.tan(x)
+    return params.g * sign * m * t ** (m - 1) / (math.cos(x) ** 2 * (1.0 + t ** (2 * m)))
 
 
 def phase_formulas(

@@ -342,7 +342,7 @@ def test_batch_rejects_bad_thread_count_before_any_work(monkeypatch):
 
 def test_expected_fi_zero_signal_and_homogeneity():
     # without deletions the per-round phase is cubic in theta, so F(0) = 0
-    # (up to the finite-difference floor of the derivative accumulator)
+    # (its closed-form derivative vanishes there exactly)
     cfg0 = small_config(n_del=0.0, theta=0.0)
     assert expected_fi_p1(cfg0)["mean_fi"] < 1e-20
     # with deletions the exact one-deletion phase has a *linear* theta
@@ -434,3 +434,100 @@ def test_syn1_rate_matches_closed_form_without_deletions():
     sigma = math.sqrt(want * (1 - want) / rounds)
     assert abs(rate - want) <= 3 * sigma
     assert abs(want - n * x * x) <= 5 * x**4  # leading-order display, n (g Delta/2)^2
+
+
+def test_regime_rule_agrees_on_both_paths():
+    # deletions shrink this N = 16 code until it no longer fits: row 23 ends
+    # with N - s = 5 < g n = 6 and row 31 with shift -1; both paths stop such
+    # a trajectory as an invalid regime, the deletion counted, and neither raises
+    cfg = ProtocolConfig(
+        GnuParams(2, 3, Fraction(11, 6), 5), r=40, q=1.0, theta=1e-3, n_del=0.5, seed=1
+    )
+    batch = run_protocol1_batch(cfg, 40)
+    for idx in range(40):
+        rec = run_protocol1(cfg, trajectory_rng(cfg.seed, idx))
+        assert bool(batch.flag[idx]) == rec.flag, idx
+        assert bool(batch.invalid[idx]) == rec.invalid_regime, idx
+        assert batch.n_deletions[idx] == rec.n_deletions, idx
+        assert batch.final_shift[idx] == rec.final_shift, idx
+        assert np.array_equal(batch.counts[idx], rec.counts), idx
+    for idx, (n_del, shift) in ((23, (7, 4)), (31, (7, -1))):
+        assert batch.invalid[idx] and not batch.flag[idx]
+        assert (batch.n_deletions[idx], batch.final_shift[idx]) == (n_del, shift)
+        assert batch.counts[idx].sum() < cfg.r
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-7])
+def test_dphi_exact_at_small_theta(theta):
+    # without deletions dPhi/dtheta = r dzeta_0/dtheta, and
+    # dzeta_0/dtheta = -3 g tau tan^2 x sec^2 x / (1 + tan^6 x), x = g theta tau / 2
+    cfg = small_config(n_del=0.0, theta=theta)
+    g, tau = cfg.params.g, cfg.tau
+    x = 0.5 * g * theta * tau
+    want = cfg.r * -3 * g * tau * math.tan(x) ** 2 / (math.cos(x) ** 2 * (1 + math.tan(x) ** 6))
+    batch = run_protocol1_batch(cfg, 20)
+    assert np.all(batch.counts[:, 0, 0] == cfg.r)
+    assert np.all(np.abs(batch.dPhi_dtheta / want - 1) <= 1e-12)
+    for idx in range(3):
+        rec = run_protocol1(cfg, trajectory_rng(cfg.seed, idx))
+        assert rec.dPhi_dtheta == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _mp_dphi_one_deletion(cfg, rec, mp):
+    """dPhi/dtheta of a trajectory with one deletion, by 50-digit numerical
+    differentiation of the exact per-round phases.  The deletion met the
+    initial code, its shift is s - final_shift, and its syndrome is the one
+    its counts record."""
+    p = cfg.params
+    g, N, s = p.g, p.n_qubits, p.s
+    sigma = s - rec.final_shift
+    tau = mp.mpf(cfg.r) ** -mp.mpf(cfg.q)
+    c = [mp.sqrt(mp.binomial(3, k)) / 2 for k in range(4)]
+    prof = c if rec.counts[1, 0] else [c[k] * (3 - 2 * k) / mp.sqrt(3) for k in range(4)]
+
+    def phi(th):
+        t = []
+        for k in range(4):
+            w = g * k + s
+            ratio = mp.mpf(w) / N if sigma else 1 - mp.mpf(w) / N
+            t.append(prof[k] * c[k] * mp.sqrt(ratio) * mp.expj(th * tau * (w - sigma)))
+        return mp.arg((t[1] + t[3]) / (t[0] + t[2]))
+
+    def zeta0(th):
+        return 2 * mp.atan(-mp.tan(g * th * tau / 2) ** 3)
+
+    th = mp.mpf(cfg.theta)
+    return (rec.counts[0, 0] * mp.diff(zeta0, th) + rec.counts[0, 1] * g * tau
+            + mp.diff(phi, th))
+
+
+def test_dphi_matches_mpmath_on_deletion_rows():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    cfg = small_config(n_del=3e-3)
+    batch = run_protocol1_batch(cfg, 20000)
+    one = batch.success & (batch.n_deletions == 1)
+    # three rows whose deletion round projected onto the codespace, three onto the q-space
+    rows = [*np.nonzero(one & (batch.counts[:, 1, 0] == 1))[0][:3],
+            *np.nonzero(one & (batch.counts[:, 1, 1] == 1))[0][:3]]
+    assert len(rows) == 6
+    for idx in rows:
+        rec = run_protocol1(cfg, trajectory_rng(cfg.seed, idx))
+        want = _mp_dphi_one_deletion(cfg, rec, mp)
+        for got in (rec.dPhi_dtheta, batch.dPhi_dtheta[idx]):
+            assert abs(got - want) <= 1e-10 * abs(want), idx
+
+
+def test_one_deletion_phases_match_phase_formulas():
+    # phase_formulas takes phi_{1,0} and phi_{1,1} from full Dicke vectors
+    from symsense.qec import phase_formulas
+
+    params = small_config().params
+    for delta in (1e-4, 3e-3, 0.02):
+        for sigma in (0, 1):
+            pf = phase_formulas(params, delta, sigma)
+            X = protocols.one_deletion_ratios(
+                params.g, params.n_qubits, params.s, sigma, delta, 1.0
+            ).X
+            assert abs(np.angle(X[1] / X[0]) - pf.phi10) <= 1e-12
+            assert abs(np.angle(X[3] / X[2]) - pf.phi11) <= 1e-12

@@ -25,6 +25,7 @@ from symsense.qec import (
     qec_sense_probabilities,
     teleport_decode,
     zeta,
+    zeta_derivative,
 )
 from symsense.symcore import SymState, apply_signal
 
@@ -118,6 +119,26 @@ def test_qec_sense_completeness():
             )
             p0, p1, pf = qec_sense_probabilities(psi, params)
             assert abs(p0 + p1 + pf - 1.0) < 1e-12
+
+
+def test_pflag_is_the_residual_norm_outside_code_and_q_spaces():
+    # on the N = 12 (3, 3) code the residue-0 weights 0, 3, .., 12 leave one
+    # direction orthogonal to the codewords and q-vectors; 1 - p_code - p_q
+    # cancels a leak of 1e-20 there to nothing
+    params = GnuParams(3, 3, Fraction(1), 3)
+    basis = [*logical_pair(params), *q_vectors(params)[:2]]
+    for cw in basis[:2]:
+        assert qec_sense_probabilities(cw, params)[2] == 0.0
+    leak = np.zeros(params.n_qubits + 1, dtype=complex)
+    leak[0] = 1.0
+    for v in basis:
+        leak -= np.vdot(v.amps, leak) * v.amps
+    leak /= np.linalg.norm(leak)
+    plus = make_logical(params, Label.PLUS).state
+    psi = SymState(params.n_qubits, math.sqrt(1.0 - 1e-20) * plus.amps + 1e-10 * leak)
+    p0, p1, pf = qec_sense_probabilities(psi, params)
+    assert pf == pytest.approx(1e-20, rel=1e-6)
+    assert p0 == pytest.approx(1.0, abs=1e-15) and p1 < 1e-30
 
 
 def test_pflag_zero_for_n3():
@@ -276,6 +297,22 @@ def test_zeta1_exact_at_n3():
     params = GnuParams(7, 3, Fraction(2), 0)
     for delta in (0.001, 0.05, 0.2):  # g delta / 2 < pi/2
         assert zeta(params, delta, 1) == pytest.approx(params.g * delta, abs=1e-14)
+
+
+def test_zeta_derivative_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for n in (3, 5, 7):
+        params = GnuParams(5, n, Fraction(2), 4)
+        sign_i = (-1) ** ((n - 1) // 2)
+        for j in (0, 1):
+            def zeta_mp(d):
+                return 2 * mp.atan((-1) ** j * sign_i * mp.tan(params.g * d / 2) ** (n - 2 * j))
+
+            for delta in (1e-9, 1e-4, 0.05, 0.2):
+                want = mp.diff(zeta_mp, mp.mpf(delta))
+                got = zeta_derivative(params, delta, j)
+                assert abs(got - want) <= 2e-15 * abs(want), (n, j, delta)
 
 
 def test_zeta0_cubic_coefficient_series_fit():
