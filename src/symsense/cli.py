@@ -278,7 +278,7 @@ def cmd_fqec_scan(args) -> int:
 def cmd_verify(args) -> int:
     from symsense.verify import run_verification
 
-    failures = run_verification(verbose=True)
+    failures = run_verification(verbose=True, as_json=args.json)
     return 1 if failures else 0
 
 
@@ -372,6 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fqec_scan)
 
     p = sub.add_parser("verify", help="run the small-N oracle verification suite")
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object per check (name, value, threshold, pass) instead of the table",
+    )
     p.set_defaults(func=cmd_verify)
 
     return ap

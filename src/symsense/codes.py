@@ -74,6 +74,14 @@ class GnuParams:
         return GnuParams(self.g, self.n, Fraction(gnu, self.g * self.n), s)
 
 
+def code_fits(params: GnuParams, n_qubits, s):
+    """Whether the (g, n) code with shift s still exists on n_qubits: s >= 0 and u >= 1.
+
+    ``n_qubits`` and ``s`` may be integer arrays; the test is elementwise.
+    """
+    return (s >= 0) & (n_qubits - s >= params.g * params.n)
+
+
 @dataclass(frozen=True)
 class LogicalState:
     params: GnuParams

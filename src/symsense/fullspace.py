@@ -9,9 +9,18 @@ of the sequential angular-momentum measurement are prefixes of the index.
 Paulis are applied to 2^N vectors as (x|z) bit masks (Aaronson & Gottesman,
 PRA 70, 052328 (2004)) by ``pauli_apply``, in O(2^N) per vector; the dense
 ``pauli_op`` matrix is kept for building Kraus inputs and as the reference
-the bit-mask form is tested against.  The recovery channel of
-``general_qec_smallN`` is kept factored through the codewords instead of as
-dense 2^N x 2^N Kraus operators.
+the bit-mask form is tested against.
+
+``general_qec_smallN`` computes in Schur coefficients (Bacon, Chuang &
+Harrow, PRL 97, 170502 (2006)).  By Schur-Weyl duality the qubit
+permutations act on each spin-j block as Q_j (x) P_j, on the path factor
+P_j only, so the permutation twirl of an operator keeps its path-diagonal
+(2j+1) x (2j+1) blocks and replaces each by their mean over the paths of
+spin j.  The recovery rows lie in single path blocks and the remainder of
+the recovery is block diagonal, so the fidelity comes from (2j+1)-sized
+matrices; no 2^N x 2^N operator is formed besides the caller's Kraus
+operators and the basis.  The dense ``symmetrize_channel`` stays as the
+reference the twirl is tested against.
 
 Two-row Young diagrams (r1, r2) label the Schur-Weyl blocks of N qubits;
 standard tableaux of a diagram are in bijection with the admissible
@@ -281,7 +290,7 @@ class SchurBlock:
     """One (path, j) block: vectors[m_idx] is |m_T> with m = j - m_idx (doubled js)."""
 
     j_path_doubled: tuple[int, ...]
-    vectors: np.ndarray  # shape (2j+1, 2^N), rows ordered m = +j .. -j
+    vectors: np.ndarray  # float64, shape (2j+1, 2^N), rows ordered m = +j .. -j
 
     @property
     def j_doubled(self) -> int:
@@ -294,14 +303,16 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
 
     Built by one Clebsch-Gordan step per qubit; each block is labelled by its
     j-path (equivalently a two-row SYT) and spans the 2j+1 magnetic states.
+    The coefficients are real, so the vectors are stored as float64.  A step
+    appends qubit k + 1 as the low bit: viewed as a (2^k, 2) array, a new
+    vector holds the coefficient times an old vector in column 0 (the new
+    qubit up) and in column 1 (down).
     """
     if N > 10:
         raise ValueError("Schur basis construction capped at N = 10")
-    up = np.array([1.0, 0.0], dtype=complex)  # |0>, m = +1/2
-    down = np.array([0.0, 1.0], dtype=complex)
-    # block state: path, dict m_doubled -> vector on k qubits
-    blocks = [((1,), {1: up, -1: down})]
-    for _ in range(1, N):
+    # per path, the magnetic states as rows m = +j .. -j on k qubits
+    blocks = [((1,), np.eye(2))]
+    for k in range(1, N):
         new_blocks = []
         for path, vecs in blocks:
             j2 = path[-1]
@@ -309,29 +320,65 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
             for j2_new in (j2 + 1, j2 - 1):
                 if j2_new < 0:
                     continue
-                new_vecs = {}
-                for m2 in range(j2_new, -j2_new - 1, -2):
+                new_vecs = np.zeros((j2_new + 1, 2**k, 2))
+                for row, m2 in enumerate(range(j2_new, -j2_new - 1, -2)):
                     # CG for (j) x (1/2) -> j'; m = m_old + (+-1/2)
-                    vec = None
-                    for half, qubit in ((1, up), (-1, down)):
+                    for col, half in enumerate((1, -1)):
                         m2_old = m2 - half
-                        if abs(m2_old) > j2 or m2_old not in vecs:
+                        if abs(m2_old) > j2:
                             continue
                         if j2_new == j2 + 1:
                             coeff = math.sqrt((j2 + half * m2 + 1) / (2.0 * (j2 + 1)))
                         else:
                             coeff = -half * math.sqrt((j2 - half * m2 + 1) / (2.0 * (j2 + 1)))
-                        term = coeff * np.kron(vecs[m2_old], qubit)
-                        vec = term if vec is None else vec + term
-                    new_vecs[m2] = vec
-                new_blocks.append((path + (j2_new,), new_vecs))
+                        new_vecs[row, :, col] = coeff * vecs[(j2 - m2_old) // 2]
+                new_blocks.append((path + (j2_new,), new_vecs.reshape(j2_new + 1, -1)))
         blocks = new_blocks
-    out = []
-    for path, vecs in blocks:
-        j2 = path[-1]
-        mat = np.array([vecs[m2] for m2 in range(j2, -j2 - 1, -2)])
-        out.append(SchurBlock(path, mat))
-    return tuple(out)
+    return tuple(SchurBlock(path, vecs) for path, vecs in blocks)
+
+
+@lru_cache(maxsize=8)
+def _schur_coordinates(N: int) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """The stacked ``schur_blocks(N)`` basis, each block's first row, and the rows per spin.
+
+    The basis is the (2^N, 2^N) matrix whose rows are the block vectors in
+    block order.  ``spins`` maps each doubled spin j2 to the (paths, j2 + 1)
+    array of its blocks' rows.
+    """
+    blocks = schur_blocks(N)
+    basis = np.vstack([blk.vectors for blk in blocks])
+    basis.flags.writeable = False
+    starts = np.cumsum([0] + [blk.vectors.shape[0] for blk in blocks[:-1]])
+    rows: dict[int, list] = {}
+    for blk, start in zip(blocks, starts):
+        rows.setdefault(blk.j_doubled, []).append(np.arange(start, start + blk.j_doubled + 1))
+    return basis, starts, {j2: np.array(r) for j2, r in rows.items()}
+
+
+def _schur_coeffs(basis: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<v|x> for every row v of the real ``basis`` and every 2^N vector x in ``vecs``.
+
+    ``vecs`` holds the vectors along its last axis; the coefficients replace it.
+    """
+    flat = vecs.reshape(-1, basis.shape[1])
+    out = flat.real @ basis.T + 1j * (flat.imag @ basis.T)
+    return out.reshape(vecs.shape[:-1] + (basis.shape[0],))
+
+
+def _path_twirl(ket: np.ndarray, bra: np.ndarray, spins: dict[int, np.ndarray]) -> dict:
+    """Permutation twirl of y = sum_K |ket_K><bra_K|, block by block in Schur coordinates.
+
+    ``ket`` (K, X, 2^N) and ``bra`` (K, Y, 2^N) hold Schur coefficients, so
+    one y per pair (x, y) of their middle indices.  By Schur-Weyl duality
+    the twirl keeps only the path-diagonal blocks and replaces each by their
+    mean over the paths of the same spin; returned per doubled spin j2 is
+    that mean, of shape (X, Y, j2 + 1, j2 + 1).  ``spins`` is the third
+    value of ``_schur_coordinates``.
+    """
+    return {
+        j2: np.einsum("kxpm,kypn->xymn", ket[..., rows], bra[..., rows].conj()) / len(rows)
+        for j2, rows in spins.items()
+    }
 
 
 def sequential_j2_measure(
@@ -373,6 +420,8 @@ def symmetrize_channel(rho: np.ndarray, N: int) -> np.ndarray:
     average and k transpositions), so the cost is O(N^2) conjugations instead
     of N! terms.  Conjugating by the transposition of qubits i and k swaps
     their row axes and their column axes of rho viewed as a (2,)*2N tensor.
+    This dense form is the reference for the per-spin path average that
+    ``general_qec_smallN`` applies in Schur coordinates.
     """
     out = np.array(rho, dtype=complex).reshape((2,) * (2 * N))
     for k in range(2, N + 1):
@@ -445,75 +494,80 @@ def general_qec_smallN(
     (identity, X_1 and Z_1 with amplitudes 1, 1/2, 1/2, normalized); the
     value depends on the channel.
 
-    The recovery Kraus operators are kept factored, K_k = sum_j |j_L><b_kj|,
-    plus the dense remainder R = I - sum_kj |b_kj><b_kj|, and only the
-    overlaps <j_L|recover(y)|k_L> and the trace that the fidelity needs are
-    evaluated from them.
+    Everything after the input is computed in Schur coefficients.  The
+    codewords, the error images E|j_L> and the channel images K|j_L> are
+    expanded in the stacked ``schur_blocks`` basis once.  The symmetrized
+    channel(|j_L><k_L|) is then, per spin j, one (2j+1) x (2j+1) block on
+    every path of that spin (``_path_twirl``).  The recovery Kraus operators
+    K_k = sum_j |j_L><b_kj| have each row b_kj inside one path block, so the
+    remainder R = I - sum_kj |b_kj><b_kj| is block diagonal with blocks
+    R_p = I - sum beta beta^dag.  The overlaps <j_L|recover(y)|k_L> and the
+    trace of recover(y) are contractions of these small blocks; no 2^N x 2^N
+    operator is formed besides the caller's Kraus operators and the basis.
     """
     N = code_states[0].n_qubits
     M = len(code_states)
     vecs = np.array([cs.vec for cs in code_states])  # (M, 2^N)
     blocks = schur_blocks(N)
+    basis, starts, spins = _schur_coordinates(N)
 
-    # spanning error set: all Paulis of weight <= max_weight, applied to the
-    # codewords once, then expanded in the whole Schur basis; block blk owns
-    # the next blk.vectors.shape[0] coefficients
-    errored = np.array(
-        [pauli_apply(N, pos, kinds, vecs) for pos, kinds in enumerate_paulis(N, max_weight)]
+    # the spanning error set is every Pauli of weight <= max_weight applied
+    # to the codewords; coefficient axis last, block blk owns the
+    # blk.vectors.shape[0] coefficients from its start
+    code_c = _schur_coeffs(basis, vecs)
+    err_c = _schur_coeffs(
+        basis,
+        np.array([pauli_apply(N, pos, kinds, vecs) for pos, kinds in enumerate_paulis(N, max_weight)]),
     )
-    schur = np.vstack([blk.vectors for blk in blocks])
-    coeffs_all = (errored.reshape(-1, 2**N) @ schur.conj().T).reshape(errored.shape)
+    # channel(|x_L><y_L|) = sum_K (K|x_L>)(K|y_L>)^dag; twirl[j2][x, y] is its
+    # symmetrized block on each path of spin j2 / 2
+    kraus_c = _schur_coeffs(basis, np.array([(K @ vecs.T).T for K in kraus_ops]))
+    twirl = _path_twirl(kraus_c, kraus_c, spins)
 
-    factors = []  # per recovery Kraus operator K_k, its rows b_kj, shape (M, 2^N)
+    # per spin, summed over its paths: cover[a, b, m, n] = sum_k conj(beta_ka[m])
+    # beta_kb[n] over the recovery rows, leak the same for the remainder
+    # images R_p|a_L>, and rem_sq = sum_p R_p^2
+    cover = {j2: np.zeros((M, M, j2 + 1, j2 + 1), dtype=complex) for j2 in spins}
+    leak = {j2: np.zeros((M, M, j2 + 1, j2 + 1), dtype=complex) for j2 in spins}
+    rem_sq = {j2: np.zeros((j2 + 1, j2 + 1), dtype=complex) for j2 in spins}
     r_report = []
-    start = 0
-    for blk in blocks:
-        dim_block = blk.vectors.shape[0]
+    for blk, start in zip(blocks, starts):
+        j2 = blk.j_doubled
+        dim_block = j2 + 1
         # coefficients of Pi^T E |j_L> in the block's magnetic basis
-        coeffs = coeffs_all[:, :, start : start + dim_block]
-        start += dim_block
+        coeffs = err_c[:, :, start : start + dim_block]
         gram = coeffs[:, 0] @ coeffs[:, 0].conj().T
         # KL equality of Gram matrices across j is what makes one coefficient
         # matrix serve all codewords
         evals, evecs = np.linalg.eigh(gram)
         keep = evals > 1e-10
         r_t = int(np.sum(keep))
-        if r_t == 0:
-            continue
-        r_report.append({"j_path": blk.j_path_doubled, "r_T": r_t, "bound": dim_block / M})
-        # orthonormalizing combinations: columns v with v^dag Gram v = delta
-        combo = evecs[:, keep] / np.sqrt(evals[keep])
-        factors.append(np.einsum("ek,ejm->kjm", combo.conj(), coeffs) @ blk.vectors)
-    b_rows = np.concatenate(factors)  # (recovery ops, M, 2^N)
-    b_flat = b_rows.reshape(-1, 2**N)
-    # the recovery channel is completed on the uncovered remainder R (Hermitian)
-    remainder = np.eye(2**N) - b_flat.T @ b_flat.conj()
-    rem_vecs = vecs @ remainder.T  # rows R|j_L>
-    rem_sq_t = (remainder @ remainder).T.ravel()  # tr(R y R) = sum_ab y_ab (R^2)_ba
-    code_gram = vecs.conj() @ vecs.T  # <j_L|k_L>
+        rem = np.eye(dim_block, dtype=complex)
+        if r_t:
+            r_report.append({"j_path": blk.j_path_doubled, "r_T": r_t, "bound": dim_block / M})
+            # orthonormalizing combinations: columns v with v^dag Gram v = delta;
+            # beta[k, j] holds the block coefficients of the recovery row b_kj
+            combo = evecs[:, keep] / np.sqrt(evals[keep])
+            beta = np.einsum("ek,ejm->kjm", combo.conj(), coeffs)
+            cover[j2] += np.einsum("kam,kbn->abmn", beta.conj(), beta)
+            rem -= np.einsum("kjm,kjn->mn", beta, beta.conj())
+        rem_code = code_c[:, start : start + dim_block] @ rem.T  # rows R_p|a_L>
+        leak[j2] += np.einsum("am,bn->abmn", rem_code.conj(), rem_code)
+        rem_sq[j2] += rem @ rem
 
-    def recovered(y):
-        """<j_L|recover(y)|k_L> for all j, k, and tr recover(y)."""
-        b_y = (b_flat.conj() @ y).reshape(b_rows.shape)
-        inner = np.einsum("kjd,kld->jl", b_y, b_rows)  # sum_k B_k^* y B_k^T
-        overlaps = code_gram @ inner @ code_gram + rem_vecs.conj() @ y @ rem_vecs.T
-        trace = np.trace(inner @ code_gram) + y.ravel() @ rem_sq_t
-        return overlaps, trace
+    # for each input pair (x, y), with T the twirled channel(|x_L><y_L|):
+    # inner[x, y, a, b] = sum_k <b_ka|T|b_kb>, rem_out[x, y, a, b] =
+    # <a_L|R T R|b_L> and rem_trace[x, y] = tr(R^2 T)
+    inner = sum(np.einsum("xymn,abmn->xyab", twirl[j2], cover[j2]) for j2 in spins)
+    rem_out = sum(np.einsum("xymn,abmn->xyab", twirl[j2], leak[j2]) for j2 in spins)
+    rem_trace = sum(np.einsum("xymn,nm->xy", twirl[j2], rem_sq[j2]) for j2 in spins)
+    # <a_L|recover(T)|b_L> = (G inner G)_ab + rem_out_ab and
+    # tr recover(T) = tr(inner G) + rem_trace, with G_ab = <a_L|b_L>
+    code_gram = vecs.conj() @ vecs.T
+    overlaps = np.einsum("aj,xyjl,lb->xyab", code_gram, inner, code_gram) + rem_out
 
-    # K|j_L> for every input Kraus operator: channel(|j><k|) = sum_K (K|j>)(K|k>)^dag
-    kraus_vecs = np.array([(K @ vecs.T).T for K in kraus_ops])  # (kraus, M, 2^N)
-
-    # entanglement fidelity F_e = (1/M^2) sum_{jk} <j|Phi(|j><k|)|k>; the trace
-    # of Phi on the maximally mixed code state is the mean over the j == k terms
-    fid = 0.0 + 0.0j
-    trace_out = 0.0 + 0.0j
-    for j in range(M):
-        for k in range(M):
-            y = kraus_vecs[:, j].T @ kraus_vecs[:, k].conj()
-            overlaps, trace = recovered(symmetrize_channel(y, N))
-            fid += overlaps[j, k]
-            if j == k:
-                trace_out += trace
-    fid = float(fid.real) / (M * M)
-    trace_out = float(trace_out.real) / M
+    # entanglement fidelity F_e = (1/M^2) sum_{xy} <x|Phi(|x><y|)|y>; the trace
+    # of Phi on the maximally mixed code state is the mean over the x == y terms
+    fid = float(np.einsum("xyxy->", overlaps).real) / (M * M)
+    trace_out = float((np.einsum("xxab,ba->", inner, code_gram) + np.trace(rem_trace)).real) / M
     return {"entanglement_fidelity": fid, "blocks": r_report, "output_trace": trace_out}

@@ -19,6 +19,7 @@ branch amplitudes are bit-identical to evaluating each weight through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from symsense.codes import GnuParams
 from symsense.symcore import SymEnsemble, SymState, log_binom, sqrt_binom_ratio, binom
 
 PRUNE_EPS = 1e-15
+# the largest integer that converts to a float without OverflowError
+_FLOAT_INT_MAX = int(sys.float_info.max)
 
 
 class BranchList(list):
@@ -66,7 +69,10 @@ def delete(state: SymState, t: int) -> list[DeletionOutcome]:
     ``a_w * sqrt(C(N-t, w-a) / C(N, w))`` at the new weight w - a; the branch
     probabilities C(t,a) <psi_a|psi_a> sum to one.  Branches below the pruning
     threshold are dropped and their mass is reported on the surviving ones'
-    ``weight`` total (diagnosed by the caller via the sum).
+    ``weight`` total (diagnosed by the caller via the sum).  Where C(t, a)
+    overflows a float (from t = 1030 on) or <psi_a|psi_a> is not a normal
+    float, the branch takes C(t, a) C(N-t, w-a) / C(N, w) per weight as one
+    correctly rounded ratio of exact integers.
     """
     N = state.n_qubits
     if not 1 <= t <= N:
@@ -77,6 +83,7 @@ def delete(state: SymState, t: int) -> list[DeletionOutcome]:
     # log C(N, w) on the support, in log_binom's operation order
     log_den = lg[N] - lg[support] - lg[N - support]
     outcomes = BranchList()
+    exact_rows = None  # C(M, k) and C(N, w) as exact integers, built on first need
     for a in range(t + 1):
         lo, hi = np.searchsorted(support, (a, M + a + 1))
         w = support[lo:hi]
@@ -86,7 +93,19 @@ def delete(state: SymState, t: int) -> list[DeletionOutcome]:
         amps = np.zeros(M + 1, dtype=complex)
         amps[k] = state.amps[w] * ratio
         nsq = float(np.vdot(amps, amps).real)
-        weight = binom(t, a) * nsq
+        c = binom(t, a)
+        if nsq >= sys.float_info.min and c <= _FLOAT_INT_MAX:
+            weight = c * nsq
+        else:
+            # C(t, a) overflows a float or <psi_a|psi_a> is not a normal
+            # float: fold C(t, a) into each amplitude as the exact rational
+            # C(t, a) C(M, w - a) / C(N, w), correctly rounded
+            if exact_rows is None:
+                exact_rows = _binom_row(M), _binom_row(N)
+            row_m, row_n = exact_rows
+            scale = [c * row_m[kk] / row_n[ww] for kk, ww in zip(k.tolist(), w.tolist())]
+            amps[k] = state.amps[w] * np.sqrt(scale)
+            nsq = weight = float(np.vdot(amps, amps).real)
         if weight <= PRUNE_EPS:
             outcomes.pruned_mass += weight
             continue
@@ -131,6 +150,14 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
             continue
         outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
     return outcomes
+
+
+def _binom_row(n: int) -> list[int]:
+    """C(n, k) for k = 0..n as exact integers, by C(n, k+1) = C(n, k) (n-k) / (k+1)."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
 
 
 def _lgamma_table(n: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from symsense.codes import GnuParams, Label, logical_pair, make_logical
+from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
 from symsense.metrology import PI_4_COS_FLOOR
 from symsense.noise import delete
 from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
@@ -168,11 +168,6 @@ def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
     return pref * np.asarray(dPhi) ** 2
 
 
-def _code_fits(params: GnuParams, n_qubits, s):
-    """Whether the (g, n) code with shift s still exists on n_qubits: s >= 0 and u >= 1."""
-    return (s >= 0) & (n_qubits - s >= params.g * params.n)
-
-
 # ---------------------------------------------------------------------------
 # exact reference trajectory
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             n_deleted += 1
             pre_n, pre_s = n_cur, s_cur
             n_cur, s_cur = n_cur - 1, s_cur - sigma
-            if not _code_fits(p, n_cur, s_cur):
+            if not code_fits(p, n_cur, s_cur):
                 invalid = True
                 break
         state = apply_signal(state, theta * tau)
@@ -462,7 +457,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
             norm[drow] = ma * both.A[sigma, cols] + mb * both.B[sigma, cols]
             n_cur[drow] -= 1
             s_cur[drow] -= sigma
-            unfit = drow[~_code_fits(p, n_cur[drow], s_cur[drow])]
+            unfit = drow[~code_fits(p, n_cur[drow], s_cur[drow])]
             invalid[unfit] = True
             alive[unfit] = t1[unfit] = False
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from symsense.codes import CODEWORD_CACHE, GnuParams, logical_pair
+from symsense.codes import CODEWORD_CACHE, GnuParams, code_fits, logical_pair
 from symsense.symcore import SymState, apply_signal, sqrt_binom_ratio, binom
 
 
@@ -193,7 +193,9 @@ def qec_sense(
 
     ``params`` describes the code *before* the deletions; the number of
     deletions is inferred from the state's qubit count.  flag = 1 is a modeled
-    outcome (the input is outside codespace + q-space), not an exception.
+    outcome, not an exception: the input is outside codespace + q-space, or
+    the residue implies more shift than there were deletions, or the shifted
+    code no longer fits the remaining qubits (``codes.code_fits``).
     """
     if params.n < 3 or params.n % 2 == 0:
         raise ValueError("qec_sense expects odd n >= 3")
@@ -202,9 +204,9 @@ def qec_sense(
         raise ValueError("state has more qubits than the code")
     mod = modulo_meas(state, params.g, rng)
     sigma = (params.s - mod.residue) % params.g
-    if sigma > t:
-        return QecSenseResult(mod.post_state, params.s - sigma, syn=-1, flag=1)
     new_shift = params.s - sigma
+    if sigma > t or not code_fits(params, state.n_qubits, new_shift):
+        return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
     small = params.with_shift(new_shift, state.n_qubits)
     cw0, cw1 = logical_pair(small)
     q0, q1, _ = q_vectors(small)
@@ -228,14 +230,16 @@ def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, 
     A branch's flag weight is the squared norm of its residual outside the
     orthonormal {|0_L>, |1_L>, |q_0>, |q_1>}, not ``1 - p_code - p_q``, which
     cancels: it is never negative and keeps its relative precision for tiny
-    leakage.
+    leakage.  A branch that ``qec_sense`` flags before projecting (too much
+    shift for the deletions, or a shifted code that no longer fits) counts
+    wholly as flag.
     """
     t = params.n_qubits - state.n_qubits
     branches = modulo_branches(state, params.g)
     p0 = p1 = pf = 0.0
     for br in branches:
         sigma = (params.s - br.residue) % params.g
-        if sigma > t:
+        if sigma > t or not code_fits(params, state.n_qubits, params.s - sigma):
             pf += br.probability
             continue
         small = params.with_shift(params.s - sigma, state.n_qubits)

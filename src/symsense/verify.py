@@ -2,13 +2,15 @@
 
 Each check pits a scalable Dicke-block computation against an independent
 brute-force construction (full 2^N vectors, Kraus strings, dense partial
-traces, explicit projectors).  Prints one pass/fail line per check and
-returns the list of failures.
+traces, explicit projectors).  Prints one pass/fail line per check, or one
+JSON object per check, and returns the list of failures.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -199,43 +201,74 @@ def check_deletion_qfi_monotone() -> list:
     return violations
 
 
-def run_verification(verbose: bool = True) -> list[str]:
-    rng = np.random.default_rng(2024)
-    results: list[tuple[str, bool, str]] = []
+@dataclass(frozen=True)
+class CheckResult:
+    """One oracle check.  It passes when |value| <= threshold; a check with
+    threshold None only reports its value."""
 
-    def record(name, ok, detail):
-        results.append((name, ok, detail))
+    name: str
+    value: float
+    threshold: float | None
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.threshold is None or abs(self.value) <= self.threshold
+
+
+def run_checks() -> list[CheckResult]:
+    """Run every oracle check in order, with the suite's fixed seeds."""
+    rng = np.random.default_rng(2024)
+    results: list[CheckResult] = []
+
+    def record(name, value, threshold, detail):
+        results.append(CheckResult(name, value, threshold, detail))
 
     worst = check_deletion_oracle(rng)
-    record("deletion block form vs dense partial trace", worst <= 1e-10, f"max dist {worst:.2e}")
+    record("deletion block form vs dense partial trace", worst, 1e-10, f"max dist {worst:.2e}")
     worst = check_ad_oracle(rng)
-    record("damping block form vs Kraus strings", worst <= 1e-10, f"max dist {worst:.2e}")
+    record("damping block form vs Kraus strings", worst, 1e-10, f"max dist {worst:.2e}")
     bad = check_schur_dimension()
-    record("sum syt*ssyt = 2^N for N <= 12", bad == 0, f"{bad} mismatches")
+    record("sum syt*ssyt = 2^N for N <= 12", bad, 0, f"{bad} mismatches")
     bad = check_syt_counts()
-    record("tableau counts vs hook lengths", bad == 0, f"{bad} mismatches")
+    record("tableau counts vs hook lengths", bad, 0, f"{bad} mismatches")
     dev = check_sequential_split(rng)
-    record("sequential J^2 split of |01>", dev <= 0.1, f"freq offset {dev:.3f}")
+    record("sequential J^2 split of |01>", dev, 0.1, f"freq offset {dev:.3f}")
     viol = check_kl_gnu()
-    record("Knill-Laflamme for the (3,3,1) code", viol <= 1e-10, f"max violation {viol:.2e}")
+    record("Knill-Laflamme for the (3,3,1) code", viol, 1e-10, f"max violation {viol:.2e}")
     infid = check_general_qec()
-    record("general QEC entanglement fidelity", abs(infid) <= 1e-8, f"infidelity {infid:.2e}")
+    record("general QEC entanglement fidelity", infid, 1e-8, f"infidelity {infid:.2e}")
     worst = check_pflag()
-    record("projection probabilities closed form", worst <= 1e-10, f"max dev {worst:.2e}")
+    record("projection probabilities closed form", worst, 1e-10, f"max dev {worst:.2e}")
     mono = check_deletion_qfi_monotone()
     record(
         "deletion QFI monotone in t (report only)",
-        True,
+        len(mono),
+        None,
         f"{len(mono)} counterexample(s)" + (f": {mono}" if mono else ""),
     )
     params = GnuParams(4, 4, Fraction(1), 0)
     qfi = qfi_pure(make_logical(params, Label.PLUS).state)
-    record("plus-probe QFI = g^2 n", abs(qfi - 64.0) <= 1e-10, f"value {qfi}")
+    record("plus-probe QFI = g^2 n", qfi - 64.0, 1e-10, f"value {qfi}")
+    return results
 
-    failures = [name for name, ok, _ in results if not ok]
-    if verbose:
-        width = max(len(name) for name, _, _ in results)
-        for name, ok, detail in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
+
+def run_verification(verbose: bool = True, as_json: bool = False) -> list[str]:
+    """Run the checks and return the names of the failed ones.
+
+    With ``verbose`` it prints one PASS/FAIL line per check and a summary;
+    with ``as_json`` instead one JSON object per line and check, holding its
+    name, value, threshold and pass.
+    """
+    results = run_checks()
+    failures = [res.name for res in results if not res.passed]
+    if as_json:
+        for res in results:
+            print(json.dumps({"name": res.name, "value": res.value,
+                              "threshold": res.threshold, "pass": res.passed}))
+    elif verbose:
+        width = max(len(res.name) for res in results)
+        for res in results:
+            print(f"{'PASS' if res.passed else 'FAIL'}  {res.name:<{width}}  {res.detail}")
         print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return failures

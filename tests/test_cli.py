@@ -139,3 +139,34 @@ def test_protocol1_jsonl_deterministic(tmp_path):
     run_cli(args + ["--out", str(a)])
     run_cli(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_text_and_json_report_the_same_checks(capsys):
+    assert run_cli(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "10/10 checks passed"
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
+
+    assert run_cli(["verify", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 10
+    for rec, line in zip(records, lines):
+        assert set(rec) == {"name", "value", "threshold", "pass"}
+        assert line.startswith(f"PASS  {rec['name']}  ")
+        assert isinstance(rec["value"], (int, float))
+        assert rec["threshold"] is None or isinstance(rec["threshold"], (int, float))
+        assert rec["pass"] is (rec["threshold"] is None or abs(rec["value"]) <= rec["threshold"])
+        assert rec["pass"] is True
+
+
+def test_verify_json_exit_code_matches_text_mode(monkeypatch, capsys):
+    import symsense.verify
+
+    monkeypatch.setattr(symsense.verify, "check_general_qec", lambda: 0.5)
+    assert run_cli(["verify"]) == 1
+    assert "9/10 checks passed" in capsys.readouterr().out
+    assert run_cli(["verify", "--json"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = [rec for rec in records if not rec["pass"]]
+    assert failed == [{"name": "general QEC entanglement fidelity", "value": 0.5,
+                       "threshold": 1e-8, "pass": False}]

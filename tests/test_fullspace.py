@@ -27,6 +27,7 @@ from symsense.fullspace import (
     signal_unitary_dense,
     symmetrize_channel,
 )
+from symsense.fullspace import _path_twirl, _schur_coeffs, _schur_coordinates
 from symsense.noise import delete
 from symsense.symcore import SymState
 from symsense.verify import _ad_kraus_brute
@@ -69,6 +70,65 @@ def test_schur_weyl_dimension_count(N):
         assert len(tabs) == diagram.syt_count() == diagram.syt_count_hooks()
         total += len(tabs) * diagram.ssyt_count()
     assert total == 2**N
+
+
+def _schur_blocks_kron(N):
+    """Reference Clebsch-Gordan build of schur_blocks: each new vector as a sum
+    of coefficient * np.kron(old vector, qubit state), in complex arithmetic."""
+    up = np.array([1.0, 0.0], dtype=complex)
+    down = np.array([0.0, 1.0], dtype=complex)
+    blocks = [((1,), {1: up, -1: down})]
+    for _ in range(1, N):
+        new_blocks = []
+        for path, vecs in blocks:
+            j2 = path[-1]
+            for j2_new in (j2 + 1, j2 - 1):
+                if j2_new < 0:
+                    continue
+                new_vecs = {}
+                for m2 in range(j2_new, -j2_new - 1, -2):
+                    vec = None
+                    for half, qubit in ((1, up), (-1, down)):
+                        m2_old = m2 - half
+                        if abs(m2_old) > j2:
+                            continue
+                        if j2_new == j2 + 1:
+                            coeff = math.sqrt((j2 + half * m2 + 1) / (2.0 * (j2 + 1)))
+                        else:
+                            coeff = -half * math.sqrt((j2 - half * m2 + 1) / (2.0 * (j2 + 1)))
+                        term = coeff * np.kron(vecs[m2_old], qubit)
+                        vec = term if vec is None else vec + term
+                    new_vecs[m2] = vec
+                new_blocks.append((path + (j2_new,), new_vecs))
+        blocks = new_blocks
+    return [(path, np.array([vecs[m2] for m2 in range(path[-1], -path[-1] - 1, -2)]))
+            for path, vecs in blocks]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_schur_blocks_equal_kron_reference(N):
+    got = schur_blocks(N)
+    want = _schur_blocks_kron(N)
+    assert [blk.j_path_doubled for blk in got] == [path for path, _ in want]
+    for blk, (_, vecs) in zip(got, want):
+        assert blk.vectors.dtype == np.float64
+        assert np.array_equal(blk.vectors, vecs)
+
+
+@pytest.mark.parametrize("N", range(3, 7))
+def test_path_twirl_matches_symmetrize_channel(N):
+    # a random complex, non-Hermitian y = sum_c |y e_c><e_c|, twirled per spin
+    # in Schur coordinates and mapped back, against the dense coset recursion
+    rng = np.random.default_rng(60 + N)
+    y = rng.standard_normal((2**N, 2**N)) + 1j * rng.standard_normal((2**N, 2**N))
+    basis, _, spins = _schur_coordinates(N)
+    ket = _schur_coeffs(basis, y.T[:, None, :])
+    bra = _schur_coeffs(basis, np.eye(2**N)[:, None, :])
+    got = np.zeros_like(y)
+    for j2, block in _path_twirl(ket, bra, spins).items():
+        for rows in spins[j2]:
+            got += basis[rows].T @ block[0, 0] @ basis[rows]
+    assert np.max(np.abs(got - symmetrize_channel(y, N))) < 1e-13
 
 
 def test_schur_blocks_orthonormal_and_diagonal():
@@ -453,6 +513,8 @@ def _random_orthonormal_states(N, M, seed):
         # a random pair is no code at all: the codewords leak into the remainder
         (_random_orthonormal_states(4, 2, seed=9), 0),
         (_random_orthonormal_states(4, 2, seed=9), 1),
+        # three random codewords: every block's recovery rows come from M = 3
+        (_random_orthonormal_states(7, 3, seed=13), 1),
     ],
 )
 def test_general_qec_matches_dense_recovery_reference(states, max_weight):

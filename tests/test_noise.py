@@ -328,3 +328,13 @@ def test_ad_qfi_bound_unchanged_by_branch_cut():
     for params in (GnuParams(40, 3, Fraction(53, 6), 940), GnuParams(3, 3, Fraction(2), 1)):
         for gamma in GAMMAS:
             assert ad_qfi_bound(params, gamma) == _ad_qfi_bound_all_branches(params, gamma)
+
+
+@pytest.mark.parametrize("t", [1030, 1500])
+def test_delete_past_float_binomials_conserves_mass(t):
+    # C(t, a) overflows a float from t = 1030 on; the branches still sum to one
+    outs = delete(CHANNEL_STATES["code N=2000"], t)
+    assert outs
+    assert abs(sum(o.weight for o in outs) + outs.pruned_mass - 1.0) < 1e-12
+    for o in outs:
+        assert abs(o.state.norm_sq() - 1.0) < 1e-12

@@ -261,6 +261,29 @@ def test_qec_sense_one_deletion_post_state():
             assert abs(cmath.phase(c1 / c0) - cmath.phase(u)) < 1e-12
 
 
+def test_qec_sense_flags_a_shifted_code_that_no_longer_fits():
+    # GnuParams(2, 3, 1, 0) has no spare qubit: after one deletion neither
+    # shift leaves a code (u < 1 at sigma = 0, s < 0 at sigma = 1)
+    params = GnuParams(2, 3, Fraction(1), 0)
+    for br in delete(make_logical(params, Label.PLUS).state, 1):
+        evolved = apply_signal(br.state, 0.1)
+        for seed in range(10):
+            res = qec_sense(evolved, params, np.random.default_rng(seed))
+            assert (res.syn, res.flag) == (-1, 1)
+            assert res.new_shift == params.s - br.shift
+        p0, p1, pf = qec_sense_probabilities(evolved, params)
+        assert (p0, p1) == (0.0, 0.0)
+        assert abs(p0 + p1 + pf - 1.0) < 1e-12
+    # one spare qubit: sigma = 0 still fits, so only the sigma = 1 mass is unfit
+    params = GnuParams(2, 3, Fraction(7, 6), 0)
+    branches = delete(make_logical(params, Label.PLUS).state, 1)
+    amps = sum(math.sqrt(br.weight) * br.state.amps for br in branches)
+    mixed = apply_signal(SymState(params.n_qubits - 1, amps), 0.1)
+    p0, p1, pf = qec_sense_probabilities(mixed, params)
+    assert abs(p0 + p1 + pf - 1.0) < 1e-12
+    assert abs(pf - sum(br.weight for br in branches if br.shift == 1)) < 1e-12
+
+
 def test_qec_sense_requires_odd_n():
     params = GnuParams(3, 4, Fraction(1), 0)
     with pytest.raises(ValueError):
