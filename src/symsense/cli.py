@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -37,6 +38,7 @@ from symsense.optimizer import (
 from symsense.protocols import (
     ProtocolConfig,
     expected_fi_p1,
+    parse_threads,
     run_protocol1_batch,
     run_protocol2,
     run_protocol3,
@@ -63,7 +65,11 @@ def _git_describe() -> str:
     return f"symsense-{__version__}"
 
 
-def _write_manifest(command: str, config: dict, outputs: list[str], seed, t0: float):
+def _write_manifest(
+    command: str, config: dict, outputs: list[str], seed, t0: float, workers: int | None = None
+):
+    """Write ``<first output>.manifest.json``, with the Python and numpy
+    versions and, for commands that can use a pool, the worker count."""
     if not outputs:
         return
     echo = {
@@ -76,7 +82,11 @@ def _write_manifest(command: str, config: dict, outputs: list[str], seed, t0: fl
         "build": _git_describe(),
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.time() - t0, 3),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
+    if workers is not None:
+        manifest["workers"] = workers
     path = str(outputs[0]) + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -219,7 +229,8 @@ def cmd_protocol1(args) -> int:
             write_summary_csv(batch, args.out)
         outputs = [args.out]
         _write_manifest(
-            "protocol1", vars(args) | {"u": str(config.params.u)}, outputs, args.seed, t0
+            "protocol1", vars(args) | {"u": str(config.params.u)}, outputs, args.seed, t0,
+            workers=parse_threads(os.environ.get("SYMSENSE_THREADS")),
         )
     return 0
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,9 +161,16 @@ def _binom_row(n: int) -> list[int]:
     return row
 
 
+@lru_cache(maxsize=16)
 def _lgamma_table(n: int) -> np.ndarray:
-    """``lgamma(k + 1)`` for k = 0..n, by math.lgamma (the values log_binom uses)."""
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    """``lgamma(k + 1)`` for k = 0..n, by math.lgamma (the values log_binom uses).
+
+    Built once per n and shared read-only: a Protocol-1 reference trajectory
+    deletes from the same few qubit counts round after round.
+    """
+    table = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def deletion_qfi(params: GnuParams, t: int) -> float:

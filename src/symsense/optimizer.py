@@ -3,13 +3,16 @@
 Variables are the exponents alpha (code gap, g ~ N^alpha) and gamma (round
 count, r ~ N^gamma).  All constraint coefficients are rational in the problem
 data, so the polytope vertices are enumerated in exact Fraction arithmetic and
-floats appear only at the reporting boundary.
+floats appear only at the reporting boundary.  The grid emitter
+:func:`write_polytope_csv` tests the same rows scaled to integers over one
+common denominator, so it forms no Fraction per grid point.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,24 +156,35 @@ def p2_exponent_display(inst: LPInstance) -> Fraction:
 
 
 def write_polytope_csv(inst: LPInstance, path, grid: int = 101, span: float = 1.5):
-    """Feasibility + objective over an (alpha, gamma) grid; columns are floats."""
-    rows = inst.constraints()
+    """Feasibility + objective over an (alpha, gamma) grid; columns are floats.
+
+    Grid point (i, j) is (alpha, gamma) = (i, j) * span / (grid - 1).  Every
+    constraint row and the objective are scaled by one common denominator, so
+    feasibility is the integer test A i + B j <= R and every float column is
+    one int / int true division, correctly rounded like ``float(Fraction)``.
+    """
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
+    step = as_fraction(span) / (grid - 1)
+    rows = [(a * step, b * step, rhs) for _, a, b, rhs in inst.constraints()]
+    obj = (6 * step, -4 * inst.c, (2 - 6 * inst.q) * step)
+    den = math.lcm(*(x.denominator for row in (*rows, obj) for x in row))
+    rows = [tuple((x * den).numerator for x in row) for row in rows]
+    o_a, o_0, o_g = ((x * den).numerator for x in obj)
+    coords = [k * step.numerator / step.denominator for k in range(grid)]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["alpha", "gamma", "feasible", "objective"])
         for i in range(grid):
-            for j in range(grid):
-                alpha = Fraction(i, grid - 1) * as_fraction(span)
-                gamma = Fraction(j, grid - 1) * as_fraction(span)
-                feas = all(rhs - (a * alpha + b * gamma) >= 0 for _, a, b, rhs in rows)
-                wr.writerow(
-                    [
-                        float(alpha),
-                        float(gamma),
-                        int(feas),
-                        float(inst.objective(alpha, gamma)),
-                    ]
-                )
+            wr.writerows(
+                [
+                    coords[i],
+                    coords[j],
+                    int(all(a * i + b * j <= r for a, b, r in rows)),
+                    (o_a * i + o_0 + o_g * j) / den,
+                ]
+                for j in range(grid)
+            )
 
 
 def write_fqec_vs_c_csv(path, qs=(1, 1.25, 1.5), e1=0, e2=0, c_max=0.5, steps=51):

@@ -69,6 +69,11 @@ class ProtocolConfig:
             raise ValueError("the sensing protocol uses n = 3 codes")
         if self.r < 1:
             raise ValueError("need at least one round")
+        for name in ("q", "theta", "n_del"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.n_del < 0:
+            raise ValueError(f"n_del must be >= 0, got {self.n_del!r}")
 
     @property
     def tau(self) -> float:
@@ -183,6 +188,12 @@ def _poisson_bucket(u: float, lam: float) -> int:
     return 2
 
 
+def _code_frame(params: GnuParams, s: int, n_qubits: int):
+    """(code, weight lattice, cw0, cw1, q0, q1) of the (g, n) code shifted to (s, n_qubits)."""
+    cur = params.with_shift(s, n_qubits)
+    return (cur, cur.weight_lattice(), *logical_pair(cur), *q_vectors(cur)[:2])
+
+
 def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> TrajectoryRecord:
     """One exact trajectory with full Dicke-vector state tracking.
 
@@ -190,6 +201,9 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     The per-round phase increments and their theta-derivatives at the
     realized outcomes are analytic: ``zeta`` and ``zeta_derivative`` without
     a deletion, the lattice sums of :func:`one_deletion_ratios` with one.
+    The current code, its codewords and q-vectors are rebuilt only after a
+    deletion, and the post-QEC state is written on the code's weight lattice,
+    the only weights where the codewords are non-zero.
     """
     p = config.params
     g = p.g
@@ -197,12 +211,14 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     uniforms = rng.random((config.r, 3))
 
     state = make_logical(p, Label.PLUS).state
-    n_cur, s_cur = p.n_qubits, p.s
+    N0 = n_cur = p.n_qubits
+    s_cur = p.s
     counts = np.zeros((2, 2), dtype=int)
     Phi = dPhi = 0.0
     flag = invalid = False
     n_deleted = 0
 
+    cur, lattice, cw0, cw1, q0, q1 = _code_frame(p, s_cur, n_cur)
     for i in range(config.r):
         u_del, u_sigma, u_syn = uniforms[i]
         lam = config.n_del * n_cur * tau
@@ -210,7 +226,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
         if t >= 2:
             flag = True
             break
-        if n_cur - t < p.n_qubits / 2:
+        if n_cur - t < N0 / 2:
             invalid = True
             break
         sigma = 0
@@ -226,24 +242,22 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             if not code_fits(p, n_cur, s_cur):
                 invalid = True
                 break
+            cur, lattice, cw0, cw1, q0, q1 = _code_frame(p, s_cur, n_cur)
         state = apply_signal(state, theta * tau)
 
-        cur = p.with_shift(s_cur, n_cur)
-        cw0, cw1 = logical_pair(cur)
-        q0, q1, _ = q_vectors(cur)
         e0, e1 = cw0.inner(state), cw1.inner(state)
         d0, d1 = q0.inner(state), q1.inner(state)
         p_code = abs(e0) ** 2 + abs(e1) ** 2
         p_q = abs(d0) ** 2 + abs(d1) ** 2
         if u_syn < p_code:
-            syn = 0
-            amps = (e0 * cw0.amps + e1 * cw1.amps) / math.sqrt(p_code)
+            syn, c0, c1, p_syn = 0, e0, e1, p_code
         elif u_syn < p_code + p_q:
-            syn = 1
-            amps = (d0 * cw0.amps + d1 * cw1.amps) / math.sqrt(p_q)
+            syn, c0, c1, p_syn = 1, d0, d1, p_q
         else:
             flag = True
             break
+        amps = np.zeros(n_cur + 1, dtype=complex)
+        amps[lattice] = (c0 * cw0.amps[lattice] + c1 * cw1.amps[lattice]) / math.sqrt(p_syn)
         state = SymState(n_cur, amps)
         counts[t, syn] += 1
 
@@ -262,8 +276,6 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             counts, Phi, dPhi, flag, invalid, s_cur, float("nan"), 0.0, n_deleted
         )
 
-    cur = p.with_shift(s_cur, n_cur)
-    cw0, cw1 = logical_pair(cur)
     a0, a1 = cw0.inner(state), cw1.inner(state)
     phi_amp = math.atan2(abs(a1), abs(a0))
     fi = float(fi_phase_readout_vec(phi_amp, Phi, dPhi))

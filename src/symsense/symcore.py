@@ -231,10 +231,14 @@ def apply_signal(state: SymState, delta: float) -> SymState:
     """Evolve under exp(-i delta Jz): amps[w] picks up exp(-i delta (N/2 - w)).
 
     Exactly unitary on the Dicke block; composing signals adds the angles.
+    The phases are evaluated on the state's support (its non-zero weights)
+    only, so a codeword on the N = 2000 code costs a handful of exponentials.
     """
     n = state.n_qubits
-    phases = np.exp(-1j * delta * (0.5 * n - state.weights))
-    return SymState(n, state.amps * phases)
+    support = np.flatnonzero(state.amps)
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[support] = state.amps[support] * np.exp(-1j * delta * (0.5 * n - support))
+    return SymState(n, amps)
 
 
 def jz_moments(state: SymState) -> tuple[float, float, float]:

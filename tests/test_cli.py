@@ -1,9 +1,12 @@
 """Command-line front end: parsing, outputs, manifests, determinism."""
 
 import json
+import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from symsense.cli import main
@@ -63,7 +66,9 @@ def test_qec_delete_command(capsys):
     assert "125" in out
 
 
-def test_protocol1_command(tmp_path, capsys):
+def test_protocol1_command(tmp_path, capsys, monkeypatch):
+    # one span of trajectories: the clamped worker count is recorded, no pool starts
+    monkeypatch.setenv("SYMSENSE_THREADS", "64")
     out = tmp_path / "traj.jsonl"
     code = run_cli(
         [
@@ -77,6 +82,26 @@ def test_protocol1_command(tmp_path, capsys):
     assert len(lines) == 50
     rec = json.loads(lines[0])
     assert set(rec) >= {"flag", "Phi", "dPhi_dtheta", "fisher_information"}
+    manifest = json.loads((tmp_path / "traj.jsonl.manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["workers"] == min(64, os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--ndel", "-5", "n_del"), ("--ndel", "inf", "n_del"), ("--theta", "nan", "theta"),
+     ("--q", "inf", "q")],
+)
+def test_protocol1_rejects_invalid_config_before_running(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "traj.jsonl"
+    args = ["protocol1", "--g", "2", "--n", "3", "--r", "4", "--q", "1", "--theta", "0.001",
+            "--ndel", "0", "--trials", "5", "--format", "json", "--out", str(out)]
+    args[args.index(flag) + 1] = value
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -18,6 +18,7 @@ from symsense.noise import (
     delete,
     deletion_qfi,
     ad_qfi_bound,
+    _lgamma_table,
 )
 from symsense.symcore import SymState, binom, jz_moments, log_binom, sqrt_binom_ratio
 
@@ -338,3 +339,12 @@ def test_delete_past_float_binomials_conserves_mass(t):
     assert abs(sum(o.weight for o in outs) + outs.pruned_mass - 1.0) < 1e-12
     for o in outs:
         assert abs(o.state.norm_sq() - 1.0) < 1e-12
+
+
+def test_lgamma_table_is_built_once_and_read_only():
+    table = _lgamma_table(2000)
+    assert _lgamma_table(2000) is table
+    assert not table.flags.writeable
+    assert table[2000] == math.lgamma(2001)
+    with pytest.raises(ValueError):
+        table[0] = 1.0

@@ -4,6 +4,7 @@ import csv
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from symsense.optimizer import (
     LPInstance,
@@ -16,6 +17,7 @@ from symsense.optimizer import (
     write_fqec_vs_c_csv,
     write_polytope_csv,
 )
+from symsense.symcore import as_fraction
 
 
 def test_closed_form_reference_point():
@@ -157,3 +159,44 @@ def test_feasible_vertices_contain_optimum_and_span_region():
     for alpha, gamma in verts:
         assert is_feasible(inst, alpha, gamma)
         assert inst.objective(alpha, gamma) <= opt
+
+
+def _polytope_csv_fraction_reference(inst, path, grid, span):
+    """Reference grid: exact Fractions at every point, converted by float(Fraction)."""
+    rows = inst.constraints()
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["alpha", "gamma", "feasible", "objective"])
+        for i in range(grid):
+            for j in range(grid):
+                alpha = Fraction(i, grid - 1) * as_fraction(span)
+                gamma = Fraction(j, grid - 1) * as_fraction(span)
+                feas = all(rhs - (a * alpha + b * gamma) >= 0 for _, a, b, rhs in rows)
+                wr.writerow(
+                    [float(alpha), float(gamma), int(feas), float(inst.objective(alpha, gamma))]
+                )
+
+
+@pytest.mark.parametrize(
+    "inst, grid, span",
+    [
+        # the `symsense polytope` defaults
+        (LPInstance(0, Fraction(3, 2), 1, Fraction(1, 10), Fraction(1, 10)), 101, 1.5),
+        (LPInstance(Fraction(1, 5), Fraction(3, 2), 1, Fraction(1, 10), Fraction(1, 10)), 61, 1.5),
+        (LPInstance(Fraction(1, 5), Fraction(3, 2), 1, Fraction(1, 10), Fraction(1, 10)), 41, 1.3),
+        # infeasible: no grid point passes
+        (LPInstance(Fraction(0), Fraction(1), Fraction(0), Fraction(100), Fraction(1, 10)), 31, 1.5),
+    ],
+)
+def test_polytope_csv_matches_fraction_grid_byte_for_byte(tmp_path, inst, grid, span):
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _polytope_csv_fraction_reference(inst, want, grid, span)
+    write_polytope_csv(inst, got, grid=grid, span=span)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_polytope_csv_rejects_grid_below_two(tmp_path, grid):
+    inst = LPInstance(0, Fraction(3, 2), 1, Fraction(1, 10), Fraction(1, 10))
+    with pytest.raises(ValueError, match="grid"):
+        write_polytope_csv(inst, tmp_path / "p.csv", grid=grid)

@@ -531,3 +531,14 @@ def test_one_deletion_phases_match_phase_formulas():
             ).X
             assert abs(np.angle(X[1] / X[0]) - pf.phi10) <= 1e-12
             assert abs(np.angle(X[3] / X[2]) - pf.phi11) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("theta", math.nan), ("theta", math.inf), ("q", math.inf), ("q", math.nan),
+     ("n_del", math.inf), ("n_del", math.nan), ("n_del", -5.0)],
+)
+def test_config_rejects_non_finite_and_negative_inputs(field, value):
+    kwargs = dict(r=4, q=1.0, theta=1e-3, n_del=0.0) | {field: value}
+    with pytest.raises(ValueError, match=field):
+        ProtocolConfig(GnuParams(2, 3, Fraction(4, 3), 1), **kwargs)

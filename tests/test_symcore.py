@@ -1,6 +1,7 @@
 """Tests for the Dicke-basis engine and the exact combinatorics layer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,29 @@ def test_apply_signal_unitary(n_qubits):
         psi = SymState.random(n_qubits, rng)
         out = apply_signal(psi, rng.uniform(-10, 10))
         assert abs(out.norm_sq() - 1.0) < 1e-14
+
+
+def _dense_signal(state, delta):
+    """The dense formula: every weight's phase, zero amplitudes included."""
+    return state.amps * np.exp(-1j * delta * (0.5 * state.n_qubits - state.weights))
+
+
+def test_apply_signal_matches_dense_formula_bit_for_bit():
+    # the support-only phases equal the dense formula's bytes; only the sign
+    # of an exact zero may differ (0 * phase keeps the phase's signs there)
+    from symsense.codes import GnuParams, Label, make_logical
+
+    rng = np.random.default_rng(11)
+    states = [SymState.random(n, rng) for n in (1, 7, 50)]
+    states.append(make_logical(GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS).state)
+    gappy = SymState.random(30, rng).amps.copy()
+    gappy[[0, 3, 4, 17, 29]] = 0.0
+    states.append(SymState(30, gappy))
+    for psi in states:
+        for delta in (1e-3 * 32**-1.5, 0.3, -2.7):
+            want = _dense_signal(psi, delta) + 0.0
+            got = apply_signal(psi, delta).amps
+            assert got.tobytes() == want.tobytes()
 
 
 def test_apply_signal_composition():
