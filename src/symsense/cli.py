@@ -65,10 +65,19 @@ def _git_describe() -> str:
     return f"symsense-{__version__}"
 
 
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built against (None before numpy 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_manifest(
     command: str, config: dict, outputs: list[str], seed, t0: float, workers: int | None = None
 ):
-    """Write ``<first output>.manifest.json``, with the Python and numpy
+    """Write ``<first output>.manifest.json``, with the Python, numpy and BLAS
     versions and, for commands that can use a pool, the worker count."""
     if not outputs:
         return
@@ -84,6 +93,7 @@ def _write_manifest(
         "wall_time_s": round(time.time() - t0, 3),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas_build(),
     }
     if workers is not None:
         manifest["workers"] = workers
@@ -101,6 +111,11 @@ def _params_from_args(args) -> GnuParams:
         u = Fraction(target, args.g * args.n)
         print(f"note: u adjusted to {u} ({float(u):.6f}) so g*n*u is an integer", file=sys.stderr)
     return GnuParams(args.g, args.n, u, args.s)
+
+
+def _check_steps(args) -> None:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
 
 
 def _open_out(args):
@@ -126,6 +141,7 @@ def cmd_qfi(args) -> int:
 
 def cmd_fi_scan(args) -> int:
     t0 = time.time()
+    _check_steps(args)
     params = _params_from_args(args)
     qfi = qfi_pure(make_logical(params, Label.PLUS).state)
     fh = _open_out(args)
@@ -170,6 +186,9 @@ def cmd_delete(args) -> int:
 
 def cmd_ad(args) -> int:
     t0 = time.time()
+    _check_steps(args)
+    if not 0.0 <= args.gamma_max <= 1.0:
+        raise ValueError(f"--gamma-max must be in [0, 1], got {args.gamma_max}")
     params = _params_from_args(args)
     from symsense.noise import ad_qfi_bound
 

@@ -6,14 +6,17 @@ amplitude damping produces N+1 branches labelled by the damped-excitation
 count x (insertion positions are traced out, which is harmless because every
 downstream quantity depends only on the branch states).
 
-Both channels work on the state's support (its non-zero weights).  Each
-branch evaluates its binomial factors on the support weights only, in one
-vectorized step, so a call costs O(t |support|) (deletion) or O(N |support|)
-(damping) arithmetic, plus one zero-filled output vector and its norm per
-branch.  A codeword has n + 1 support weights, so damping the N = 2000 code
-state no longer visits all N^2 / 2 (branch, weight) pairs in Python.  The
-branch amplitudes are bit-identical to evaluating each weight through
-``log_binom`` / ``sqrt_binom_ratio`` and ``math.exp``.
+Both channels work on the state's support (its non-zero weights), so a call
+costs O(t |support|) (deletion) or O(N |support|) (damping) arithmetic.
+Deletion evaluates each branch's binomial factors in one vectorized step and
+writes one zero-filled output vector per branch.  Damping evaluates p_w(x)
+for a block of branches in one step, in blocks of a bounded number of
+(branch, weight) pairs, and forms only the branches with a non-zero p_w(x),
+each in one reused zero-filled vector for its norm.  A codeword has n + 1
+support weights, so damping the N = 2000 code state never visits all
+N^2 / 2 (branch, weight) pairs.  The branch amplitudes are bit-identical to
+evaluating each weight through ``log_binom`` / ``sqrt_binom_ratio`` and
+``math.exp`` (``np.exp`` is 1 ulp off on some arguments, so it is not used).
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from symsense.codes import GnuParams
 from symsense.symcore import SymEnsemble, SymState, log_binom, sqrt_binom_ratio, binom
 
 PRUNE_EPS = 1e-15
+# (branch, weight) pairs amplitude_damp evaluates per vectorized step
+_AD_CHUNK_PAIRS = 1 << 14
 # the largest integer that converts to a float without OverflowError
 _FLOAT_INT_MAX = int(sys.float_info.max)
 
@@ -119,8 +124,18 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
 
     Branch x carries ``|phi_x> = sum_w a_w sqrt(p_w(x)) |D^{N-x}_{w-x}>`` with
     ``p_w(x) = C(w,x) gamma^x (1-gamma)^(w-x)``; branch weights sum to one.
-    Branches above the top support weight are exactly zero and are not
-    formed; their (zero) mass is the only thing they would add.
+    Branches above the top support weight, and branches whose every p_w(x)
+    is zero (gamma = 0, or underflow), are exactly zero and are not formed;
+    their (zero) mass is the only thing they would add.
+
+    p_w(x) is evaluated for all (branch x, support weight w >= x) pairs of a
+    block of branches at once, in blocks of at most ``_AD_CHUNK_PAIRS`` pairs
+    (one branch where the support alone is larger), so a full-support state
+    needs only a few MB of temporaries.  Each formed branch is written into
+    one reused zero-filled vector of length N - x + 1 and its norm taken
+    there: ``np.vdot``'s summation order depends on the positions of the
+    entries, so a norm of the compact non-zero values would differ in the
+    last bits.
     """
     if not 0.0 <= gamma_ad <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
@@ -132,24 +147,41 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
     if 0.0 < gamma_ad < 1.0:
         lg = _lgamma_table(N)
         log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
-    for x in range(int(support[-1]) + 1):
-        w = support[np.searchsorted(support, x):]
-        # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
+    buf = np.zeros(N + 1, dtype=complex)
+    n_branches = int(support[-1]) + 1
+    rows = max(1, _AD_CHUNK_PAIRS // support.size)
+    for x0 in range(0, n_branches, rows):
+        xs = np.arange(x0, min(x0 + rows, n_branches))
+        # the pairs, branch-major: branch x meets the support weights support[lo:]
+        lo = np.searchsorted(support, xs)
+        counts = support.size - lo
+        ends = np.cumsum(counts)
+        x = np.repeat(xs, counts)
+        w = support[np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)]
         if gamma_ad == 0.0:
-            pwx = np.ones(w.size) if x == 0 else np.zeros(w.size)
+            pwx = (x == 0).astype(float)
         elif gamma_ad == 1.0:
             pwx = (w == x).astype(float)
         else:
+            # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
             log_p = lg[w] - lg[x] - lg[w - x] + x * log_g + (w - x) * log_1mg
             pwx = np.fromiter(map(math.exp, log_p.tolist()), float, w.size)
-        keep = pwx > 0.0
-        amps = np.zeros(N - x + 1, dtype=complex)
-        amps[w[keep] - x] = state.amps[w[keep]] * np.sqrt(pwx[keep])
-        nsq = float(np.vdot(amps, amps).real)
-        if nsq <= PRUNE_EPS:
-            outcomes.pruned_mass += nsq
-            continue
-        outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
+        keep = np.flatnonzero(pwx > 0.0)
+        pos = w[keep] - x[keep]
+        vals = state.amps[w[keep]] * np.sqrt(pwx[keep])
+        # kept pairs of the i-th branch: keep[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(keep, np.concatenate(([0], ends))).tolist()
+        for xi, a, b in zip(xs.tolist(), bounds, bounds[1:]):
+            if a == b:
+                continue
+            amps = buf[: N - xi + 1]
+            amps[pos[a:b]] = vals[a:b]
+            nsq = float(np.vdot(amps, amps).real)
+            if nsq <= PRUNE_EPS:
+                outcomes.pruned_mass += nsq
+            else:
+                outcomes.append(ADOutcome(xi, nsq, SymState(N - xi, amps / math.sqrt(nsq))))
+            amps[pos[a:b]] = 0.0
     return outcomes
 
 
@@ -216,38 +248,42 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
     damping weights p_w(x) on the code lattice, independently of the
     :func:`amplitude_damp` channel decomposition (which the tests replay
     against this formula).
+
+    Branch x sees the lattice weights w_k = s + g k >= x, i.e. k >= k0(x).
+    The branches of one k0 form a grid of (x, k) pairs, evaluated in
+    vectorized steps; n_x is a row sum and the moments are stacked dot
+    products.  Each row holds only the pairs of its branch, because the
+    summation order of a row sum or dot depends on the row length; the
+    result is bit-identical to summing one branch at a time.
     """
     if not 0.0 <= gamma_ad <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
     if gamma_ad == 0.0:
         return float(params.g**2 * params.n)
     g, n, s = params.g, params.n, params.s
+    if gamma_ad < 1.0:
+        lg = _lgamma_table(params.n_qubits)
+        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
+    coef = np.array([2.0**-n * binom(n, k) for k in range(n + 1)])
     total = 0.0
     # no lattice weight lies above s + g n, so later branches are empty
-    for x in range(s + g * n + 1):
-        probs = []
-        wts = []
-        for k in range(n + 1):
-            w = s + g * k
-            if x > w:
-                continue
-            if gamma_ad == 1.0:
-                pwx = 1.0 if x == w else 0.0
-            else:
-                pwx = math.exp(
-                    log_binom(w, x) + x * math.log(gamma_ad) + (w - x) * math.log1p(-gamma_ad)
-                )
-            probs.append(2.0**-n * binom(n, k) * pwx)
-            wts.append(float(w - x))
-        if not probs:
-            continue
-        probs = np.array(probs)
-        wts = np.array(wts)
-        nx = probs.sum()
-        if nx <= 0.0:
-            continue
-        p = probs / nx
-        m1 = float(p @ wts)
-        qx = float(p @ wts**2) - m1 * m1
-        total += nx * qx
+    for k0 in range(n + 1):
+        x = np.arange(s + g * (k0 - 1) + 1 if k0 else 0, s + g * k0 + 1)[:, None]
+        w = s + g * np.arange(k0, n + 1)
+        d = w - x
+        if gamma_ad == 1.0:
+            pwx = (d == 0).astype(float)
+        else:
+            log_p = lg[w] - lg[x] - lg[d] + x * log_g + d * log_1mg
+            pwx = np.fromiter(map(math.exp, log_p.ravel().tolist()), float, d.size)
+            pwx = pwx.reshape(d.shape)
+        probs = coef[k0:] * pwx
+        nx = probs.sum(axis=1)
+        live = nx > 0.0
+        nx = nx[live]
+        p = probs[live] / nx[:, None]
+        d = d[live].astype(float)
+        m1, m2 = np.matmul(p[:, None, :], np.stack((d, d**2))[..., None])[..., 0, 0]
+        for v in (nx * (m2 - m1 * m1)).tolist():
+            total += v
     return 4.0 * total

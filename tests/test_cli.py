@@ -59,6 +59,19 @@ def test_delete_and_ad_commands(tmp_path):
     assert len(out2.read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("ad", "--gamma-max", "1.5"), ("ad", "--gamma-max", "nan"), ("ad", "--gamma-max", "-0.1"),
+     ("ad", "--steps", "0"), ("fi-scan", "--steps", "0"), ("fi-scan", "--steps", "-2")],
+)
+def test_scan_commands_reject_bad_grid_before_writing(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "scan.csv"
+    assert run_cli([command, "--g", "3", "--n", "3", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_qec_delete_command(capsys):
     assert run_cli(["qec-delete", "--g", "5", "--n", "5", "--u", "6/5", "--s", "4", "--t", "2"]) == 0
     out = capsys.readouterr().out
@@ -86,6 +99,8 @@ def test_protocol1_command(tmp_path, capsys, monkeypatch):
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["workers"] == min(64, os.cpu_count() or 1)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Deletion and amplitude-damping channels against brute-force oracles."""
 
+import functools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from symsense import noise
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.fullspace import embed_sym, partial_trace_first
 from symsense.noise import (
@@ -279,6 +282,47 @@ def test_amplitude_damp_bit_equal_to_weight_loop(name):
         got = amplitude_damp(psi, gamma)
         want = _amplitude_damp_loop(psi, gamma)
         assert _branch_bits(got, "damped") == _branch_bits(want, "damped"), (name, gamma)
+
+
+@functools.cache
+def _damp_loop_bits(name, gamma):
+    """The per-weight loop's branches, computed once per (state, gamma) per session."""
+    return _branch_bits(_amplitude_damp_loop(CHANNEL_STATES[name], gamma), "damped")
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", sorted(CHANNEL_STATES))
+def test_amplitude_damp_bit_equal_across_chunk_boundaries(monkeypatch, name, chunk):
+    monkeypatch.setattr(noise, "_AD_CHUNK_PAIRS", chunk)
+    psi = CHANNEL_STATES[name]
+    for gamma in GAMMAS:
+        got = _branch_bits(amplitude_damp(psi, gamma), "damped")
+        assert got == _damp_loop_bits(name, gamma), (name, gamma, chunk)
+
+
+def test_damping_bit_equal_on_the_ad_command_grid():
+    # `symsense ad --gamma-max 0.3 --steps 11` on the N = 2000 code
+    params = GnuParams(40, 3, Fraction(53, 6), 940)
+    psi = CHANNEL_STATES["code N=2000"]
+    for gamma in np.linspace(0.0, 0.3, 11).tolist():
+        got = _branch_bits(amplitude_damp(psi, gamma), "damped")
+        assert got == _damp_loop_bits("code N=2000", gamma), gamma
+        assert ad_qfi_bound(params, gamma) == _ad_qfi_bound_all_branches(params, gamma), gamma
+
+
+def test_amplitude_damp_temporaries_stay_small():
+    # a full-support N = 1000 state has ~500k (branch, weight) pairs; evaluated
+    # in one step their temporaries take ~30 MB
+    psi = SymState.random(1000, np.random.default_rng(11))
+    _lgamma_table(1000)
+    tracemalloc.start()
+    try:
+        outs = amplitude_damp(psi, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(br.state.amps.nbytes for br in outs)
+    assert peak - held < 4_000_000
 
 
 @pytest.mark.parametrize("name", sorted(CHANNEL_STATES))
