@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from symsense.codes import GnuParams
-from symsense.symcore import SymEnsemble, SymState, log_binom, sqrt_binom_ratio, binom
+from symsense.symcore import SymEnsemble, SymState, sqrt_binom_ratio, binom
 
 PRUNE_EPS = 1e-15
 # (branch, weight) pairs amplitude_damp evaluates per vectorized step
@@ -144,45 +144,53 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
     outcomes = BranchList()
     if support.size == 0:
         return outcomes
-    if 0.0 < gamma_ad < 1.0:
-        lg = _lgamma_table(N)
-        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
     buf = np.zeros(N + 1, dtype=complex)
     n_branches = int(support[-1]) + 1
     rows = max(1, _AD_CHUNK_PAIRS // support.size)
     for x0 in range(0, n_branches, rows):
         xs = np.arange(x0, min(x0 + rows, n_branches))
-        # the pairs, branch-major: branch x meets the support weights support[lo:]
-        lo = np.searchsorted(support, xs)
-        counts = support.size - lo
-        ends = np.cumsum(counts)
-        x = np.repeat(xs, counts)
-        w = support[np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)]
-        if gamma_ad == 0.0:
-            pwx = (x == 0).astype(float)
-        elif gamma_ad == 1.0:
-            pwx = (w == x).astype(float)
-        else:
-            # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
-            log_p = lg[w] - lg[x] - lg[w - x] + x * log_g + (w - x) * log_1mg
-            pwx = np.fromiter(map(math.exp, log_p.tolist()), float, w.size)
-        keep = np.flatnonzero(pwx > 0.0)
-        pos = w[keep] - x[keep]
-        vals = state.amps[w[keep]] * np.sqrt(pwx[keep])
-        # kept pairs of the i-th branch: keep[bounds[i]:bounds[i + 1]]
-        bounds = np.searchsorted(keep, np.concatenate(([0], ends))).tolist()
-        for xi, a, b in zip(xs.tolist(), bounds, bounds[1:]):
+        pos, vals, bounds = _damping_terms(state, support, xs, gamma_ad)
+        for x, a, b in zip(xs.tolist(), bounds, bounds[1:]):
             if a == b:
                 continue
-            amps = buf[: N - xi + 1]
+            amps = buf[: N - x + 1]
             amps[pos[a:b]] = vals[a:b]
             nsq = float(np.vdot(amps, amps).real)
             if nsq <= PRUNE_EPS:
                 outcomes.pruned_mass += nsq
             else:
-                outcomes.append(ADOutcome(xi, nsq, SymState(N - xi, amps / math.sqrt(nsq))))
+                outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
             amps[pos[a:b]] = 0.0
     return outcomes
+
+
+def _damping_terms(state: SymState, support: np.ndarray, xs: np.ndarray, gamma_ad: float):
+    """The non-zero terms ``a_w sqrt(p_w(x))`` of the damping branches ``xs``.
+
+    Returns their positions w - x in the branch vectors, their values, and a
+    list ``bounds`` such that branch ``xs[i]`` owns the terms
+    ``bounds[i]:bounds[i + 1]``.  Only these three outlive the call, so the
+    per-pair temporaries are freed before the branches are formed.
+    """
+    # the pairs (x, w >= x), branch-major: branch x meets the support weights support[lo:]
+    lo = np.searchsorted(support, xs)
+    counts = support.size - lo
+    ends = np.cumsum(counts)
+    x = np.repeat(xs, counts)
+    w = support[np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)]
+    if gamma_ad == 0.0:
+        pwx = (x == 0).astype(float)
+    elif gamma_ad == 1.0:
+        pwx = (w == x).astype(float)
+    else:
+        # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
+        lg = _lgamma_table(state.n_qubits)
+        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
+        log_p = lg[w] - lg[x] - lg[w - x] + x * log_g + (w - x) * log_1mg
+        pwx = np.fromiter(map(math.exp, log_p.tolist()), float, w.size)
+    keep = np.flatnonzero(pwx > 0.0)
+    bounds = np.searchsorted(keep, np.concatenate(([0], ends))).tolist()
+    return w[keep] - x[keep], state.amps[w[keep]] * np.sqrt(pwx[keep]), bounds
 
 
 def _binom_row(n: int) -> list[int]:
@@ -268,6 +276,7 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
     total = 0.0
     # no lattice weight lies above s + g n, so later branches are empty
     for k0 in range(n + 1):
+        # the branches s + g (k0 - 1) < x <= s + g k0
         x = np.arange(s + g * (k0 - 1) + 1 if k0 else 0, s + g * k0 + 1)[:, None]
         w = s + g * np.arange(k0, n + 1)
         d = w - x

@@ -314,7 +314,6 @@ def test_amplitude_damp_temporaries_stay_small():
     # a full-support N = 1000 state has ~500k (branch, weight) pairs; evaluated
     # in one step their temporaries take ~30 MB
     psi = SymState.random(1000, np.random.default_rng(11))
-    _lgamma_table(1000)
     tracemalloc.start()
     try:
         outs = amplitude_damp(psi, 0.1)
