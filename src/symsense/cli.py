@@ -39,6 +39,7 @@ from symsense.protocols import (
     ProtocolConfig,
     expected_fi_p1,
     parse_threads,
+    protocol1_spans,
     run_protocol1_batch,
     run_protocol2,
     run_protocol3,
@@ -167,6 +168,8 @@ def cmd_sld(args) -> int:
 def cmd_delete(args) -> int:
     t0 = time.time()
     params = _params_from_args(args)
+    if not 1 <= args.t <= params.n_qubits:
+        raise ValueError(f"--t must be in 1..{params.n_qubits} (N of the code), got {args.t}")
     plus = make_logical(params, Label.PLUS).state
     fh = _open_out(args)
     wr = csv.writer(fh)
@@ -228,7 +231,11 @@ def _protocol_config(args) -> ProtocolConfig:
 def cmd_protocol1(args) -> int:
     t0 = time.time()
     config = _protocol_config(args)
-    batch = run_protocol1_batch(config, args.trials)
+    if args.out and args.format == "json":
+        # rows are written span by span while the workers compute later spans
+        batch = write_trajectories_jsonl(protocol1_spans(config, args.trials), args.out)
+    else:
+        batch = run_protocol1_batch(config, args.trials)
     summary = batch.summary()
     for key, val in summary.items():
         print(f"{key}: {val}")
@@ -240,15 +247,11 @@ def cmd_protocol1(args) -> int:
         f"of this size can resolve): {ana_res:.6g}"
     )
     print(f"nodel-syn1 rounds in this run: {batch.nodel_syn1_rounds()}")
-    outputs = []
     if args.out:
-        if args.format == "json":
-            write_trajectories_jsonl(batch, args.out)
-        else:
+        if args.format != "json":
             write_summary_csv(batch, args.out)
-        outputs = [args.out]
         _write_manifest(
-            "protocol1", vars(args) | {"u": str(config.params.u)}, outputs, args.seed, t0,
+            "protocol1", vars(args) | {"u": str(config.params.u)}, [args.out], args.seed, t0,
             workers=parse_threads(os.environ.get("SYMSENSE_THREADS")),
         )
     return 0

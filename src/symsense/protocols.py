@@ -24,6 +24,13 @@ take their place.  Two implementations are provided:
   from a Philox stream keyed by (seed, trajectory index), so the two paths
   replay each other; the batch resets one Philox per span to each key.
 
+The batch has one span loop, :func:`protocol1_spans`.  Its spans run on a
+process pool with one worker per usable CPU by default (SYMSENSE_THREADS=1
+runs them in this process) and arrive in index order; because every stream
+is keyed by its trajectory index, the worker count never changes a bit of
+the result.  :func:`run_protocol1_batch` concatenates the spans, and
+:func:`write_trajectories_jsonl` writes each one as it arrives.
+
 Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
 the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
 sigma, uniform[2] the QEC syndrome.  A trajectory stops as an invalid regime
@@ -33,6 +40,7 @@ after one that leaves a code which no longer fits (N - s < g n, or s < 0).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -40,7 +48,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -338,17 +346,72 @@ class BatchResult:
         }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parse_threads(raw: str | None) -> int:
-    """Worker count from a SYMSENSE_THREADS value: 1 when unset, at most os.cpu_count()."""
+    """Worker count from a SYMSENSE_THREADS value.
+
+    Unset means every usable CPU; ``"1"`` is the serial run.  Other values
+    must be integers >= 1 and are clamped to the usable CPUs, so a
+    CPU-restricted process is never oversubscribed.
+    """
+    cpus = _usable_cpus()
     if raw is None:
-        return 1
+        return cpus
     try:
         workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
         raise ValueError(f"SYMSENSE_THREADS must be an integer >= 1, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
+    return min(workers, cpus)
+
+
+def protocol1_spans(config: ProtocolConfig, n_traj: int) -> Iterator[BatchResult]:
+    """The spans of a Protocol-1 batch over ``[0, n_traj)``, in index order.
+
+    ``n_traj`` and SYMSENSE_THREADS are checked here, before any span runs or
+    any worker starts; the returned iterator does the work.  Each span holds
+    BATCH_SPAN trajectories (the last one fewer).  With more than one worker
+    and more than one span, the spans run on a process pool and arrive in
+    order as they finish; otherwise they run one after another in this
+    process.  Randomness is keyed per trajectory index, so every worker
+    count gives the same spans bit for bit.
+    """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
+    los = range(0, n_traj, BATCH_SPAN)
+    span_args = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
+    return _mapped_spans(min(workers, len(los)), span_args)
+
+
+def _mapped_spans(workers: int, span_args) -> Iterator[BatchResult]:
+    """_run_batch_span over span_args, in order, in this process or on a pool."""
+    if workers == 1:
+        yield from map(_run_batch_span, *span_args)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_run_batch_span, *span_args)
+    finally:
+        # a consumer that stops early (an error while writing) leaves spans
+        # that have not started; drop them instead of computing them
+        pool.shutdown(cancel_futures=True)
+
+
+def _concatenate(parts: list[BatchResult], config: ProtocolConfig) -> BatchResult:
+    merged = {
+        f.name: np.concatenate([getattr(part, f.name) for part in parts])
+        for f in fields(BatchResult)
+        if f.name != "config"
+    }
+    return BatchResult(config=config, **merged)
 
 
 def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
@@ -358,27 +421,11 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     binomial ratios (N-w)/N and w/N, and the QEC projections are the same
     quantities the reference path computes on full Dicke vectors.
 
-    ``[0, n_traj)`` is cut into spans of BATCH_SPAN trajectories that run
-    one after another, or on SYMSENSE_THREADS > 1 worker processes (clamped
-    to the CPU count), and are concatenated.  Randomness is keyed per
-    trajectory index, so serial and pooled runs agree bit for bit.
+    Concatenates the spans of :func:`protocol1_spans`, which run on every
+    usable CPU unless SYMSENSE_THREADS says otherwise; serial and pooled
+    runs agree bit for bit.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
-    los = range(0, n_traj, BATCH_SPAN)
-    span_args = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
-    if workers > 1 and len(los) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(los))) as pool:
-            parts = list(pool.map(_run_batch_span, *span_args))
-    else:
-        parts = list(map(_run_batch_span, *span_args))
-    merged = {
-        f.name: np.concatenate([getattr(part, f.name) for part in parts])
-        for f in fields(BatchResult)
-        if f.name != "config"
-    }
-    return BatchResult(config=config, **merged)
+    return _concatenate(list(protocol1_spans(config, n_traj)), config)
 
 
 def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
@@ -724,32 +771,58 @@ def _json_floats(col: np.ndarray) -> list[str]:
     return spelled[where].tolist()
 
 
-def write_trajectories_jsonl(batch: BatchResult, path):
+def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -> BatchResult:
     """One JSON object per trajectory, byte-identical to json.dumps of each row dict.
 
-    Columns are converted BATCH_SPAN rows at a time and poured into a fixed
-    row template.
+    ``spans`` is a BatchResult or an iterable of consecutive spans, such as
+    :func:`protocol1_spans`; each span's rows are written as it arrives, so
+    formatting overlaps the workers computing later spans.  Columns are
+    converted at most BATCH_SPAN rows at a time and poured into a fixed row
+    template.  The rows go to a temporary file beside ``path`` that replaces
+    it only when every span is written, so a failed run leaves no partial
+    file.  Returns the whole batch.
     """
-    with open(path, "w") as fh:
-        for lo in range(0, batch.flag.size, BATCH_SPAN):
-            sl = slice(lo, lo + BATCH_SPAN)
-            counts = batch.counts[sl]
-            cols = (
-                range(lo, lo + counts.shape[0]),
-                map(_JSON_BOOL.__getitem__, batch.flag[sl].tolist()),
-                map(_JSON_BOOL.__getitem__, batch.invalid[sl].tolist()),
-                counts[:, 0, 0].tolist(),
-                counts[:, 0, 1].tolist(),
-                counts[:, 1, 0].tolist(),
-                counts[:, 1, 1].tolist(),
-                _json_floats(batch.Phi[sl]),
-                _json_floats(batch.dPhi_dtheta[sl]),
-                _json_floats(batch.final_amp_a[sl]),
-                _json_floats(batch.fisher_information[sl]),
-                batch.n_deletions[sl].tolist(),
-                batch.final_shift[sl].tolist(),
-            )
-            fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
+    whole = isinstance(spans, BatchResult)
+    parts = []
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            first = 0
+            for part in [spans] if whole else spans:
+                _write_rows(fh, part, first)
+                first += part.flag.size
+                parts.append(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return spans if whole else _concatenate(parts, parts[0].config)
+
+
+def _write_rows(fh, batch: BatchResult, first: int) -> None:
+    """Rows of ``batch``, numbered from ``first``."""
+    for lo in range(0, batch.flag.size, BATCH_SPAN):
+        sl = slice(lo, lo + BATCH_SPAN)
+        counts = batch.counts[sl]
+        cols = (
+            range(first + lo, first + lo + counts.shape[0]),
+            map(_JSON_BOOL.__getitem__, batch.flag[sl].tolist()),
+            map(_JSON_BOOL.__getitem__, batch.invalid[sl].tolist()),
+            counts[:, 0, 0].tolist(),
+            counts[:, 0, 1].tolist(),
+            counts[:, 1, 0].tolist(),
+            counts[:, 1, 1].tolist(),
+            _json_floats(batch.Phi[sl]),
+            _json_floats(batch.dPhi_dtheta[sl]),
+            _json_floats(batch.final_amp_a[sl]),
+            _json_floats(batch.fisher_information[sl]),
+            batch.n_deletions[sl].tolist(),
+            batch.final_shift[sl].tolist(),
+        )
+        fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
 
 
 def write_summary_csv(batch: BatchResult, path):

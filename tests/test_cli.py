@@ -6,10 +6,15 @@ import platform
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from symsense import protocols
 from symsense.cli import main
+from symsense.codes import GnuParams
+from symsense.protocols import ProtocolConfig
 
 
 def run_cli(args):
@@ -69,6 +74,15 @@ def test_scan_commands_reject_bad_grid_before_writing(tmp_path, capsys, command,
     assert run_cli([command, "--g", "3", "--n", "3", flag, value, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t", ["0", "-1", "10", "20"])
+def test_delete_rejects_deletion_count_outside_the_code(tmp_path, capsys, t):
+    out = tmp_path / "del.csv"
+    assert run_cli(["delete", "--g", "3", "--n", "3", "--t", t, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--t" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -179,6 +193,71 @@ def test_protocol1_jsonl_deterministic(tmp_path):
     run_cli(args + ["--out", str(a)])
     run_cli(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+PROTOCOL1_SMALL = [
+    "protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12",
+    "--r", "6", "--q", "1.2", "--theta", "0.005", "--ndel", "0.002",
+    "--trials", "300", "--seed", "3", "--format", "json",
+]
+
+
+def test_protocol1_streamed_jsonl_is_the_same_for_every_worker_count(tmp_path, capsys, monkeypatch):
+    from test_protocols import _jsonl_reference
+
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 64)  # 5 spans, the last one short
+    files, stdouts = [], []
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("SYMSENSE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SYMSENSE_THREADS", threads)
+        out = tmp_path / f"traj-{threads}.jsonl"
+        assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 0
+        files.append(out.read_bytes())
+        stdouts.append(capsys.readouterr().out)
+    assert files[0] == files[1] == files[2]
+    assert stdouts[0] == stdouts[1] == stdouts[2]
+    config = ProtocolConfig(GnuParams(8, 3, Fraction(22, 3), 12), 6, 1.2, 0.005, 0.002, seed=3)
+    batch = protocols.run_protocol1_batch(config, 300)
+    assert batch.n_deletions.any() and not batch.success.all()
+    assert files[0].decode() == _jsonl_reference(batch)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"traj-{t}.jsonl{ext}" for t in (None, "1", "2") for ext in ("", ".manifest.json")
+    )
+
+
+def test_protocol1_failed_run_leaves_no_files(tmp_path, capsys, monkeypatch):
+    run_span = protocols._run_batch_span
+
+    def fail_after_first_span(config, lo, hi):
+        if lo > 0:
+            raise ValueError("span failed")
+        return run_span(config, lo, hi)
+
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 64)
+    monkeypatch.setattr(protocols, "_run_batch_span", fail_after_first_span)
+    monkeypatch.setenv("SYMSENSE_THREADS", "1")
+    out = tmp_path / "traj.jsonl"
+    assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "span failed" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    # the file of an earlier run is kept as it was
+    out.write_text("earlier run\n")
+    assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier run\n"
+
+
+def test_protocol1_one_span_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(protocols, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delenv("SYMSENSE_THREADS", raising=False)
+    out = tmp_path / "traj.jsonl"
+    assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 300
 
 
 def test_verify_text_and_json_report_the_same_checks(capsys):

@@ -319,13 +319,33 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
     assert path.read_text() == _jsonl_reference(batch)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_parse_threads_defaults_and_clamps():
-    assert parse_threads(None) == 1
+    cpus = _usable_cpus()
+    assert parse_threads(None) == cpus
     assert parse_threads("1") == 1
-    cpus = os.cpu_count() or 1
     assert parse_threads(str(cpus)) == cpus
     assert parse_threads("1000000") == cpus
     assert parse_threads(str(10**30)) == cpus
+
+
+def test_one_usable_cpu_runs_serially(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.delenv("SYMSENSE_THREADS", raising=False)
+    assert parse_threads(None) == 1
+    assert parse_threads("8") == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(protocols, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 64)  # several spans
+    assert run_protocol1_batch(small_config(seed=5, r=4), 300).flag.size == 300
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "", "two", "2.5", "1e3"])
