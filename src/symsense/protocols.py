@@ -346,21 +346,18 @@ class BatchResult:
         }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def parse_threads(raw: str | None) -> int:
     """Worker count from a SYMSENSE_THREADS value.
 
-    Unset means every usable CPU; ``"1"`` is the serial run.  Other values
-    must be integers >= 1 and are clamped to the usable CPUs, so a
-    CPU-restricted process is never oversubscribed.
+    Unset means every usable CPU: the process's affinity set where the
+    platform has one, else ``os.cpu_count()``.  ``"1"`` is the serial run.
+    Other values must be integers >= 1 and are clamped to the usable CPUs,
+    so a CPU-restricted process is never oversubscribed.
     """
-    cpus = _usable_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if raw is None:
         return cpus
     try:

@@ -1,11 +1,9 @@
 """Command-line front end: parsing, outputs, manifests, determinism."""
 
 import json
-import os
 import platform
 import subprocess
 import sys
-
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +13,7 @@ from symsense import protocols
 from symsense.cli import main
 from symsense.codes import GnuParams
 from symsense.protocols import ProtocolConfig
+from test_protocols import _jsonl_reference, _usable_cpus
 
 
 def run_cli(args):
@@ -112,7 +111,7 @@ def test_protocol1_command(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "traj.jsonl.manifest.json").read_text())
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
-    assert manifest["workers"] == min(64, os.cpu_count() or 1)
+    assert manifest["workers"] == min(64, _usable_cpus())
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
 
@@ -203,8 +202,6 @@ PROTOCOL1_SMALL = [
 
 
 def test_protocol1_streamed_jsonl_is_the_same_for_every_worker_count(tmp_path, capsys, monkeypatch):
-    from test_protocols import _jsonl_reference
-
     monkeypatch.setattr(protocols, "BATCH_SPAN", 64)  # 5 spans, the last one short
     files, stdouts = [], []
     for threads in (None, "1", "2"):
