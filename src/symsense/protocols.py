@@ -15,9 +15,9 @@ its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
 ``zeta``, ``zeta_derivative`` and ``pflag_closed_form`` of :mod:`symsense.qec`
 take their place.  Two implementations are provided:
 
-* :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking
-  through the library channel/QEC operations, one trajectory at a time; only
-  its Phi bookkeeping uses the shared formulas.
+* :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
+  one trajectory at a time, its signal applied on the state's known support
+  only; only its Phi bookkeeping uses the shared formulas.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: BATCH_SPAN
   trajectories advance in lock-step, each as its logical weights
   (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
@@ -56,7 +56,7 @@ from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logic
 from symsense.metrology import PI_4_COS_FLOOR
 from symsense.noise import delete
 from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
-from symsense.symcore import SymState, apply_signal
+from symsense.symcore import SymState, signal_phases
 
 BATCH_SPAN = 16384  # trajectories per batch span, serial and pooled runs alike
 
@@ -82,6 +82,9 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_del < 0:
             raise ValueError(f"n_del must be >= 0, got {self.n_del!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            # a Philox key word is 64 bits; wider or negative seeds would be wrapped or rounded
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
     def tau(self) -> float:
@@ -115,8 +118,11 @@ class TrajectoryRecord:
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-trajectory stream; parallel and serial runs agree."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """Counter-based per-trajectory stream; parallel and serial runs agree.
+
+    The Philox key is (seed, index) as two exact 64-bit words.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +202,34 @@ def _poisson_bucket(u: float, lam: float) -> int:
     return 2
 
 
-def _code_frame(params: GnuParams, s: int, n_qubits: int):
-    """(code, weight lattice, cw0, cw1, q0, q1) of the (g, n) code shifted to (s, n_qubits)."""
+class _CodeFrame(NamedTuple):
+    """A code's lattice, |0_L>, |1_L>, q_0, q_1, both codewords on the lattice, and its signal phases."""
+
+    lattice: np.ndarray
+    cw0: np.ndarray
+    cw1: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
+    cw0_lat: np.ndarray
+    cw1_lat: np.ndarray
+    phases: np.ndarray
+
+
+def _code_frame(params: GnuParams, s: int, n_qubits: int, delta: float) -> _CodeFrame:
+    """The frame of the (g, n) code shifted to (s, n_qubits), for a signal delta per round."""
     cur = params.with_shift(s, n_qubits)
-    return (cur, cur.weight_lattice(), *logical_pair(cur), *q_vectors(cur)[:2])
+    lattice = cur.weight_lattice()
+    cw0, cw1 = logical_pair(cur)
+    q0, q1 = q_vectors(cur)[:2]
+    return _CodeFrame(lattice, cw0.amps, cw1.amps, q0.amps, q1.amps,
+                      cw0.amps[lattice], cw1.amps[lattice], signal_phases(n_qubits, lattice, delta))
+
+
+def _on_weights(n_qubits: int, weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The length-(n_qubits + 1) amplitude vector holding ``amps`` at ``weights``, zero elsewhere."""
+    full = np.zeros(n_qubits + 1, dtype=complex)
+    full[weights] = amps
+    return full
 
 
 def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> TrajectoryRecord:
@@ -209,16 +239,20 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     The per-round phase increments and their theta-derivatives at the
     realized outcomes are analytic: ``zeta`` and ``zeta_derivative`` without
     a deletion, the lattice sums of :func:`one_deletion_ratios` with one.
-    The current code, its codewords and q-vectors are rebuilt only after a
-    deletion, and the post-QEC state is written on the code's weight lattice,
-    the only weights where the codewords are non-zero.
+
+    The state is kept on a known support: the code lattice after a QEC
+    round, the branch's non-zero weights after a deletion.  A round writes
+    the signal-evolved support into a zero Dicke vector and projects it with
+    full-vector ``np.vdot``s against the :func:`_code_frame` arrays, which
+    equals ``apply_signal`` then ``SymState.inner`` bit for bit.
     """
     p = config.params
     g = p.g
-    tau, theta = config.tau, config.theta
-    uniforms = rng.random((config.r, 3))
+    tau, delta = config.tau, config.theta * config.tau
+    z = [zeta(p, delta, j) for j in (0, 1)]
+    dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
+    uniforms = rng.random((config.r, 3)).tolist()
 
-    state = make_logical(p, Label.PLUS).state
     N0 = n_cur = p.n_qubits
     s_cur = p.s
     counts = np.zeros((2, 2), dtype=int)
@@ -226,9 +260,11 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     flag = invalid = False
     n_deleted = 0
 
-    cur, lattice, cw0, cw1, q0, q1 = _code_frame(p, s_cur, n_cur)
-    for i in range(config.r):
-        u_del, u_sigma, u_syn = uniforms[i]
+    frame = _code_frame(p, s_cur, n_cur, delta)
+    # the state: amplitudes `amps` on the weights `support`, whose signal phases are `phases`
+    support, phases = frame.lattice, frame.phases
+    amps = make_logical(p, Label.PLUS).state.amps[support]
+    for u_del, u_sigma, u_syn in uniforms:
         lam = config.n_del * n_cur * tau
         t = _poisson_bucket(u_del, lam)
         if t >= 2:
@@ -239,22 +275,23 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             break
         sigma = 0
         if t == 1:
-            outs = delete(state, 1)
+            outs = delete(SymState(n_cur, _on_weights(n_cur, support, amps)), 1)
             p_sigma1 = sum(o.weight for o in outs if o.shift == 1)
             sigma = 1 if u_sigma < p_sigma1 else 0
-            branch = next(o for o in outs if o.shift == sigma)
-            state = branch.state
+            branch = next(o for o in outs if o.shift == sigma).state.amps
             n_deleted += 1
             pre_n, pre_s = n_cur, s_cur
             n_cur, s_cur = n_cur - 1, s_cur - sigma
             if not code_fits(p, n_cur, s_cur):
                 invalid = True
                 break
-            cur, lattice, cw0, cw1, q0, q1 = _code_frame(p, s_cur, n_cur)
-        state = apply_signal(state, theta * tau)
+            frame = _code_frame(p, s_cur, n_cur, delta)
+            support = np.flatnonzero(branch)
+            amps, phases = branch[support], signal_phases(n_cur, support, delta)
+        evolved = _on_weights(n_cur, support, amps * phases)
 
-        e0, e1 = cw0.inner(state), cw1.inner(state)
-        d0, d1 = q0.inner(state), q1.inner(state)
+        e0, e1 = complex(np.vdot(frame.cw0, evolved)), complex(np.vdot(frame.cw1, evolved))
+        d0, d1 = complex(np.vdot(frame.q0, evolved)), complex(np.vdot(frame.q1, evolved))
         p_code = abs(e0) ** 2 + abs(e1) ** 2
         p_q = abs(d0) ** 2 + abs(d1) ** 2
         if u_syn < p_code:
@@ -264,17 +301,16 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
         else:
             flag = True
             break
-        amps = np.zeros(n_cur + 1, dtype=complex)
-        amps[lattice] = (c0 * cw0.amps[lattice] + c1 * cw1.amps[lattice]) / math.sqrt(p_syn)
-        state = SymState(n_cur, amps)
+        support, phases = frame.lattice, frame.phases
+        amps = (c0 * frame.cw0_lat + c1 * frame.cw1_lat) / math.sqrt(p_syn)
         counts[t, syn] += 1
 
         # analytic phase increment and its theta-derivative at this outcome
         if t == 0:
-            Phi += zeta(cur, theta * tau, syn)
-            dPhi += tau * zeta_derivative(cur, theta * tau, syn)
+            Phi += z[syn]
+            dPhi += dz[syn]
         else:
-            X, dX = one_deletion_ratios(g, pre_n, pre_s, sigma, theta * tau, tau)[:2]
+            X, dX = one_deletion_ratios(g, pre_n, pre_s, sigma, delta, tau)[:2]
             inc, dinc = _phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
             Phi += float(inc)
             dPhi += float(dinc)
@@ -284,7 +320,8 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             counts, Phi, dPhi, flag, invalid, s_cur, float("nan"), 0.0, n_deleted
         )
 
-    a0, a1 = cw0.inner(state), cw1.inner(state)
+    final = _on_weights(n_cur, support, amps)
+    a0, a1 = complex(np.vdot(frame.cw0, final)), complex(np.vdot(frame.cw1, final))
     phi_amp = math.atan2(abs(a1), abs(a0))
     fi = float(fi_phase_readout_vec(phi_amp, Phi, dPhi))
     return TrajectoryRecord(counts, Phi, dPhi, False, False, s_cur, abs(a0), fi, n_deleted,

@@ -237,8 +237,13 @@ def apply_signal(state: SymState, delta: float) -> SymState:
     n = state.n_qubits
     support = np.flatnonzero(state.amps)
     amps = np.zeros(n + 1, dtype=complex)
-    amps[support] = state.amps[support] * np.exp(-1j * delta * (0.5 * n - support))
+    amps[support] = state.amps[support] * signal_phases(n, support, delta)
     return SymState(n, amps)
+
+
+def signal_phases(n_qubits: int, weights: np.ndarray, delta: float) -> np.ndarray:
+    """exp(-i delta (N/2 - w)) on integer ``weights``: the phases of :func:`apply_signal`."""
+    return np.exp(-1j * delta * (0.5 * n_qubits - weights))
 
 
 def jz_moments(state: SymState) -> tuple[float, float, float]:

@@ -257,6 +257,32 @@ def test_protocol1_one_span_starts_no_pool(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 300
 
 
+def _with_seed(seed: str, out) -> list[str]:
+    args = PROTOCOL1_SMALL + ["--out", str(out)]
+    args[args.index("--seed") + 1] = seed
+    args[args.index("--trials") + 1] = "20"
+    return args
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", str(10**30)])
+def test_protocol1_rejects_seed_outside_64_bits_before_running(tmp_path, capsys, seed):
+    out = tmp_path / "traj.jsonl"
+    assert run_cli(_with_seed(seed, out)) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_protocol1_top_seeds_have_their_own_streams(tmp_path, capsys):
+    # 2^64 - 1, 2^63 + 1 and 2^63 used to reach Philox through a float, as 0, 2^63 and 2^63
+    files = []
+    for seed in ("0", "9223372036854775808", "9223372036854775809", "18446744073709551615"):
+        out = tmp_path / f"traj-{seed}.jsonl"
+        assert run_cli(_with_seed(seed, out)) == 0
+        files.append(out.read_bytes())
+    assert len(set(files)) == len(files)
+
+
 def test_verify_text_and_json_report_the_same_checks(capsys):
     assert run_cli(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()

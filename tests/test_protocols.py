@@ -1,5 +1,6 @@
 """Protocol Monte-Carlo: reference vs batch agreement, bookkeeping invariants, baselines."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from symsense import protocols
-from symsense.codes import GnuParams
+from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
+from symsense.noise import delete
 from symsense.protocols import (
     BatchResult,
     ProtocolConfig,
@@ -24,6 +26,8 @@ from symsense.protocols import (
     write_summary_csv,
     write_trajectories_jsonl,
 )
+from symsense.qec import q_vectors, zeta, zeta_derivative
+from symsense.symcore import SymState, apply_signal
 
 
 def small_config(seed=42, n_del=2e-3, theta=5e-3, r=12) -> ProtocolConfig:
@@ -562,3 +566,192 @@ def test_config_rejects_non_finite_and_negative_inputs(field, value):
     kwargs = dict(r=4, q=1.0, theta=1e-3, n_del=0.0) | {field: value}
     with pytest.raises(ValueError, match=field):
         ProtocolConfig(GnuParams(2, 3, Fraction(4, 3), 1), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the reference trajectory against a replay through the library operations
+# ---------------------------------------------------------------------------
+
+
+def criterion8_config(seed: int, rate: float = 0.02) -> ProtocolConfig:
+    """The N = 2000 code of acceptance criterion 8, lambda = n_del N tau = rate per round."""
+    g, n, N, r, q = 40, 3, 2000, 32, 1.5
+    s = (N - g * n) // 2
+    params = GnuParams(g, n, Fraction(N - s, g * n), s)
+    return ProtocolConfig(params, r=r, q=q, theta=1e-3, n_del=rate / (N * r**-q), seed=seed)
+
+
+def _replay_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> protocols.TrajectoryRecord:
+    """run_protocol1's round loop spelled out with library operations on SymStates:
+    apply_signal for the signal, SymState.inner for the projections, delete
+    for a deletion, and the code, codewords and q-vectors rebuilt per code."""
+    p = config.params
+    tau, theta = config.tau, config.theta
+    uniforms = rng.random((config.r, 3))
+
+    def frame(s, n_qubits):
+        cur = p.with_shift(s, n_qubits)
+        return (cur, cur.weight_lattice(), *logical_pair(cur), *q_vectors(cur)[:2])
+
+    state = make_logical(p, Label.PLUS).state
+    N0 = n_cur = p.n_qubits
+    s_cur = p.s
+    counts = np.zeros((2, 2), dtype=int)
+    Phi = dPhi = 0.0
+    flag = invalid = False
+    n_deleted = 0
+    cur, lattice, cw0, cw1, q0, q1 = frame(s_cur, n_cur)
+    for i in range(config.r):
+        u_del, u_sigma, u_syn = uniforms[i]
+        t = protocols._poisson_bucket(u_del, config.n_del * n_cur * tau)
+        if t >= 2:
+            flag = True
+            break
+        if n_cur - t < N0 / 2:
+            invalid = True
+            break
+        sigma = 0
+        if t == 1:
+            outs = delete(state, 1)
+            p_sigma1 = sum(o.weight for o in outs if o.shift == 1)
+            sigma = 1 if u_sigma < p_sigma1 else 0
+            state = next(o for o in outs if o.shift == sigma).state
+            n_deleted += 1
+            pre_n, pre_s = n_cur, s_cur
+            n_cur, s_cur = n_cur - 1, s_cur - sigma
+            if not code_fits(p, n_cur, s_cur):
+                invalid = True
+                break
+            cur, lattice, cw0, cw1, q0, q1 = frame(s_cur, n_cur)
+        state = apply_signal(state, theta * tau)
+        e0, e1 = cw0.inner(state), cw1.inner(state)
+        d0, d1 = q0.inner(state), q1.inner(state)
+        p_code = abs(e0) ** 2 + abs(e1) ** 2
+        p_q = abs(d0) ** 2 + abs(d1) ** 2
+        if u_syn < p_code:
+            syn, c0, c1, p_syn = 0, e0, e1, p_code
+        elif u_syn < p_code + p_q:
+            syn, c0, c1, p_syn = 1, d0, d1, p_q
+        else:
+            flag = True
+            break
+        amps = np.zeros(n_cur + 1, dtype=complex)
+        amps[lattice] = (c0 * cw0.amps[lattice] + c1 * cw1.amps[lattice]) / math.sqrt(p_syn)
+        state = SymState(n_cur, amps)
+        counts[t, syn] += 1
+        if t == 0:
+            Phi += zeta(cur, theta * tau, syn)
+            dPhi += tau * zeta_derivative(cur, theta * tau, syn)
+        else:
+            X, dX = protocols.one_deletion_ratios(p.g, pre_n, pre_s, sigma, theta * tau, tau)[:2]
+            inc, dinc = protocols._phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
+            Phi += float(inc)
+            dPhi += float(dinc)
+    if flag or invalid:
+        return protocols.TrajectoryRecord(
+            counts, Phi, dPhi, flag, invalid, s_cur, float("nan"), 0.0, n_deleted
+        )
+    a0, a1 = cw0.inner(state), cw1.inner(state)
+    fi = float(protocols.fi_phase_readout_vec(math.atan2(abs(a1), abs(a0)), Phi, dPhi))
+    return protocols.TrajectoryRecord(counts, Phi, dPhi, False, False, s_cur, abs(a0), fi,
+                                      n_deleted, state_phase=float(np.angle(a1 / a0)))
+
+
+def _field_bits(rec) -> dict:
+    """Every TrajectoryRecord field as bytes, so that NaN and -0.0 compare by their bits."""
+    return {f.name: np.asarray(getattr(rec, f.name)).tobytes() for f in dataclasses.fields(rec)}
+
+
+@pytest.mark.parametrize(
+    "config, n_traj, causes",
+    [
+        (small_config(), 40, ()),
+        # the N = 16 config of test_reference_and_batch_agree_trajectorywise, which aborts by every cause
+        (ProtocolConfig(GnuParams(2, 3, Fraction(10, 6), 6), r=40, q=1.0, theta=1e-3, n_del=0.5,
+                        seed=2), 40, ("flag", "invalid_regime")),
+        # the criterion-8 code at five times its deletion rate: repeated deletions, shifts, flags
+        (criterion8_config(seed=9, rate=0.1), 30, ("flag",)),
+    ],
+    ids=["N200", "N16", "N2000"],
+)
+def test_reference_matches_library_replay_bit_for_bit(config, n_traj, causes):
+    seen = dict.fromkeys(("deleted", "ok", "flag", "invalid_regime"), 0)
+    for idx in range(n_traj):
+        rec = run_protocol1(config, trajectory_rng(config.seed, idx))
+        want = _replay_protocol1(config, trajectory_rng(config.seed, idx))
+        assert _field_bits(rec) == _field_bits(want), idx
+        seen["deleted"] += rec.n_deletions > 0
+        seen["ok"] += not (rec.flag or rec.invalid_regime)
+        seen["flag"] += rec.flag
+        seen["invalid_regime"] += rec.invalid_regime
+    assert all(seen[key] for key in ("deleted", "ok", *causes)), seen
+
+
+def test_frame_phases_match_apply_signal_on_a_post_qec_state():
+    config = criterion8_config(seed=3)
+    p, delta = config.params, config.theta * config.tau
+    for s, n_qubits in ((p.s, p.n_qubits), (p.s - 1, p.n_qubits - 1), (p.s, p.n_qubits - 2)):
+        frame = protocols._code_frame(p, s, n_qubits, delta)
+        c0, c1 = 0.6 - 0.1j, 0.3 + 0.7j
+        lat = (c0 * frame.cw0_lat + c1 * frame.cw1_lat) / math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        post_qec = np.zeros(n_qubits + 1, dtype=complex)
+        post_qec[frame.lattice] = lat
+        want = apply_signal(SymState(n_qubits, post_qec), delta).amps
+        got = np.zeros(n_qubits + 1, dtype=complex)
+        got[frame.lattice] = lat * frame.phases
+        assert got.tobytes() == want.tobytes()
+
+
+def test_reference_and_batch_agree_at_the_criterion8_code():
+    # 64 seed-chosen trajectories of the first 4096, at the tolerances of
+    # test_reference_and_batch_agree_trajectorywise
+    config = criterion8_config(seed=8)
+    batch = run_protocol1_batch(config, 4096)
+    rows = np.random.default_rng([config.seed, 3]).choice(4096, 64, replace=False)
+    with_deletion = 0
+    for idx in sorted(rows.tolist()):
+        rec = run_protocol1(config, trajectory_rng(config.seed, idx))
+        assert bool(batch.flag[idx]) == rec.flag, idx
+        assert bool(batch.invalid[idx]) == rec.invalid_regime, idx
+        assert batch.n_deletions[idx] == rec.n_deletions, idx
+        assert batch.final_shift[idx] == rec.final_shift, idx
+        with_deletion += rec.n_deletions > 0
+        if rec.flag or rec.invalid_regime:
+            assert math.isnan(rec.final_amp_a) and math.isnan(batch.final_amp_a[idx])
+            continue
+        assert np.array_equal(batch.counts[idx], rec.counts), idx
+        assert batch.Phi[idx] == pytest.approx(rec.Phi, rel=1e-9, abs=1e-13)
+        assert batch.dPhi_dtheta[idx] == pytest.approx(rec.dPhi_dtheta, rel=1e-9, abs=1e-12)
+        assert batch.final_amp_a[idx] == pytest.approx(rec.final_amp_a, abs=1e-10)
+        assert batch.fisher_information[idx] == pytest.approx(
+            rec.fisher_information, rel=1e-6, abs=1e-300
+        )
+    assert with_deletion >= 10
+
+
+# ---------------------------------------------------------------------------
+# seeds: 64-bit Philox key words
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, "3"])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(small_config(), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_trajectory_rng_keys_philox_with_the_exact_seed(seed):
+    config = dataclasses.replace(small_config(), seed=seed)
+    for index in (0, 5, 2**33 + 5):
+        key = trajectory_rng(config.seed, index).bit_generator.state["state"]["key"]
+        assert key.dtype == np.uint64 and key.tolist() == [int(seed), index]
+
+
+def test_trajectory_rng_streams_below_2_63_are_unchanged():
+    # the old key=[seed, index] list gave these streams; from 2^63 up it went through float
+    for seed in (0, 1, 7, 2**40 + 3, 2**62, 2**63 - 1):
+        for index in (0, 5, 2**33 + 5):
+            old = np.random.Generator(np.random.Philox(key=[seed, index])).random(6)
+            assert np.array_equal(trajectory_rng(seed, index).random(6), old), (seed, index)
+
