@@ -22,14 +22,19 @@ take their place.  Two implementations are provided:
   trajectories advance in lock-step, each as its logical weights
   (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
   from a Philox stream keyed by (seed, trajectory index), so the two paths
-  replay each other; the batch resets one Philox per span to each key.
+  replay each other; the batch resets one Philox per span to each key.  A
+  row's quiet rounds before its first deletion or syndrome 1 keep its
+  weights at (1/2, 1/2) and add only to its counts, Phi and dPhi, so each
+  row joins the lock-step at its first event with those rounds' running
+  sums, bit for bit what the rounds would have added.
 
 The batch has one span loop, :func:`protocol1_spans`.  Its spans run on a
 process pool with one worker per usable CPU by default (SYMSENSE_THREADS=1
 runs them in this process) and arrive in index order; because every stream
 is keyed by its trajectory index, the worker count never changes a bit of
 the result.  :func:`run_protocol1_batch` concatenates the spans, and
-:func:`write_trajectories_jsonl` writes each one as it arrives.
+:func:`write_trajectories_jsonl` writes each one as it arrives, spelling each
+distinct value of a column group once.
 
 Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
 the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
@@ -468,16 +473,22 @@ def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
     One generator, trajectory_rng(seed, lo), serves the span: before each row
     its Philox is put back into the state of a fresh stream with key
     (seed, index) -- counter 0, buffer empty -- which is much cheaper than
-    constructing a generator per trajectory.
+    constructing a generator per trajectory.  The fresh state holds its words
+    as Python-int lists rather than the getter's uint64 arrays, because the
+    setter reads plain ints faster; a Python int carries all 64 bits of a key
+    word.
     """
     gen = trajectory_rng(seed, lo)
-    fresh = gen.bit_generator.state
+    bitgen, random = gen.bit_generator, gen.random
+    state = bitgen.state
+    fresh = dict(state, state={name: words.tolist() for name, words in state["state"].items()},
+                 buffer=state["buffer"].tolist())
     key = fresh["state"]["key"]
     out = np.empty((hi - lo, r, 3))
-    for j in range(hi - lo):
+    for j, row in enumerate(out):
         key[1] = lo + j
-        gen.bit_generator.state = fresh
-        gen.random(out=out[j])
+        bitgen.state = fresh
+        random(out=row)
     return out
 
 
@@ -489,17 +500,28 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     :func:`one_deletion_ratios` on rows with a deletion.  Every probability
     is |a|^2 |X_0|^2 + |b|^2 |X_1|^2 over the deleted norm |a|^2 A + |b|^2 B,
     so the phases of a and b never feed back and only their squared moduli
-    are carried; Phi is the sum of the analytic increments.  Every row is
-    updated every round and aborts only clear ``alive``: an aborted row adds
-    no counts, phases or deletions after its abort, and its weights, which
-    keep being updated, are not read: as in :func:`run_protocol1`, its
-    ``final_amp_a`` is NaN and its FI is 0.
+    are carried; Phi is the sum of the analytic increments.
+
+    A row's rounds before its first event are quiet: no deletion (u_del below
+    p_0 at the starting N) and syndrome 0 (u_syn below p_code at Delta).  A
+    quiet round leaves the weights at (1/2, 1/2) exactly and adds zeta_0 and
+    its derivative, so each row starts at its first event round with the
+    quiet count and the running sums of those increments, which are
+    sequential like the rounds' own ``+=``.  The rows are stably sorted by
+    that round, and round i runs only on the prefix of rows that have joined
+    it; they go back to index order once, at the end.
+
+    On the prefix, every row is updated every round and aborts only clear
+    ``alive``: an aborted row adds no counts, phases or deletions after its
+    abort, and its weights, which keep being updated, are not read: as in
+    :func:`run_protocol1`, its ``final_amp_a`` is NaN and its FI is 0.
     """
     n_traj = hi - lo
+    r = config.r
     p = config.params
     g, N0, s0 = p.g, p.n_qubits, p.s
     tau, delta = config.tau, config.theta * config.tau
-    U = _span_uniforms(config.seed, lo, hi, config.r)
+    U = _span_uniforms(config.seed, lo, hi, r)
 
     # phase increments of a round by outcome 2 t + syn (t = 1 rows are
     # overwritten with their one-deletion phases); outcome 4 is an aborted row
@@ -511,6 +533,19 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])  # |X|^2 without deletion
     both_sigmas = np.array([[0], [1]])
 
+    # --- quiet rounds: each row's first event round, the rows sorted by it.
+    # p_0 at N0 is computed as the round loop computes it, so the two agree
+    p0_start = np.exp(-(config.n_del * np.full(1, N0, dtype=np.int64) * tau))
+    loud = (U[:, :, 0] >= p0_start) | (U[:, :, 2] >= p_code0)
+    first = np.where(loud.any(axis=1), loud.argmax(axis=1), r)
+    order = np.argsort(first, kind="stable")
+    first = first[order]
+    joined = np.searchsorted(first, np.arange(r), side="right")  # rows that run round i
+    U = U[order[: joined[-1]]]  # rows that never join read no uniforms
+    # Phi after f quiet rounds: +0.0 then f sequential additions, as in the loop
+    # (starting from +0.0 keeps a -0.0 zeta_0 from signing the sum)
+    quiet_Phi, quiet_dPhi = (np.cumsum(np.r_[0.0, np.full(r, x)]) for x in (z[0], dz[0]))
+
     mod2 = np.full((2, n_traj), 0.5)  # |a|^2, |b|^2
     n_cur = np.full(n_traj, N0, dtype=np.int64)
     s_cur = np.full(n_traj, s0, dtype=np.int64)
@@ -518,60 +553,67 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     flag = np.zeros(n_traj, dtype=bool)
     invalid = np.zeros(n_traj, dtype=bool)
     counts = np.zeros((4, n_traj), dtype=np.int64)  # row 2 t + syn
-    Phi = np.zeros(n_traj)
-    dPhi = np.zeros(n_traj)
+    counts[0] = first
+    Phi = quiet_Phi[first]
+    dPhi = quiet_dPhi[first]
 
-    for i in range(config.r):
+    for i in range(r):
+        k = joined[i]
+        if not k:
+            continue
         if not alive.any():
             break
-        u_del, u_sigma, u_syn = U[:, i, 0], U[:, i, 1], U[:, i, 2]
-        lam = config.n_del * n_cur * tau
+        # views of the rows that have joined
+        alive_k, flag_k, invalid_k = alive[:k], flag[:k], invalid[:k]
+        n_k, s_k, mod2_k = n_cur[:k], s_cur[:k], mod2[:, :k]
+        u_del, u_sigma, u_syn = U[:k, i, 0], U[:k, i, 1], U[:k, i, 2]
+        lam = config.n_del * n_k * tau
         p0 = np.exp(-lam)
-        t2 = alive & (u_del >= p0 * (1.0 + lam))
-        t1 = alive & (u_del >= p0) & ~t2
-        low = alive & ~t2 & (n_cur - t1 < N0 / 2)
-        flag |= t2
-        invalid |= low
-        alive &= ~(t2 | low)
+        t2 = alive_k & (u_del >= p0 * (1.0 + lam))
+        t1 = alive_k & (u_del >= p0) & ~t2
+        low = alive_k & ~t2 & (n_k - t1 < N0 / 2)
+        flag_k |= t2
+        invalid_k |= low
+        alive_k &= ~(t2 | low)
         t1 &= ~low
 
         # --- |X|^2 of this round's outcome and the deleted norm; the sigma = 1
         # weights A, B give that branch's probability
-        fac = np.repeat(fac_nodel, n_traj, axis=1)
-        norm = np.ones(n_traj)
+        fac = np.repeat(fac_nodel, k, axis=1)
+        norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            both = one_deletion_ratios(g, n_cur[drow], s_cur[drow], both_sigmas, delta, tau)
-            ma, mb = mod2[:, drow]
+            both = one_deletion_ratios(g, n_k[drow], s_k[drow], both_sigmas, delta, tau)
+            ma, mb = mod2_k[:, drow]
             sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
             cols = np.arange(drow.size)
             X, dX = both.X[:, sigma, cols], both.dX[:, sigma, cols]
             fac[:, drow] = X.real**2 + X.imag**2
             norm[drow] = ma * both.A[sigma, cols] + mb * both.B[sigma, cols]
-            n_cur[drow] -= 1
-            s_cur[drow] -= sigma
-            unfit = drow[~code_fits(p, n_cur[drow], s_cur[drow])]
-            invalid[unfit] = True
-            alive[unfit] = t1[unfit] = False
+            n_k[drow] -= 1
+            s_k[drow] -= sigma
+            unfit = drow[~code_fits(p, n_k[drow], s_k[drow])]
+            invalid_k[unfit] = True
+            alive_k[unfit] = t1[unfit] = False
 
         # --- QEC projections
-        P_code = mod2[0] * fac[0] + mod2[1] * fac[1]
-        P_q = mod2[0] * fac[2] + mod2[1] * fac[3]
+        P_code = mod2_k[0] * fac[0] + mod2_k[1] * fac[1]
+        P_q = mod2_k[0] * fac[2] + mod2_k[1] * fac[3]
         p_code = P_code / norm
         syn0 = u_syn < p_code
         syn1 = (~syn0) & (u_syn < p_code + P_q / norm)
-        failed = alive & ~(syn0 | syn1)
-        flag |= failed
-        alive &= ~failed
+        failed = alive_k & ~(syn0 | syn1)
+        flag_k |= failed
+        alive_k &= ~failed
         t1 &= ~failed
         P_syn = np.where(syn0, P_code, np.where(syn1, P_q, 1.0))
-        mod2[0] *= np.where(syn0, fac[0], fac[2]) / P_syn
-        mod2[1] *= np.where(syn0, fac[1], fac[3]) / P_syn
+        mod2_k[0] *= np.where(syn0, fac[0], fac[2]) / P_syn
+        mod2_k[1] *= np.where(syn0, fac[1], fac[3]) / P_syn
 
         # --- bookkeeping: counts, Phi, dPhi
-        outcome = np.where(alive, 2 * t1 + syn1, 4)
+        outcome = np.where(alive_k, 2 * t1 + syn1, 4)
         for j in range(4):
-            counts[j] += outcome == j
+            counts[j, :k] += outcome == j
         inc = z_inc[outcome]
         dinc = z_dinc[outcome]
         if drow.size and t1[drow].any():
@@ -581,17 +623,22 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
             inc[rows], dinc[rows] = _phase_step(
                 X[j, done], X[j + 1, done], dX[j, done], dX[j + 1, done]
             )
-        Phi += inc
-        dPhi += dinc
+        Phi[:k] += inc
+        dPhi[:k] += dinc
 
+    # --- back to index order
+    back = np.argsort(order)
+    flag, invalid, Phi, dPhi, n_cur, s_cur = (
+        x[back] for x in (flag, invalid, Phi, dPhi, n_cur, s_cur)
+    )
     ok = ~(flag | invalid)
-    a_abs, b_abs = np.sqrt(mod2)
+    a_abs, b_abs = np.sqrt(mod2[:, back])
     phi_amp = np.arctan2(b_abs, a_abs)
     fi = np.where(ok, fi_phase_readout_vec(phi_amp, Phi, dPhi), 0.0)
     return BatchResult(
         flag=flag,
         invalid=invalid,
-        counts=np.ascontiguousarray(counts.T).reshape(n_traj, 2, 2),
+        counts=counts.T[back].reshape(n_traj, 2, 2),
         Phi=Phi,
         dPhi_dtheta=dPhi,
         final_amp_a=np.where(ok, a_abs, np.nan),
@@ -787,11 +834,14 @@ def baselines(N: int, eta: float, q: float, gamma_rounds: float) -> tuple[float,
 
 
 _JSONL_ROW = (
-    '{"index": %d, "flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]], '
-    '"Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, "fisher_information": %s, '
-    '"n_deletions": %d, "final_shift": %d}\n'
+    '{"index": %d, %s, "Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, '
+    '"fisher_information": %s, %s}\n'
 )
+# the two runs of integer fields in a row, each spelled once per distinct value
+_JSONL_HEAD = '"flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]]'
+_JSONL_TAIL = '"n_deletions": %d, "final_shift": %d'
 _JSON_BOOL = ("false", "true")
+_KEY_LIMIT = 2**62  # mixed-radix keys stay below this, well inside int64
 
 
 def _json_floats(col: np.ndarray) -> list[str]:
@@ -803,6 +853,45 @@ def _json_floats(col: np.ndarray) -> list[str]:
     bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
     spelled = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
     return spelled[where].tolist()
+
+
+def _row_keys(cols: list[np.ndarray]) -> np.ndarray:
+    """An int64 key per row of the integer columns ``cols``, equal exactly where the rows are.
+
+    The key is mixed-radix over each column's range.  A column whose range is
+    wider than the row count enters as its distinct-value codes, and the key
+    is compacted to its own distinct-value codes (< the row count) before a
+    radix product would pass 2^62, so it never overflows.
+    """
+    n_rows = cols[0].size
+    key = np.zeros(n_rows, dtype=np.int64)
+    size = 1  # the key lies in [0, size)
+    for col in cols:
+        col = col.astype(np.int64)
+        low = int(col.min())
+        radix = int(col.max()) - low + 1
+        if radix > n_rows:
+            values, col = np.unique(col, return_inverse=True)
+            low, radix = 0, values.size
+        if size * radix > _KEY_LIMIT:
+            values, key = np.unique(key, return_inverse=True)
+            size = values.size
+        key = key * radix + (col - low)
+        size *= radix
+    return key
+
+
+def _spelled_rows(cols: list[np.ndarray], spell) -> list[str]:
+    """spell(row) for each row of the integer columns ``cols``, each distinct row spelled once."""
+    _, first, where = np.unique(_row_keys(cols), return_index=True, return_inverse=True)
+    rows = zip(*(col[first].tolist() for col in cols))
+    spelled = np.array([spell(row) for row in rows], dtype=object)
+    return spelled[where].tolist()
+
+
+def _spell_head(row) -> str:
+    flag, invalid, *counts = row
+    return _JSONL_HEAD % (_JSON_BOOL[flag], _JSON_BOOL[invalid], *counts)
 
 
 def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -> BatchResult:
@@ -828,6 +917,8 @@ def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -
                 _write_rows(fh, part, first)
                 first += part.flag.size
                 parts.append(part)
+            if not parts:
+                raise ValueError(f"no spans to write to {path}: the span stream is empty")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -837,24 +928,25 @@ def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -
 
 
 def _write_rows(fh, batch: BatchResult, first: int) -> None:
-    """Rows of ``batch``, numbered from ``first``."""
+    """Rows of ``batch``, numbered from ``first``.
+
+    Each chunk of at most BATCH_SPAN rows is spelled column group by column
+    group: the (flag, invalid_regime, counts) head and the (n_deletions,
+    final_shift) tail once per distinct value (:func:`_spelled_rows`), each
+    float column once per distinct bit pattern (:func:`_json_floats`).  A row
+    is then a 7-field template filled from the index and those spellings.
+    """
     for lo in range(0, batch.flag.size, BATCH_SPAN):
         sl = slice(lo, lo + BATCH_SPAN)
-        counts = batch.counts[sl]
+        counts = batch.counts[sl].reshape(-1, 4)
         cols = (
             range(first + lo, first + lo + counts.shape[0]),
-            map(_JSON_BOOL.__getitem__, batch.flag[sl].tolist()),
-            map(_JSON_BOOL.__getitem__, batch.invalid[sl].tolist()),
-            counts[:, 0, 0].tolist(),
-            counts[:, 0, 1].tolist(),
-            counts[:, 1, 0].tolist(),
-            counts[:, 1, 1].tolist(),
+            _spelled_rows([batch.flag[sl], batch.invalid[sl], *counts.T], _spell_head),
             _json_floats(batch.Phi[sl]),
             _json_floats(batch.dPhi_dtheta[sl]),
             _json_floats(batch.final_amp_a[sl]),
             _json_floats(batch.fisher_information[sl]),
-            batch.n_deletions[sl].tolist(),
-            batch.final_shift[sl].tolist(),
+            _spelled_rows([batch.n_deletions[sl], batch.final_shift[sl]], _JSONL_TAIL.__mod__),
         )
         fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
 

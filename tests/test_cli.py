@@ -182,6 +182,22 @@ def test_entry_point_runs():
     assert "eigenvalues" in proc.stdout
 
 
+def test_package_runs_as_a_module(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "symsense", "sld", "--g", "4", "--n", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "eigenvalues" in proc.stdout
+    # main's exit code reaches the shell: a rejected seed exits 2
+    out = tmp_path / "traj.jsonl"
+    bad = subprocess.run([sys.executable, "-m", "symsense", *_with_seed("-1", out)],
+                         capture_output=True, text=True)
+    assert bad.returncode == 2 and "seed must be an integer" in bad.stderr
+    assert not out.exists()
+
+
 def test_protocol1_jsonl_deterministic(tmp_path):
     args = [
         "protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12",

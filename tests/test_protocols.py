@@ -26,7 +26,7 @@ from symsense.protocols import (
     write_summary_csv,
     write_trajectories_jsonl,
 )
-from symsense.qec import q_vectors, zeta, zeta_derivative
+from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
 from symsense.symcore import SymState, apply_signal
 
 
@@ -270,13 +270,18 @@ def test_batch_parallel_matches_serial(monkeypatch):
         (7, 2**33 + 3, 2**33 + 8),
         (2**40 + 3, 0, 4),
         (2**40 + 3, 2**33 + 5, 2**33 + 6),
+        # the top key words, which the span's plain-int Philox key must carry exactly
+        (2**63, 2**64 - 4, 2**64),
+        (2**64 - 1, 0, 3),
+        (2**64 - 1, 2**63 - 1, 2**63 + 2),
     ],
 )
 def test_span_uniforms_match_trajectory_rng(seed, lo, hi):
-    block = protocols._span_uniforms(seed, lo, hi, 5)
-    assert block.shape == (hi - lo, 5, 3)
-    for j, index in enumerate(range(lo, hi)):
-        assert np.array_equal(block[j], trajectory_rng(seed, index).random((5, 3))), index
+    for r in (1, 5, 32):
+        block = protocols._span_uniforms(seed, lo, hi, r)
+        assert block.shape == (hi - lo, r, 3)
+        for j, index in enumerate(range(lo, hi)):
+            assert np.array_equal(block[j], trajectory_rng(seed, index).random((r, 3))), (r, index)
 
 
 def test_batch_rejects_empty_run_before_any_work(monkeypatch):
@@ -321,6 +326,53 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
     path = tmp_path / "traj.jsonl"
     write_trajectories_jsonl(batch, path)
     assert path.read_text() == _jsonl_reference(batch)
+
+    # integer fields far outside a run's: invalid rows, counts and deletions up to 10^6 (a
+    # mixed-radix key over their raw ranges would pass int64), negative and int64-extreme shifts
+    rng = np.random.default_rng(8)
+    batch.invalid[1::4] = True
+    batch.counts[:] = rng.integers(0, 10**6, size=batch.counts.shape, endpoint=True)
+    batch.counts[20:27] = batch.counts[20]  # one head repeated across a chunk
+    batch.n_deletions[:] = rng.integers(0, 10**6, size=batch.n_deletions.size, endpoint=True)
+    batch.final_shift[:] = rng.integers(-50, 3, size=batch.final_shift.size)
+    batch.final_shift[:2] = (-(2**63), 2**63 - 1)
+    assert batch.invalid.any() and (batch.final_shift < 0).any() and batch.counts.max() > 9 * 10**5
+    write_trajectories_jsonl(batch, path)
+    assert path.read_text() == _jsonl_reference(batch)
+
+    # a span whose rows are all identical
+    same = dataclasses.replace(
+        batch, **{name: np.repeat(getattr(batch, name)[3:4], 40, axis=0) for name in BATCH_ARRAYS}
+    )
+    write_trajectories_jsonl(same, path)
+    assert path.read_text() == _jsonl_reference(same)
+
+
+def test_row_keys_compact_before_the_radix_product_overflows():
+    # six columns of 2000 rows spanning [0, 2000) each: the raw mixed radix is 2000^6 > 2^63
+    rng = np.random.default_rng(5)
+    cols = [rng.integers(0, 2000, size=2000) for _ in range(6)]
+    for col in cols:
+        col[:2] = (0, 1999)
+        col[1000:1100] = col[1000]  # repeated rows, so equal keys must appear
+    # a constant column, and one whose range (2^64) does not fit an int64
+    cols += [np.full(2000, -7), np.array([-(2**63), 2**63 - 1] * 1000)]
+    key = protocols._row_keys(cols)
+    assert key.dtype == np.int64 and key.min() >= 0
+    want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1].ravel()
+    # equal keys exactly where the rows are equal
+    assert np.array_equal(np.unique(key, return_inverse=True)[1].ravel(), want)
+
+
+def test_jsonl_rejects_an_empty_span_stream_and_leaves_no_file(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(ValueError, match="span stream is empty"):
+        write_trajectories_jsonl([], path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="span stream is empty"):
+        write_trajectories_jsonl(iter(()), path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
 
 
 def _usable_cpus() -> int:
@@ -755,3 +807,190 @@ def test_trajectory_rng_streams_below_2_63_are_unchanged():
             old = np.random.Generator(np.random.Philox(key=[seed, index])).random(6)
             assert np.array_equal(trajectory_rng(seed, index).random(6), old), (seed, index)
 
+
+# ---------------------------------------------------------------------------
+# the batch kernel against its every-row lock-step replay
+# ---------------------------------------------------------------------------
+
+
+def _replay_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
+    """_run_batch_span with every row running every round, quiet or not: its bit-for-bit reference.
+
+    Trajectories [lo, hi) in lock-step over the logical weights (|a|^2, |b|^2) of each row.
+
+    A round maps (a, b) -> (a X_0, b X_1) / sqrt(P) with the factors of its
+    outcome: the closed-form no-deletion ones, or the lattice sums of
+    :func:`one_deletion_ratios` on rows with a deletion.  Every probability
+    is |a|^2 |X_0|^2 + |b|^2 |X_1|^2 over the deleted norm |a|^2 A + |b|^2 B,
+    so the phases of a and b never feed back and only their squared moduli
+    are carried; Phi is the sum of the analytic increments.  Every row is
+    updated every round and aborts only clear ``alive``: an aborted row adds
+    no counts, phases or deletions after its abort, and its weights, which
+    keep being updated, are not read: as in :func:`run_protocol1`, its
+    ``final_amp_a`` is NaN and its FI is 0.
+    """
+    n_traj = hi - lo
+    p = config.params
+    g, N0, s0 = p.g, p.n_qubits, p.s
+    tau, delta = config.tau, config.theta * config.tau
+    U = protocols._span_uniforms(config.seed, lo, hi, config.r)
+
+    # phase increments of a round by outcome 2 t + syn (t = 1 rows are
+    # overwritten with their one-deletion phases); outcome 4 is an aborted row
+    z = [zeta(p, delta, j) for j in (0, 1)]
+    dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
+    z_inc = np.array([*z, *z, 0.0])
+    z_dinc = np.array([*dz, *dz, 0.0])
+    p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * g * delta)
+    fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])  # |X|^2 without deletion
+    both_sigmas = np.array([[0], [1]])
+
+    mod2 = np.full((2, n_traj), 0.5)  # |a|^2, |b|^2
+    n_cur = np.full(n_traj, N0, dtype=np.int64)
+    s_cur = np.full(n_traj, s0, dtype=np.int64)
+    alive = np.ones(n_traj, dtype=bool)
+    flag = np.zeros(n_traj, dtype=bool)
+    invalid = np.zeros(n_traj, dtype=bool)
+    counts = np.zeros((4, n_traj), dtype=np.int64)  # row 2 t + syn
+    Phi = np.zeros(n_traj)
+    dPhi = np.zeros(n_traj)
+
+    for i in range(config.r):
+        if not alive.any():
+            break
+        u_del, u_sigma, u_syn = U[:, i, 0], U[:, i, 1], U[:, i, 2]
+        lam = config.n_del * n_cur * tau
+        p0 = np.exp(-lam)
+        t2 = alive & (u_del >= p0 * (1.0 + lam))
+        t1 = alive & (u_del >= p0) & ~t2
+        low = alive & ~t2 & (n_cur - t1 < N0 / 2)
+        flag |= t2
+        invalid |= low
+        alive &= ~(t2 | low)
+        t1 &= ~low
+
+        # --- |X|^2 of this round's outcome and the deleted norm; the sigma = 1
+        # weights A, B give that branch's probability
+        fac = np.repeat(fac_nodel, n_traj, axis=1)
+        norm = np.ones(n_traj)
+        drow = np.nonzero(t1)[0]
+        if drow.size:
+            both = protocols.one_deletion_ratios(g, n_cur[drow], s_cur[drow], both_sigmas, delta, tau)
+            ma, mb = mod2[:, drow]
+            sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
+            cols = np.arange(drow.size)
+            X, dX = both.X[:, sigma, cols], both.dX[:, sigma, cols]
+            fac[:, drow] = X.real**2 + X.imag**2
+            norm[drow] = ma * both.A[sigma, cols] + mb * both.B[sigma, cols]
+            n_cur[drow] -= 1
+            s_cur[drow] -= sigma
+            unfit = drow[~code_fits(p, n_cur[drow], s_cur[drow])]
+            invalid[unfit] = True
+            alive[unfit] = t1[unfit] = False
+
+        # --- QEC projections
+        P_code = mod2[0] * fac[0] + mod2[1] * fac[1]
+        P_q = mod2[0] * fac[2] + mod2[1] * fac[3]
+        p_code = P_code / norm
+        syn0 = u_syn < p_code
+        syn1 = (~syn0) & (u_syn < p_code + P_q / norm)
+        failed = alive & ~(syn0 | syn1)
+        flag |= failed
+        alive &= ~failed
+        t1 &= ~failed
+        P_syn = np.where(syn0, P_code, np.where(syn1, P_q, 1.0))
+        mod2[0] *= np.where(syn0, fac[0], fac[2]) / P_syn
+        mod2[1] *= np.where(syn0, fac[1], fac[3]) / P_syn
+
+        # --- bookkeeping: counts, Phi, dPhi
+        outcome = np.where(alive, 2 * t1 + syn1, 4)
+        for j in range(4):
+            counts[j] += outcome == j
+        inc = z_inc[outcome]
+        dinc = z_dinc[outcome]
+        if drow.size and t1[drow].any():
+            done = np.nonzero(t1[drow])[0]
+            rows = drow[done]
+            j = 2 * syn1[rows]
+            inc[rows], dinc[rows] = protocols._phase_step(
+                X[j, done], X[j + 1, done], dX[j, done], dX[j + 1, done]
+            )
+        Phi += inc
+        dPhi += dinc
+
+    ok = ~(flag | invalid)
+    a_abs, b_abs = np.sqrt(mod2)
+    phi_amp = np.arctan2(b_abs, a_abs)
+    fi = np.where(ok, protocols.fi_phase_readout_vec(phi_amp, Phi, dPhi), 0.0)
+    return BatchResult(
+        flag=flag,
+        invalid=invalid,
+        counts=np.ascontiguousarray(counts.T).reshape(n_traj, 2, 2),
+        Phi=Phi,
+        dPhi_dtheta=dPhi,
+        final_amp_a=np.where(ok, a_abs, np.nan),
+        fisher_information=fi,
+        n_deletions=N0 - n_cur,
+        final_shift=s_cur,
+        config=config,
+    )
+
+
+def _n16_regime_config() -> ProtocolConfig:
+    """The N = 16 config of test_regime_rule_agrees_on_both_paths, whose codes run out."""
+    return ProtocolConfig(
+        GnuParams(2, 3, Fraction(11, 6), 5), r=40, q=1.0, theta=1e-3, n_del=0.5, seed=1
+    )
+
+
+def _high_noise_config() -> ProtocolConfig:
+    """The N = 60 config of test_reference_and_batch_agree_high_noise."""
+    g, n, N = 4, 3, 60
+    s = (N - g * n) // 2
+    params = GnuParams(g, n, Fraction(N - s, g * n), s)
+    return ProtocolConfig(params, r=8, q=1.0, theta=0.3 / cfgtau(8, 1.0), n_del=0.05, seed=77)
+
+
+def _first_event_rounds(config: ProtocolConfig, lo: int, hi: int) -> np.ndarray:
+    """Each row's first round with a deletion or syndrome 1 (r if it has none)."""
+    p = config.params
+    U = protocols._span_uniforms(config.seed, lo, hi, config.r)
+    p0 = math.exp(-config.n_del * p.n_qubits * config.tau)
+    p_code0 = pflag_closed_form(p.n, 0.5 * p.g * config.delta)[0]
+    loud = (U[:, :, 0] >= p0) | (U[:, :, 2] >= p_code0)
+    return np.where(loud.any(axis=1), loud.argmax(axis=1), config.r)
+
+
+def _quiet_and_loud(first, batch, r):
+    return (first < r).any() and (first == r).any() and batch.n_deletions.any()
+
+
+@pytest.mark.parametrize(
+    "config, lo, hi, covered",
+    [
+        # the workload: most rows stay quiet to the end, some delete, some abort
+        (criterion8_config(seed=12), 0, 2500,
+         lambda first, b, r: _quiet_and_loud(first, b, r) and b.flag.any()),
+        (criterion8_config(seed=13, rate=0.1), 7, 2007,
+         lambda first, b, r: _quiet_and_loud(first, b, r) and (b.n_deletions > 1).any()),
+        # flags, invalid regimes and successes side by side
+        (_n16_regime_config(), 0, 400,
+         lambda first, b, r: b.invalid.any() and b.flag.any() and b.success.any()),
+        (_high_noise_config(), 3, 603,
+         lambda first, b, r: (first == 0).mean() > 0.5 and b.counts[:, :, 1].any()),
+        (small_config(seed=14, n_del=1.5e-3, r=1), 0, 500,
+         lambda first, b, r: _quiet_and_loud(first, b, r)),
+        # no row has an event, and zeta_0 is -0.0: Phi must still start from +0.0
+        (small_config(seed=15, n_del=0.0, theta=0.0), 0, 300,
+         lambda first, b, r: (first == r).all() and not np.signbit(b.Phi).any()),
+    ],
+    ids=["criterion8", "criterion8-5x", "N16-regime", "high-noise", "r1", "no-event"],
+)
+def test_batch_span_matches_every_row_replay_bit_for_bit(config, lo, hi, covered):
+    got = protocols._run_batch_span(config, lo, hi)
+    want = _replay_batch_span(config, lo, hi)
+    for name in BATCH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert covered(_first_event_rounds(config, lo, hi), want, config.r)
