@@ -25,7 +25,7 @@ import numpy as np
 from symsense import __version__
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.metrology import fi_code_basis, qfi_pure, sld
-from symsense.noise import amplitude_damp, delete, deletion_qfi
+from symsense.noise import ad_qfi_bound, amplitude_damp, delete, deletion_qfi
 from symsense.optimizer import (
     LPInstance,
     closed_form_optimum,
@@ -47,7 +47,7 @@ from symsense.protocols import (
     write_trajectories_jsonl,
 )
 from symsense.qec import deletion_qec
-from symsense.symcore import as_fraction
+from symsense.symcore import as_fraction, jz_moments
 
 
 def _git_describe() -> str:
@@ -177,8 +177,6 @@ def cmd_delete(args) -> int:
     for t in range(1, args.t + 1):
         qfi_after = deletion_qfi(params, t) if min(params.g, params.n) > t else float("nan")
         for br in delete(plus, t):
-            from symsense.symcore import jz_moments
-
             _, _, var = jz_moments(br.state)
             wr.writerow([t, br.shift, f"{br.weight:.12g}", f"{var:.12g}", f"{qfi_after:.12g}"])
     if args.out:
@@ -193,8 +191,6 @@ def cmd_ad(args) -> int:
     if not 0.0 <= args.gamma_max <= 1.0:
         raise ValueError(f"--gamma-max must be in [0, 1], got {args.gamma_max}")
     params = _params_from_args(args)
-    from symsense.noise import ad_qfi_bound
-
     plus = make_logical(params, Label.PLUS).state
     fh = _open_out(args)
     wr = csv.writer(fh)
@@ -212,13 +208,12 @@ def cmd_ad(args) -> int:
 def cmd_qec_delete(args) -> int:
     params = _params_from_args(args)
     plus = make_logical(params, Label.PLUS).state
-    from symsense.metrology import qfi_pure as _qfi
-
     total = 0.0
     for br in delete(plus, args.t):
         corrected, a = deletion_qec(br.state, params, args.t)
-        total += br.weight * _qfi(corrected)
-        print(f"branch a={a}: weight {br.weight:.6f}, post-QEC QFI {_qfi(corrected):.6f}")
+        qfi = qfi_pure(corrected)
+        total += br.weight * qfi
+        print(f"branch a={a}: weight {br.weight:.6f}, post-QEC QFI {qfi:.6f}")
     print(f"ensemble QFI after QEC: {total:.6f} (codeword value {params.g ** 2 * params.n})")
     return 0
 

@@ -351,7 +351,7 @@ class BatchResult:
     fisher_information: np.ndarray
     n_deletions: np.ndarray
     final_shift: np.ndarray
-    config: ProtocolConfig = None
+    config: ProtocolConfig
 
     @property
     def success(self) -> np.ndarray:
@@ -377,13 +377,12 @@ class BatchResult:
         return float(np.std(self.fisher_information[ok], ddof=1) / math.sqrt(n))
 
     def summary(self) -> dict:
-        cfg = self.config
         return {
             "n_traj": int(self.flag.size),
             "mean_FI": self.mean_fi(),
             "se_FI": self.se_fi(),
             "p_flag_emp": self.failure_rate(),
-            "p_flag_bound": cfg.failure_bound() if cfg else float("nan"),
+            "p_flag_bound": self.config.failure_bound(),
             "mean_deletions": float(np.mean(self.n_deletions)),
         }
 
@@ -894,10 +893,10 @@ def _spell_head(row) -> str:
     return _JSONL_HEAD % (_JSON_BOOL[flag], _JSON_BOOL[invalid], *counts)
 
 
-def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -> BatchResult:
+def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
     """One JSON object per trajectory, byte-identical to json.dumps of each row dict.
 
-    ``spans`` is a BatchResult or an iterable of consecutive spans, such as
+    ``spans`` is an iterable of consecutive spans, such as
     :func:`protocol1_spans`; each span's rows are written as it arrives, so
     formatting overlaps the workers computing later spans.  Columns are
     converted at most BATCH_SPAN rows at a time and poured into a fixed row
@@ -905,7 +904,6 @@ def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -
     it only when every span is written, so a failed run leaves no partial
     file.  Returns the whole batch.
     """
-    whole = isinstance(spans, BatchResult)
     parts = []
     path = os.fspath(path)
     head, name = os.path.split(path)
@@ -913,7 +911,7 @@ def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -
     try:
         with open(tmp, "w") as fh:
             first = 0
-            for part in [spans] if whole else spans:
+            for part in spans:
                 _write_rows(fh, part, first)
                 first += part.flag.size
                 parts.append(part)
@@ -924,7 +922,7 @@ def write_trajectories_jsonl(spans: BatchResult | Iterable[BatchResult], path) -
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-    return spans if whole else _concatenate(parts, parts[0].config)
+    return _concatenate(parts, parts[0].config)
 
 
 def _write_rows(fh, batch: BatchResult, first: int) -> None:

@@ -4,6 +4,18 @@ Each check pits a scalable Dicke-block computation against an independent
 brute-force construction (full 2^N vectors, Kraus strings, dense partial
 traces, explicit projectors).  Prints one pass/fail line per check, or one
 JSON object per check, and returns the list of failures.
+
+Each comparison is written once, here; the tests call it with their own
+inputs and thresholds.  ``deletion_distance``: test_acceptance.py criterion 2
+and test_noise.py::test_delete_matches_dense_partial_trace.
+``damping_distance``: criterion 3.  ``projection_deviation``: criterion 5 and
+test_qec.py::test_projection_probabilities_closed_forms_grid.
+``check_kl_gnu``: test_fullspace.py::test_kl_check_gnu_code_and_rotations.
+``general_qec_report``: test_fullspace.py::test_general_qec_single_qubit_channel.
+Criterion 10 runs ``check_schur_dimension``, ``check_syt_counts``,
+``check_sequential_split``, ``check_kl_gnu`` and ``check_general_qec``.
+test_noise.py::test_shared_oracles_catch_a_broken_channel shows the deletion
+and damping oracles failing on a broken channel.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +34,7 @@ from symsense.fullspace import (
     embed_sym,
     enumerate_syt,
     general_qec_smallN,
+    insert_zeros,
     kl_check,
     partial_trace_first,
     pauli_op,
@@ -28,17 +42,9 @@ from symsense.fullspace import (
     signal_unitary_dense,
 )
 from symsense.metrology import qfi_pure
-from symsense.noise import amplitude_damp, delete
+from symsense.noise import amplitude_damp, delete, deletion_qfi
 from symsense.qec import pflag_closed_form, qec_sense_probabilities
 from symsense.symcore import SymState, apply_signal, binom
-
-
-def _dense_from_branches(branches, N: int, t: int) -> np.ndarray:
-    rho = np.zeros((2 ** (N - t), 2 ** (N - t)), dtype=complex)
-    for br in branches:
-        v = embed_sym(br.state).vec
-        rho += br.weight * np.outer(v, v.conj())
-    return rho
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,17 +52,25 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(evals)))
 
 
+def deletion_distance(psi: SymState, t: int) -> float:
+    """Trace distance between the dense partial trace of the first t qubits
+    of |psi><psi| and the mixture of ``delete(psi, t)``'s branches."""
+    N = psi.n_qubits
+    dense = embed_sym(psi).vec
+    rho_traced = partial_trace_first(np.outer(dense, dense.conj()), N, t)
+    rho_rec = np.zeros((2 ** (N - t), 2 ** (N - t)), dtype=complex)
+    for br in delete(psi, t):
+        v = embed_sym(br.state).vec
+        rho_rec += br.weight * np.outer(v, v.conj())
+    return _trace_distance(rho_traced, rho_rec)
+
+
 def check_deletion_oracle(rng) -> float:
     worst = 0.0
     for _ in range(12):
         N = int(rng.integers(3, 9))
         t = int(rng.integers(1, min(3, N - 1) + 1))
-        psi = SymState.random(N, rng)
-        dense = embed_sym(psi).vec
-        rho_full = np.outer(dense, dense.conj())
-        rho_traced = partial_trace_first(rho_full, N, t)
-        rho_rec = _dense_from_branches(delete(psi, t), N, t)
-        worst = max(worst, _trace_distance(rho_traced, rho_rec))
+        worst = max(worst, deletion_distance(SymState.random(N, rng), t))
     return worst
 
 
@@ -83,10 +97,6 @@ def _ad_kraus_brute(psi: SymState, gamma: float) -> np.ndarray:
 
 
 def _ad_insertion_reconstruction(psi: SymState, gamma: float) -> np.ndarray:
-    from itertools import combinations
-
-    from symsense.fullspace import insert_zeros
-
     N = psi.n_qubits
     out = np.zeros((2**N, 2**N), dtype=complex)
     for br in amplitude_damp(psi, gamma):
@@ -98,14 +108,16 @@ def _ad_insertion_reconstruction(psi: SymState, gamma: float) -> np.ndarray:
     return out
 
 
+def damping_distance(psi: SymState, gamma: float) -> float:
+    """Trace distance between damping every qubit of |psi><psi| by Kraus
+    strings and the re-embedded branches of ``amplitude_damp(psi, gamma)``."""
+    return _trace_distance(_ad_kraus_brute(psi, gamma), _ad_insertion_reconstruction(psi, gamma))
+
+
 def check_ad_oracle(rng) -> float:
     worst = 0.0
     for gamma in (0.05, 0.3, 0.9):
-        N = 6
-        psi = SymState.random(N, rng)
-        brute = _ad_kraus_brute(psi, gamma)
-        rec = _ad_insertion_reconstruction(psi, gamma)
-        worst = max(worst, _trace_distance(brute, rec))
+        worst = max(worst, damping_distance(SymState.random(6, rng), gamma))
     return worst
 
 
@@ -127,7 +139,7 @@ def check_syt_counts() -> int:
     return bad
 
 
-def check_sequential_split(rng) -> float:
+def check_sequential_split() -> float:
     # |01> splits 1/2 triplet (post = |D^2_1>), 1/2 singlet
     vec = np.zeros(4, dtype=complex)
     vec[1] = 1.0
@@ -144,6 +156,7 @@ def check_sequential_split(rng) -> float:
 
 
 def check_kl_gnu() -> float:
+    """Largest KL violation of the (3,3,1) code, before and after a signal rotation."""
     params = GnuParams(3, 3, Fraction(1), 0)
     cw0, cw1 = logical_pair(params)
     report = kl_check([embed_sym(cw0), embed_sym(cw1)], t=1)
@@ -154,7 +167,9 @@ def check_kl_gnu() -> float:
     return max(report["max_violation"], report_rot["max_violation"])
 
 
-def check_general_qec() -> float:
+def general_qec_report() -> dict:
+    """``general_qec_smallN`` of the (3,3,1) code under the one-qubit channel
+    with Kraus operators I, X_1 / 2 and Z_1 / 2, normalized."""
     params = GnuParams(3, 3, Fraction(1), 0)
     cw0, cw1 = logical_pair(params)
     kraus = [
@@ -164,8 +179,20 @@ def check_general_qec() -> float:
     ]
     norm = math.sqrt(1.0 + 0.25 + 0.25)
     kraus = [K / norm for K in kraus]
-    rep = general_qec_smallN([embed_sym(cw0), embed_sym(cw1)], kraus, max_weight=1)
-    return 1.0 - rep["entanglement_fidelity"]
+    return general_qec_smallN([embed_sym(cw0), embed_sym(cw1)], kraus, max_weight=1)
+
+
+def check_general_qec() -> float:
+    return 1.0 - general_qec_report()["entanglement_fidelity"]
+
+
+def projection_deviation(params: GnuParams, x: float, a, b) -> float:
+    """Largest gap between ``qec_sense_probabilities`` of a|0_L> + b|1_L>
+    after the signal x = g delta / 2 and ``pflag_closed_form(n, x)``."""
+    cw0, cw1 = logical_pair(params)
+    psi = SymState(params.n_qubits, a * cw0.amps + b * cw1.amps)
+    got = qec_sense_probabilities(apply_signal(psi, 2 * x / params.g), params)
+    return max(abs(p - q) for p, q in zip(got, pflag_closed_form(params.n, x)))
 
 
 def check_pflag() -> float:
@@ -173,16 +200,10 @@ def check_pflag() -> float:
     rng = np.random.default_rng(5)
     for n in (3, 5):
         params = GnuParams(3, n, Fraction(2), 1)
-        cw0, cw1 = logical_pair(params)
         for x in np.linspace(0.05, 1.4, 8):
-            delta = 2.0 * x / params.g
             a = rng.random()
             b = math.sqrt(1.0 - a * a)
-            psi = SymState(params.n_qubits, a * cw0.amps + b * cw1.amps)
-            evolved = apply_signal(psi, delta)
-            p0, p1, pf = qec_sense_probabilities(evolved, params)
-            c0, c1, cf = pflag_closed_form(n, x)
-            worst = max(worst, abs(p0 - c0), abs(p1 - c1), abs(pf - cf))
+            worst = max(worst, projection_deviation(params, x, a, b))
     return worst
 
 
@@ -191,8 +212,6 @@ def check_deletion_qfi_monotone() -> list:
     for g, n in ((5, 5), (7, 4), (4, 7)):
         params = GnuParams(g, n, Fraction(2), 3)
         prev = None
-        from symsense.noise import deletion_qfi
-
         for t in range(0, min(g, n) - 1):
             val = deletion_qfi(params, t)
             if prev is not None and val > prev * (1 + 1e-12):
@@ -232,7 +251,7 @@ def run_checks() -> list[CheckResult]:
     record("sum syt*ssyt = 2^N for N <= 12", bad, 0, f"{bad} mismatches")
     bad = check_syt_counts()
     record("tableau counts vs hook lengths", bad, 0, f"{bad} mismatches")
-    dev = check_sequential_split(rng)
+    dev = check_sequential_split()
     record("sequential J^2 split of |01>", dev, 0.1, f"freq offset {dev:.3f}")
     viol = check_kl_gnu()
     record("Knill-Laflamme for the (3,3,1) code", viol, 1e-10, f"max violation {viol:.2e}")

@@ -16,17 +16,6 @@ import numpy as np
 import pytest
 
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
-from symsense.fullspace import (
-    DenseState,
-    embed_sym,
-    enumerate_syt,
-    general_qec_smallN,
-    kl_check,
-    partial_trace_first,
-    pauli_op,
-    sequential_j2_measure,
-    signal_unitary_dense,
-)
 from symsense.metrology import qfi_pure
 from symsense.noise import delete, deletion_qfi
 from symsense.optimizer import LPInstance, closed_form_optimum, p2_exponent, solve_lp
@@ -40,14 +29,21 @@ from symsense.qec import (
     bound_checkers,
     deletion_qec,
     pflag_closed_form,
-    phase_formulas,
     phi11_ratio,
     q_vectors,
-    qec_sense_probabilities,
     zeta,
 )
 from symsense.symcore import SymState, apply_signal
-from symsense.verify import _ad_insertion_reconstruction, _ad_kraus_brute
+from symsense.verify import (
+    check_general_qec,
+    check_kl_gnu,
+    check_schur_dimension,
+    check_sequential_split,
+    check_syt_counts,
+    damping_distance,
+    deletion_distance,
+    projection_deviation,
+)
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -82,10 +78,6 @@ def test_criterion1_qfi_closed_form():
 # --------------------------------------------------------------------------
 
 
-def _trace_distance(a, b):
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-
-
 def test_criterion2_deletion_oracle():
     t0 = time.time()
     rng = np.random.default_rng(202)
@@ -96,14 +88,7 @@ def test_criterion2_deletion_oracle():
         t = int(rng.integers(1, 4))
         if t >= N:
             continue
-        psi = SymState.random(N, rng)
-        dense = embed_sym(psi).vec
-        want = partial_trace_first(np.outer(dense, dense.conj()), N, t)
-        got = np.zeros_like(want)
-        for br in delete(psi, t):
-            v = embed_sym(br.state).vec
-            got += br.weight * np.outer(v, v.conj())
-        worst = max(worst, _trace_distance(want, got))
+        worst = max(worst, deletion_distance(SymState.random(N, rng), t))
         cases += 1
     report(2, worst <= 1e-10, f"50 states, max trace distance {worst:.2e} in {time.time() - t0:.1f}s")
 
@@ -119,13 +104,7 @@ def test_criterion3_ad_oracle():
     worst = 0.0
     for gamma in (0.05, 0.3, 0.9):
         for N in (5, 8):
-            psi = SymState.random(N, rng)
-            worst = max(
-                worst,
-                _trace_distance(
-                    _ad_kraus_brute(psi, gamma), _ad_insertion_reconstruction(psi, gamma)
-                ),
-            )
+            worst = max(worst, damping_distance(SymState.random(N, rng), gamma))
     report(3, worst <= 1e-10, f"max trace distance {worst:.2e} in {time.time() - t0:.1f}s")
 
 
@@ -171,15 +150,11 @@ def test_criterion5_projection_probabilities():
     worst = 0.0
     for n in (3, 5, 7):
         params = GnuParams(3, n, Fraction(2), 1)
-        cw0, cw1 = logical_pair(params)
         for x in np.linspace(0.02, 1.5, 30):
-            want = pflag_closed_form(n, float(x))
             for _ in range(10):
                 a = rng.random()
                 b = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * math.sqrt(1 - a * a)
-                psi = SymState(params.n_qubits, a * cw0.amps + b * cw1.amps)
-                got = qec_sense_probabilities(apply_signal(psi, 2 * float(x) / params.g), params)
-                worst = max(worst, max(abs(p - q) for p, q in zip(got, want)))
+                worst = max(worst, projection_deviation(params, float(x), a, b))
     # n = 3: the flag sum is empty, identically zero
     exact_zero = pflag_closed_form(3, 0.7)[2] == 0.0
     report(5, worst <= 1e-10 and exact_zero, f"max deviation {worst:.2e}; n=3 p_flag == 0: {exact_zero}")
@@ -371,46 +346,19 @@ def test_criterion9_linear_program():
 
 
 def test_criterion10_representation_theory():
-    dims_ok = True
-    hooks_ok = True
-    for N in range(1, 13):
-        total = 0
-        for diagram, tabs in enumerate_syt(N).items():
-            if len(tabs) != diagram.syt_count() or len(tabs) != diagram.syt_count_hooks():
-                hooks_ok = False
-            total += len(tabs) * diagram.ssyt_count()
-        if total != 2**N:
-            dims_ok = False
-
-    vec = np.zeros(4, dtype=complex)
-    vec[1] = 1.0
-    hits = 0
-    trials = 400
-    for seed in range(trials):
-        tab, _ = sequential_j2_measure(DenseState(2, vec), np.random.default_rng(seed))
-        hits += tab.j_total_doubled == 2
-    split_ok = abs(hits / trials - 0.5) < 0.08
-
-    params = GnuParams(3, 3, Fraction(1), 0)
-    cw0, cw1 = logical_pair(params)
-    states = [embed_sym(cw0), embed_sym(cw1)]
-    kl = kl_check(states, t=1)["max_violation"]
-    u = signal_unitary_dense(9, 0.7)
-    kl_rot = kl_check([DenseState(9, u @ s.vec) for s in states], t=1)["max_violation"]
-    kl_ok = kl <= 1e-10 and kl_rot <= 1e-10
-
-    kraus = [
-        np.eye(2**9, dtype=complex) / math.sqrt(1.5),
-        0.5 * pauli_op(9, (1,), ("X",)) / math.sqrt(1.5),
-        0.5 * pauli_op(9, (1,), ("Z",)) / math.sqrt(1.5),
-    ]
-    rep = general_qec_smallN(states, kraus, max_weight=1)
-    fid_ok = abs(rep["entanglement_fidelity"] - 1.0) <= 1e-8
+    dims_ok = check_schur_dimension() == 0
+    hooks_ok = check_syt_counts() == 0
+    split = check_sequential_split()
+    split_ok = split < 0.08
+    kl = check_kl_gnu()
+    kl_ok = kl <= 1e-10
+    infid = check_general_qec()
+    fid_ok = abs(infid) <= 1e-8
 
     report(
         10,
         dims_ok and hooks_ok and split_ok and kl_ok and fid_ok,
         f"sum syt*ssyt == 2^N (N<=12): {dims_ok}; hook counts: {hooks_ok}; "
-        f"|01> triplet frequency {hits / trials:.3f}; KL violations {kl:.1e}/{kl_rot:.1e}; "
-        f"recovery fidelity 1 - {abs(rep['entanglement_fidelity'] - 1.0):.1e}",
+        f"|01> triplet frequency offset {split:.3f}; KL violation {kl:.1e}; "
+        f"recovery fidelity 1 - {abs(infid):.1e}",
     )

@@ -24,13 +24,12 @@ from symsense.fullspace import (
     project_sym,
     schur_blocks,
     sequential_j2_measure,
-    signal_unitary_dense,
     symmetrize_channel,
 )
 from symsense.fullspace import _path_twirl, _schur_coeffs, _schur_coordinates
 from symsense.noise import delete
 from symsense.symcore import SymState
-from symsense.verify import _ad_kraus_brute
+from symsense.verify import _ad_kraus_brute, check_kl_gnu, general_qec_report
 
 
 def test_embed_round_trip():
@@ -311,16 +310,8 @@ def test_insert_zeros_positions():
 
 
 def test_kl_check_gnu_code_and_rotations():
-    params = GnuParams(3, 3, Fraction(1), 0)
-    cw0, cw1 = logical_pair(params)
-    states = [embed_sym(cw0), embed_sym(cw1)]
-    report = kl_check(states, t=1)
-    assert report["max_violation"] < 1e-10
-    # theta-rotated codewords give the same KL data
-    u = signal_unitary_dense(9, 0.7)
-    rotated = [DenseState(9, u @ s.vec) for s in states]
-    report_rot = kl_check(rotated, t=1)
-    assert report_rot["max_violation"] < 1e-10
+    # the (3,3,1) code and its theta-rotated codewords
+    assert check_kl_gnu() < 1e-10
 
 
 def test_kl_check_names_a_pauli_only_above_rounding():
@@ -359,16 +350,7 @@ def test_general_qec_identity_channel():
 
 
 def test_general_qec_single_qubit_channel():
-    params = GnuParams(3, 3, Fraction(1), 0)
-    cw0, cw1 = logical_pair(params)
-    kraus = [
-        np.eye(2**9, dtype=complex),
-        0.5 * pauli_op(9, (1,), ("X",)),
-        0.5 * pauli_op(9, (1,), ("Z",)),
-    ]
-    norm = math.sqrt(1.5)
-    kraus = [K / norm for K in kraus]
-    rep = general_qec_smallN([embed_sym(cw0), embed_sym(cw1)], kraus, max_weight=1)
+    rep = general_qec_report()
     assert abs(rep["entanglement_fidelity"] - 1.0) < 1e-8
     assert abs(rep["output_trace"] - 1.0) < 1e-10
     for block in rep["blocks"]:

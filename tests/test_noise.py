@@ -9,9 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsense import noise
+from symsense import noise, verify
 from symsense.codes import GnuParams, Label, make_logical
-from symsense.fullspace import embed_sym, partial_trace_first
 from symsense.noise import (
     PRUNE_EPS,
     ADOutcome,
@@ -24,6 +23,7 @@ from symsense.noise import (
     _lgamma_table,
 )
 from symsense.symcore import SymState, binom, jz_moments, log_binom, sqrt_binom_ratio
+from symsense.verify import damping_distance, deletion_distance
 
 
 def test_delete_single_dicke_by_hand():
@@ -58,18 +58,6 @@ def test_delete_branches_orthogonal_mod_g():
             assert ra.isdisjoint(rb)
 
 
-def _trace_distance(x, y):
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
-
-
-def _reconstruct(branches, dim):
-    rho = np.zeros((dim, dim), dtype=complex)
-    for br in branches:
-        v = embed_sym(br.state).vec
-        rho += br.weight * np.outer(v, v.conj())
-    return rho
-
-
 def test_delete_matches_dense_partial_trace():
     rng = np.random.default_rng(31)
     for _ in range(15):
@@ -77,11 +65,17 @@ def test_delete_matches_dense_partial_trace():
         t = int(rng.integers(1, 4))
         if t >= N:
             continue
-        psi = SymState.random(N, rng)
-        dense = embed_sym(psi).vec
-        want = partial_trace_first(np.outer(dense, dense.conj()), N, t)
-        got = _reconstruct(delete(psi, t), 2 ** (N - t))
-        assert _trace_distance(want, got) < 1e-12
+        assert deletion_distance(SymState.random(N, rng), t) < 1e-12
+
+
+def test_shared_oracles_catch_a_broken_channel(monkeypatch):
+    rng = np.random.default_rng(7)
+    psi = SymState.random(6, rng)
+    assert deletion_distance(psi, 2) < 1e-12 and damping_distance(psi, 0.3) < 1e-12
+    monkeypatch.setattr(verify, "delete", lambda psi, t: delete(psi, t)[:-1])
+    assert deletion_distance(psi, 2) > 1e-3
+    monkeypatch.setattr(verify, "amplitude_damp", lambda psi, g: amplitude_damp(psi, g / 2))
+    assert damping_distance(psi, 0.3) > 1e-3
 
 
 def test_delete_rejects_bad_t():

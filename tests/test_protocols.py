@@ -222,7 +222,7 @@ def test_export_roundtrip(tmp_path):
     cfg = small_config(seed=4)
     batch = run_protocol1_batch(cfg, 50)
     jsonl = tmp_path / "traj.jsonl"
-    write_trajectories_jsonl(batch, jsonl)
+    write_trajectories_jsonl([batch], jsonl)
     import json
 
     lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
@@ -324,7 +324,7 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
     batch.flag[::3] = True
     monkeypatch.setattr(protocols, "BATCH_SPAN", 7)  # several chunks
     path = tmp_path / "traj.jsonl"
-    write_trajectories_jsonl(batch, path)
+    write_trajectories_jsonl([batch], path)
     assert path.read_text() == _jsonl_reference(batch)
 
     # integer fields far outside a run's: invalid rows, counts and deletions up to 10^6 (a
@@ -337,14 +337,14 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
     batch.final_shift[:] = rng.integers(-50, 3, size=batch.final_shift.size)
     batch.final_shift[:2] = (-(2**63), 2**63 - 1)
     assert batch.invalid.any() and (batch.final_shift < 0).any() and batch.counts.max() > 9 * 10**5
-    write_trajectories_jsonl(batch, path)
+    write_trajectories_jsonl([batch], path)
     assert path.read_text() == _jsonl_reference(batch)
 
     # a span whose rows are all identical
     same = dataclasses.replace(
         batch, **{name: np.repeat(getattr(batch, name)[3:4], 40, axis=0) for name in BATCH_ARRAYS}
     )
-    write_trajectories_jsonl(same, path)
+    write_trajectories_jsonl([same], path)
     assert path.read_text() == _jsonl_reference(same)
 
 
