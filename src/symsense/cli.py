@@ -1,8 +1,10 @@
 """Command-line front end: figure-reproduction data, simulations, verification.
 
-Every file-producing command writes a JSON run manifest next to its outputs
-(command, full configuration echo, seed, build version, output paths, wall
-time) so results are reproducible byte for byte from the manifest alone.
+This module owns every output file.  A command writes ``--out`` through a
+temporary file that replaces it only if the command succeeds, and ``main``
+then writes one ``<out>.manifest.json`` (command, config echo, seed, build,
+versions, wall time) so results are reproducible byte for byte from the
+manifest alone.  The Protocol-1 JSONL and summary-CSV exporters live here.
 
 Exit codes: 0 success (flagged/aborted simulations are data, not errors),
 1 internal assertion failure, 2 invalid configuration.
@@ -11,7 +13,9 @@ Exit codes: 0 success (flagged/aborted simulations are data, not errors),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
 import platform
@@ -19,6 +23,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -36,6 +41,8 @@ from symsense.optimizer import (
     write_polytope_csv,
 )
 from symsense.protocols import (
+    BATCH_SPAN,
+    BatchResult,
     ProtocolConfig,
     expected_fi_p1,
     parse_threads,
@@ -43,8 +50,6 @@ from symsense.protocols import (
     run_protocol1_batch,
     run_protocol2,
     run_protocol3,
-    write_summary_csv,
-    write_trajectories_jsonl,
 )
 from symsense.qec import deletion_qec
 from symsense.symcore import as_fraction, jz_moments
@@ -75,32 +80,175 @@ def _blas_build() -> dict | None:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def _write_manifest(
-    command: str, config: dict, outputs: list[str], seed, t0: float, workers: int | None = None
-):
-    """Write ``<first output>.manifest.json``, with the Python, numpy and BLAS
-    versions and, for commands that can use a pool, the worker count."""
-    if not outputs:
-        return
+@contextlib.contextmanager
+def _replaced(path: str):
+    """A temporary path beside ``path`` that replaces it if the block succeeds
+    and is removed if it fails, so ``path`` is never left half written."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_manifest(args, path: str, t0: float) -> None:
+    """Write ``<path>.manifest.json``, with the Python, numpy and BLAS versions
+    and, for the Monte-Carlo commands, the worker count."""
     echo = {
-        k: v for k, v in config.items() if isinstance(v, (int, float, str, bool, type(None)))
+        k: v for k, v in vars(args).items() if isinstance(v, (int, float, str, bool, type(None)))
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": echo,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "build": _git_describe(),
-        "outputs": [str(p) for p in outputs],
+        "outputs": [path],
         "wall_time_s": round(time.time() - t0, 3),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": _blas_build(),
     }
-    if workers is not None:
-        manifest["workers"] = workers
-    path = str(outputs[0]) + ".manifest.json"
-    with open(path, "w") as fh:
+    if hasattr(args, "trials"):
+        manifest["workers"] = parse_threads(os.environ.get("SYMSENSE_THREADS"))
+    with _replaced(path + ".manifest.json") as tmp, open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+@contextlib.contextmanager
+def _csv_writer(path: str | None, header: list):
+    """A CSV writer into ``path``, or onto stdout without one, with ``header`` written."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        yield wr
+
+
+# ---------------------------------------------------------------------------
+# Protocol-1 exporters
+# ---------------------------------------------------------------------------
+
+
+_JSONL_ROW = (
+    '{"index": %d, %s, "Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, '
+    '"fisher_information": %s, %s}\n'
+)
+# the two runs of integer fields in a row, each spelled once per distinct value
+_JSONL_HEAD = '"flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]]'
+_JSONL_TAIL = '"n_deletions": %d, "final_shift": %d'
+_JSON_BOOL = ("false", "true")
+_KEY_LIMIT = 2**62  # mixed-radix keys stay below this, well inside int64
+
+
+def _json_floats(col: np.ndarray) -> list[str]:
+    """json.dumps spellings of a float column, each distinct bit pattern spelled once.
+
+    A Monte-Carlo column holds few distinct values (trajectories with the
+    same outcomes share them); keying on the bits keeps -0.0 apart from 0.0.
+    """
+    bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
+    spelled = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return spelled[where].tolist()
+
+
+def _row_keys(cols: list[np.ndarray]) -> np.ndarray:
+    """An int64 key per row of the integer columns ``cols``, equal exactly where the rows are.
+
+    The key is mixed-radix over each column's range.  A column whose range is
+    wider than the row count enters as its distinct-value codes, and the key
+    is compacted to its own distinct-value codes (< the row count) before a
+    radix product would pass 2^62, so it never overflows.
+    """
+    n_rows = cols[0].size
+    key = np.zeros(n_rows, dtype=np.int64)
+    size = 1  # the key lies in [0, size)
+    for col in cols:
+        col = col.astype(np.int64)
+        low = int(col.min())
+        radix = int(col.max()) - low + 1
+        if radix > n_rows:
+            values, col = np.unique(col, return_inverse=True)
+            low, radix = 0, values.size
+        if size * radix > _KEY_LIMIT:
+            values, key = np.unique(key, return_inverse=True)
+            size = values.size
+        key = key * radix + (col - low)
+        size *= radix
+    return key
+
+
+def _spelled_rows(cols: list[np.ndarray], spell) -> list[str]:
+    """spell(row) for each row of the integer columns ``cols``, each distinct row spelled once."""
+    _, first, where = np.unique(_row_keys(cols), return_index=True, return_inverse=True)
+    rows = zip(*(col[first].tolist() for col in cols))
+    spelled = np.array([spell(row) for row in rows], dtype=object)
+    return spelled[where].tolist()
+
+
+def _spell_head(row) -> str:
+    flag, invalid, *counts = row
+    return _JSONL_HEAD % (_JSON_BOOL[flag], _JSON_BOOL[invalid], *counts)
+
+
+def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
+    """One JSON object per trajectory, byte-identical to json.dumps of each row dict.
+
+    ``spans`` is an iterable of consecutive spans, such as
+    :func:`protocol1_spans`; each span's rows are written as it arrives, so
+    formatting overlaps the workers computing later spans.  Columns are
+    converted at most BATCH_SPAN rows at a time and poured into a fixed row
+    template.  An empty stream raises before ``path`` is opened; ``main``
+    hands this a temporary path, so a run that fails later leaves no file
+    either.  Returns the whole batch.
+    """
+    spans = iter(spans)
+    first = next(spans, None)
+    if first is None:
+        raise ValueError(f"no spans to write to {path}: the span stream is empty")
+    parts, n_rows = [], 0
+    with open(path, "w") as fh:
+        for part in itertools.chain([first], spans):
+            _write_rows(fh, part, n_rows)
+            n_rows += part.flag.size
+            parts.append(part)
+    return BatchResult.concatenate(parts, first.config)
+
+
+def _write_rows(fh, batch: BatchResult, first: int) -> None:
+    """Rows of ``batch``, numbered from ``first``.
+
+    Each chunk of at most BATCH_SPAN rows is spelled column group by column
+    group: the (flag, invalid_regime, counts) head and the (n_deletions,
+    final_shift) tail once per distinct value (:func:`_spelled_rows`), each
+    float column once per distinct bit pattern (:func:`_json_floats`).  A row
+    is then a 7-field template filled from the index and those spellings.
+    """
+    for lo in range(0, batch.flag.size, BATCH_SPAN):
+        sl = slice(lo, lo + BATCH_SPAN)
+        counts = batch.counts[sl].reshape(-1, 4)
+        cols = (
+            range(first + lo, first + lo + counts.shape[0]),
+            _spelled_rows([batch.flag[sl], batch.invalid[sl], *counts.T], _spell_head),
+            _json_floats(batch.Phi[sl]),
+            _json_floats(batch.dPhi_dtheta[sl]),
+            _json_floats(batch.final_amp_a[sl]),
+            _json_floats(batch.fisher_information[sl]),
+            _spelled_rows([batch.n_deletions[sl], batch.final_shift[sl]], _JSONL_TAIL.__mod__),
+        )
+        fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
+
+
+def write_summary_csv(batch: BatchResult, path) -> None:
+    """The run's configuration and :meth:`BatchResult.summary` as a one-row CSV."""
+    cfg, p = batch.config, batch.config.params
+    summary = batch.summary()
+    header = ["g", "n", "u", "s", "N", "r", "q", "theta", "n_del", "seed", *summary]
+    with _csv_writer(path, header) as wr:
+        wr.writerow([p.g, p.n, str(p.u), p.s, p.n_qubits, cfg.r, cfg.q, cfg.theta, cfg.n_del,
+                     cfg.seed, *summary.values()])
 
 
 def _params_from_args(args) -> GnuParams:
@@ -111,7 +259,9 @@ def _params_from_args(args) -> GnuParams:
         target = round(args.g * args.n * float(u))
         u = Fraction(target, args.g * args.n)
         print(f"note: u adjusted to {u} ({float(u):.6f}) so g*n*u is an integer", file=sys.stderr)
-    return GnuParams(args.g, args.n, u, args.s)
+    params = GnuParams(args.g, args.n, u, args.s)
+    args.u = str(params.u)  # the manifest echoes the u that ran
+    return params
 
 
 def _check_steps(args) -> None:
@@ -119,41 +269,24 @@ def _check_steps(args) -> None:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
 
 
-def _open_out(args):
-    return open(args.out, "w", newline="") if args.out else sys.stdout
-
-
-def cmd_qfi(args) -> int:
-    t0 = time.time()
+def cmd_qfi(args, out=None) -> int:
     params = _params_from_args(args)
-    plus = make_logical(params, Label.PLUS)
-    value = qfi_pure(plus.state)
-    print(f"QFI = {value:.12g}  (g^2 n = {params.g ** 2 * params.n})")
-    fh = _open_out(args)
-    wr = csv.writer(fh)
-    wr.writerow(["w", "amplitude", "codeword"])
-    for k, w in enumerate(params.weight_lattice()):
-        wr.writerow([int(w), f"{plus.state.amps[w].real:.17g}", "zero" if k % 2 == 0 else "one"])
-    if args.out:
-        fh.close()
-        _write_manifest("qfi", vars(args) | {"u": str(params.u)}, [args.out], None, t0)
+    plus = make_logical(params, Label.PLUS).state
+    print(f"QFI = {qfi_pure(plus):.12g}  (g^2 n = {params.g ** 2 * params.n})")
+    with _csv_writer(out, ["w", "amplitude", "codeword"]) as wr:
+        for k, w in enumerate(params.weight_lattice()):
+            wr.writerow([int(w), f"{plus.amps[w].real:.17g}", "zero" if k % 2 == 0 else "one"])
     return 0
 
 
-def cmd_fi_scan(args) -> int:
-    t0 = time.time()
+def cmd_fi_scan(args, out=None) -> int:
     _check_steps(args)
     params = _params_from_args(args)
     qfi = qfi_pure(make_logical(params, Label.PLUS).state)
-    fh = _open_out(args)
-    wr = csv.writer(fh)
-    wr.writerow(["theta", "fi_two_outcome", "fi_three_outcome", "qfi"])
-    for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
-        f2, f3 = fi_code_basis(params, float(theta))
-        wr.writerow([f"{theta:.12g}", f"{f2:.12g}", f"{f3:.12g}", f"{qfi:.12g}"])
-    if args.out:
-        fh.close()
-        _write_manifest("fi-scan", vars(args) | {"u": str(params.u)}, [args.out], None, t0)
+    with _csv_writer(out, ["theta", "fi_two_outcome", "fi_three_outcome", "qfi"]) as wr:
+        for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
+            f2, f3 = fi_code_basis(params, float(theta))
+            wr.writerow([f"{theta:.12g}", f"{f2:.12g}", f"{f3:.12g}", f"{qfi:.12g}"])
     return 0
 
 
@@ -165,43 +298,31 @@ def cmd_sld(args) -> int:
     return 0
 
 
-def cmd_delete(args) -> int:
-    t0 = time.time()
+def cmd_delete(args, out=None) -> int:
     params = _params_from_args(args)
     if not 1 <= args.t <= params.n_qubits:
         raise ValueError(f"--t must be in 1..{params.n_qubits} (N of the code), got {args.t}")
     plus = make_logical(params, Label.PLUS).state
-    fh = _open_out(args)
-    wr = csv.writer(fh)
-    wr.writerow(["t", "shift", "weight", "branch_variance", "qfi_after"])
-    for t in range(1, args.t + 1):
-        qfi_after = deletion_qfi(params, t) if min(params.g, params.n) > t else float("nan")
-        for br in delete(plus, t):
-            _, _, var = jz_moments(br.state)
-            wr.writerow([t, br.shift, f"{br.weight:.12g}", f"{var:.12g}", f"{qfi_after:.12g}"])
-    if args.out:
-        fh.close()
-        _write_manifest("delete", vars(args) | {"u": str(params.u)}, [args.out], None, t0)
+    with _csv_writer(out, ["t", "shift", "weight", "branch_variance", "qfi_after"]) as wr:
+        for t in range(1, args.t + 1):
+            qfi_after = deletion_qfi(params, t) if min(params.g, params.n) > t else float("nan")
+            for br in delete(plus, t):
+                _, _, var = jz_moments(br.state)
+                wr.writerow([t, br.shift, f"{br.weight:.12g}", f"{var:.12g}", f"{qfi_after:.12g}"])
     return 0
 
 
-def cmd_ad(args) -> int:
-    t0 = time.time()
+def cmd_ad(args, out=None) -> int:
     _check_steps(args)
     if not 0.0 <= args.gamma_max <= 1.0:
         raise ValueError(f"--gamma-max must be in [0, 1], got {args.gamma_max}")
     params = _params_from_args(args)
     plus = make_logical(params, Label.PLUS).state
-    fh = _open_out(args)
-    wr = csv.writer(fh)
-    wr.writerow(["gamma", "qfi_bound", "n_branches"])
-    for gamma in np.linspace(0.0, args.gamma_max, args.steps):
-        bound = ad_qfi_bound(params, float(gamma))
-        nb = len(amplitude_damp(plus, float(gamma)))
-        wr.writerow([f"{gamma:.12g}", f"{bound:.12g}", nb])
-    if args.out:
-        fh.close()
-        _write_manifest("ad", vars(args) | {"u": str(params.u)}, [args.out], None, t0)
+    with _csv_writer(out, ["gamma", "qfi_bound", "n_branches"]) as wr:
+        for gamma in np.linspace(0.0, args.gamma_max, args.steps):
+            bound = ad_qfi_bound(params, float(gamma))
+            nb = len(amplitude_damp(plus, float(gamma)))
+            wr.writerow([f"{gamma:.12g}", f"{bound:.12g}", nb])
     return 0
 
 
@@ -223,12 +344,11 @@ def _protocol_config(args) -> ProtocolConfig:
     return ProtocolConfig(params, args.r, args.q, args.theta, args.ndel, seed=args.seed)
 
 
-def cmd_protocol1(args) -> int:
-    t0 = time.time()
+def cmd_protocol1(args, out=None) -> int:
     config = _protocol_config(args)
-    if args.out and args.format == "json":
+    if out and args.format == "json":
         # rows are written span by span while the workers compute later spans
-        batch = write_trajectories_jsonl(protocol1_spans(config, args.trials), args.out)
+        batch = write_trajectories_jsonl(protocol1_spans(config, args.trials), out)
     else:
         batch = run_protocol1_batch(config, args.trials)
     summary = batch.summary()
@@ -242,13 +362,8 @@ def cmd_protocol1(args) -> int:
         f"of this size can resolve): {ana_res:.6g}"
     )
     print(f"nodel-syn1 rounds in this run: {batch.nodel_syn1_rounds()}")
-    if args.out:
-        if args.format != "json":
-            write_summary_csv(batch, args.out)
-        _write_manifest(
-            "protocol1", vars(args) | {"u": str(config.params.u)}, [args.out], args.seed, t0,
-            workers=parse_threads(os.environ.get("SYMSENSE_THREADS")),
-        )
+    if out and args.format == "csv":
+        write_summary_csv(batch, out)
     return 0
 
 
@@ -267,8 +382,7 @@ def cmd_protocol3(args) -> int:
     return 0
 
 
-def cmd_polytope(args) -> int:
-    t0 = time.time()
+def cmd_polytope(args, out=None) -> int:
     inst = LPInstance(
         as_fraction(args.c), as_fraction(args.q), as_fraction(args.eta),
         as_fraction(args.e1), as_fraction(args.e2),
@@ -287,19 +401,15 @@ def cmd_polytope(args) -> int:
         for v_alpha, v_gamma in feasible_vertices(inst):
             print(f"vertex: alpha = {v_alpha} ({float(v_alpha):.6f}), "
                   f"gamma = {v_gamma} ({float(v_gamma):.6f})")
-    if args.out:
-        write_polytope_csv(inst, args.out)
-        _write_manifest("polytope", vars(args), [args.out], None, t0)
+    if out:
+        write_polytope_csv(inst, out)
     return 0
 
 
-def cmd_fqec_scan(args) -> int:
-    t0 = time.time()
+def cmd_fqec_scan(args, out) -> int:
     qs = [float(x) for x in args.q_list.split(",")]
-    out = args.out or "fqec_vs_c.csv"
     write_fqec_vs_c_csv(out, qs=qs, e1=args.e1, e2=args.e2)
-    print(f"wrote {out}")
-    _write_manifest("fqec-scan", vars(args), [out], None, t0)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -317,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "closed forms, channels, QEC-while-sensing protocols, and the protocol LP.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    csv_out = "output CSV (default: stdout)"
 
     def add_code_flags(p):
         p.add_argument("--g", type=int, required=True, help="weight-lattice gap")
@@ -324,19 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--u", default="1", help="scale (rational like 44/43, or float)")
         p.add_argument("--s", type=int, default=0, help="lattice shift")
 
-    def add_io_flags(p):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+    def add_protocol_flags(p):
+        add_code_flags(p)
+        p.add_argument("--r", type=int, required=True, help="QEC rounds")
+        p.add_argument("--q", type=float, required=True, help="timestep exponent (tau = r^-q)")
+        p.add_argument("--theta", type=float, required=True, help="signal per unit time")
+        p.add_argument("--ndel", type=float, default=0.0, help="deletions per qubit per time")
+        p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("qfi", help="codeword QFI and amplitude table")
     add_code_flags(p)
-    add_io_flags(p)
+    p.add_argument("--out", help=csv_out)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("fi-scan", help="code-basis FI vs theta")
     add_code_flags(p)
-    add_io_flags(p)
+    p.add_argument("--out", help=csv_out)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=101)
@@ -348,13 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delete", help="deletion-channel branches and post-deletion QFI")
     add_code_flags(p)
-    add_io_flags(p)
+    p.add_argument("--out", help=csv_out)
     p.add_argument("--t", type=int, default=1, help="max deletions")
     p.set_defaults(func=cmd_delete)
 
     p = sub.add_parser("ad", help="amplitude-damping QFI bound vs gamma")
     add_code_flags(p)
-    add_io_flags(p)
+    p.add_argument("--out", help=csv_out)
     p.add_argument("--gamma-max", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=26)
     p.set_defaults(func=cmd_ad)
@@ -364,16 +479,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.set_defaults(func=cmd_qec_delete)
 
-    for name, fn in (("protocol1", cmd_protocol1), ("protocol2", cmd_protocol2)):
-        p = sub.add_parser(name, help=f"Monte-Carlo {name}")
-        add_code_flags(p)
-        add_io_flags(p)
-        p.add_argument("--r", type=int, required=True, help="QEC rounds")
-        p.add_argument("--q", type=float, required=True, help="timestep exponent (tau = r^-q)")
-        p.add_argument("--theta", type=float, required=True, help="signal per unit time")
-        p.add_argument("--ndel", type=float, default=0.0, help="deletions per qubit per time")
-        p.add_argument("--trials", type=int, default=1000)
-        p.set_defaults(func=fn)
+    p = sub.add_parser("protocol1", help="Monte-Carlo protocol1")
+    add_protocol_flags(p)
+    p.add_argument("--out", help="output file: the summary CSV, or every trajectory as JSONL")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(func=cmd_protocol1)
+
+    p = sub.add_parser("protocol2", help="Monte-Carlo protocol2")
+    add_protocol_flags(p)
+    p.set_defaults(func=cmd_protocol2)
 
     p = sub.add_parser("protocol3", help="iterated precision-exponent boosting")
     p.add_argument("--c1", type=float, default=0.5)
@@ -389,14 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="1")
     p.add_argument("--e1", default="1/10")
     p.add_argument("--e2", default="1/10")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", help="output CSV of the feasibility grid (default: none)")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("fqec-scan", help="protocol FI exponent vs prior knowledge c")
     p.add_argument("--q-list", default="1,1.25,1.5")
     p.add_argument("--e1", type=float, default=0.0)
     p.add_argument("--e2", type=float, default=0.0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="fqec_vs_c.csv")
     p.set_defaults(func=cmd_fqec_scan)
 
     p = sub.add_parser("verify", help="run the small-N oracle verification suite")
@@ -412,8 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        if out is None:
+            return args.func(args)
+        with _replaced(out) as tmp:
+            code = args.func(args, tmp)
+        _write_manifest(args, out, t0)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

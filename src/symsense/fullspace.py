@@ -536,18 +536,18 @@ def general_qec_smallN(
         dim_block = j2 + 1
         # coefficients of Pi^T E |j_L> in the block's magnetic basis
         coeffs = err_c[:, :, start : start + dim_block]
-        gram = coeffs[:, 0] @ coeffs[:, 0].conj().T
-        # KL equality of Gram matrices across j is what makes one coefficient
-        # matrix serve all codewords
-        evals, evecs = np.linalg.eigh(gram)
-        keep = evals > 1e-10
+        # the first codeword's Gram matrix C C^dag is U sigma^2 U^dag by the thin
+        # SVD of C; KL equality of Gram matrices across j is what makes one
+        # coefficient matrix serve all codewords
+        u_vecs, sigma, _ = np.linalg.svd(coeffs[:, 0], full_matrices=False)
+        keep = sigma**2 > 1e-10
         r_t = int(np.sum(keep))
         rem = np.eye(dim_block, dtype=complex)
         if r_t:
             r_report.append({"j_path": blk.j_path_doubled, "r_T": r_t, "bound": dim_block / M})
             # orthonormalizing combinations: columns v with v^dag Gram v = delta;
             # beta[k, j] holds the block coefficients of the recovery row b_kj
-            combo = evecs[:, keep] / np.sqrt(evals[keep])
+            combo = u_vecs[:, keep] / sigma[keep]
             beta = np.einsum("ek,ejm->kjm", combo.conj(), coeffs)
             cover[j2] += np.einsum("kam,kbn->abmn", beta.conj(), beta)
             rem -= np.einsum("kjm,kjn->mn", beta, beta.conj())

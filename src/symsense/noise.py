@@ -178,19 +178,27 @@ def _damping_terms(state: SymState, support: np.ndarray, xs: np.ndarray, gamma_a
     ends = np.cumsum(counts)
     x = np.repeat(xs, counts)
     w = support[np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)]
-    if gamma_ad == 0.0:
-        pwx = (x == 0).astype(float)
-    elif gamma_ad == 1.0:
-        pwx = (w == x).astype(float)
-    else:
-        # p_w(x) in log space: C(w,x) can be huge while p_w(x) is tiny
-        lg = _lgamma_table(state.n_qubits)
-        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
-        log_p = lg[w] - lg[x] - lg[w - x] + x * log_g + (w - x) * log_1mg
-        pwx = np.fromiter(map(math.exp, log_p.tolist()), float, w.size)
+    pwx = _damping_probs(state.n_qubits, w, x, gamma_ad)
     keep = np.flatnonzero(pwx > 0.0)
     bounds = np.searchsorted(keep, np.concatenate(([0], ends))).tolist()
     return w[keep] - x[keep], state.amps[w[keep]] * np.sqrt(pwx[keep]), bounds
+
+
+def _damping_probs(n_qubits: int, w: np.ndarray, x: np.ndarray, gamma_ad: float) -> np.ndarray:
+    """p_w(x) = C(w,x) gamma^x (1-gamma)^(w-x) over broadcast ``w >= x``.
+
+    Exact at gamma 0 and 1, else ``math.exp`` of the log (C(w,x) can be huge
+    while p_w(x) is tiny; ``np.exp`` differs in the last bit on some arguments).
+    """
+    d = w - x
+    if gamma_ad == 0.0:
+        return (d == w).astype(float)
+    if gamma_ad == 1.0:
+        return (d == 0).astype(float)
+    lg = _lgamma_table(n_qubits)
+    log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
+    log_p = lg[w] - lg[x] - lg[d] + x * log_g + d * log_1mg
+    return np.fromiter(map(math.exp, log_p.ravel().tolist()), float, d.size).reshape(d.shape)
 
 
 def _binom_row(n: int) -> list[int]:
@@ -268,10 +276,7 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
         raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
     if gamma_ad == 0.0:
         return float(params.g**2 * params.n)
-    g, n, s = params.g, params.n, params.s
-    if gamma_ad < 1.0:
-        lg = _lgamma_table(params.n_qubits)
-        log_g, log_1mg = math.log(gamma_ad), math.log1p(-gamma_ad)
+    g, n, s, N = params.g, params.n, params.s, params.n_qubits
     coef = np.array([2.0**-n * binom(n, k) for k in range(n + 1)])
     total = 0.0
     # no lattice weight lies above s + g n, so later branches are empty
@@ -280,13 +285,7 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
         x = np.arange(s + g * (k0 - 1) + 1 if k0 else 0, s + g * k0 + 1)[:, None]
         w = s + g * np.arange(k0, n + 1)
         d = w - x
-        if gamma_ad == 1.0:
-            pwx = (d == 0).astype(float)
-        else:
-            log_p = lg[w] - lg[x] - lg[d] + x * log_g + d * log_1mg
-            pwx = np.fromiter(map(math.exp, log_p.ravel().tolist()), float, d.size)
-            pwx = pwx.reshape(d.shape)
-        probs = coef[k0:] * pwx
+        probs = coef[k0:] * _damping_probs(N, w, x, gamma_ad)
         nx = probs.sum(axis=1)
         live = nx > 0.0
         nx = nx[live]

@@ -32,9 +32,9 @@ The batch has one span loop, :func:`protocol1_spans`.  Its spans run on a
 process pool with one worker per usable CPU by default (SYMSENSE_THREADS=1
 runs them in this process) and arrive in index order; because every stream
 is keyed by its trajectory index, the worker count never changes a bit of
-the result.  :func:`run_protocol1_batch` concatenates the spans, and
-:func:`write_trajectories_jsonl` writes each one as it arrives, spelling each
-distinct value of a column group once.
+the result.  :func:`run_protocol1_batch` concatenates the spans; the CLI's
+JSONL exporter (:mod:`symsense.cli`) writes each one as it arrives.  This
+module reads and writes no files.
 
 Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
 the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
@@ -45,15 +45,13 @@ after one that leaves a code which no longer fits (N - s < g n, or s < 0).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -376,6 +374,16 @@ class BatchResult:
             return float("nan")
         return float(np.std(self.fisher_information[ok], ddof=1) / math.sqrt(n))
 
+    @classmethod
+    def concatenate(cls, parts: list[BatchResult], config: ProtocolConfig) -> BatchResult:
+        """The consecutive spans ``parts`` as one batch of ``config``."""
+        merged = {
+            f.name: np.concatenate([getattr(part, f.name) for part in parts])
+            for f in fields(cls)
+            if f.name != "config"
+        }
+        return cls(config=config, **merged)
+
     def summary(self) -> dict:
         return {
             "n_traj": int(self.flag.size),
@@ -443,15 +451,6 @@ def _mapped_spans(workers: int, span_args) -> Iterator[BatchResult]:
         pool.shutdown(cancel_futures=True)
 
 
-def _concatenate(parts: list[BatchResult], config: ProtocolConfig) -> BatchResult:
-    merged = {
-        f.name: np.concatenate([getattr(part, f.name) for part in parts])
-        for f in fields(BatchResult)
-        if f.name != "config"
-    }
-    return BatchResult(config=config, **merged)
-
-
 def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     """Lock-step Monte-Carlo over n_traj trajectories on the code lattice.
 
@@ -463,7 +462,7 @@ def run_protocol1_batch(config: ProtocolConfig, n_traj: int) -> BatchResult:
     usable CPU unless SYMSENSE_THREADS says otherwise; serial and pooled
     runs agree bit for bit.
     """
-    return _concatenate(list(protocol1_spans(config, n_traj)), config)
+    return BatchResult.concatenate(list(protocol1_spans(config, n_traj)), config)
 
 
 def _span_uniforms(seed: int, lo: int, hi: int, r: int) -> np.ndarray:
@@ -652,6 +651,10 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
 # analytic leading-order expectation
 # ---------------------------------------------------------------------------
 
+# most rounds of each rare class a trajectory is enumerated with, in the order
+# (nodel-syn1, del0-syn0, del0-syn1, del1-syn0, del1-syn1)
+RARE_COUNT_CAPS = (1, 6, 2, 6, 2)
+
 
 def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, float]]:
     """Per-round outcome classes as (probability, |u|, phase, dphase/dtheta).
@@ -698,7 +701,6 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
 
 def expected_fi_p1(
     config: ProtocolConfig,
-    max_counts: tuple = (1, 6, 2, 6, 2),
     include_nodel_syn1: bool = True,
     max_total_syn1: int | None = None,
 ) -> dict:
@@ -706,7 +708,7 @@ def expected_fi_p1(
 
     Enumerates trajectories by their per-round outcome counts over the six
     classes of :func:`_round_classes` (all but the dominant no-deletion syn=0
-    class are rare, so the enumeration is truncated at ``max_counts``), folds
+    class are rare, so the enumeration is truncated at ``RARE_COUNT_CAPS``), folds
     the plus/minus readout prefactor exactly, and averages.  Everything uses
     the exact zeta / sandwich-ratio functions, hence the direct-expansion
     cubic coefficient zeta_0 ~ -(g Delta)^3 / 4.
@@ -740,7 +742,7 @@ def expected_fi_p1(
 
     mean = 0.0
     total_p = 0.0
-    ranges = [range(min(cap, r) + 1) for cap in max_counts]
+    ranges = [range(min(cap, r) + 1) for cap in RARE_COUNT_CAPS]
     for counts in itertools.product(*ranges):
         m = sum(counts)
         if m > r:
@@ -825,137 +827,3 @@ def baselines(N: int, eta: float, q: float, gamma_rounds: float) -> tuple[float,
     snl = 1.0 + 2.0 * gamma_rounds * (1.0 - q)
     ghz = max(2.0 - 2.0 * eta, -2.0 * gamma_rounds * (q - 1.0))
     return snl, ghz
-
-
-# ---------------------------------------------------------------------------
-# exporters
-# ---------------------------------------------------------------------------
-
-
-_JSONL_ROW = (
-    '{"index": %d, %s, "Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, '
-    '"fisher_information": %s, %s}\n'
-)
-# the two runs of integer fields in a row, each spelled once per distinct value
-_JSONL_HEAD = '"flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]]'
-_JSONL_TAIL = '"n_deletions": %d, "final_shift": %d'
-_JSON_BOOL = ("false", "true")
-_KEY_LIMIT = 2**62  # mixed-radix keys stay below this, well inside int64
-
-
-def _json_floats(col: np.ndarray) -> list[str]:
-    """json.dumps spellings of a float column, each distinct bit pattern spelled once.
-
-    A Monte-Carlo column holds few distinct values (trajectories with the
-    same outcomes share them); keying on the bits keeps -0.0 apart from 0.0.
-    """
-    bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
-    spelled = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return spelled[where].tolist()
-
-
-def _row_keys(cols: list[np.ndarray]) -> np.ndarray:
-    """An int64 key per row of the integer columns ``cols``, equal exactly where the rows are.
-
-    The key is mixed-radix over each column's range.  A column whose range is
-    wider than the row count enters as its distinct-value codes, and the key
-    is compacted to its own distinct-value codes (< the row count) before a
-    radix product would pass 2^62, so it never overflows.
-    """
-    n_rows = cols[0].size
-    key = np.zeros(n_rows, dtype=np.int64)
-    size = 1  # the key lies in [0, size)
-    for col in cols:
-        col = col.astype(np.int64)
-        low = int(col.min())
-        radix = int(col.max()) - low + 1
-        if radix > n_rows:
-            values, col = np.unique(col, return_inverse=True)
-            low, radix = 0, values.size
-        if size * radix > _KEY_LIMIT:
-            values, key = np.unique(key, return_inverse=True)
-            size = values.size
-        key = key * radix + (col - low)
-        size *= radix
-    return key
-
-
-def _spelled_rows(cols: list[np.ndarray], spell) -> list[str]:
-    """spell(row) for each row of the integer columns ``cols``, each distinct row spelled once."""
-    _, first, where = np.unique(_row_keys(cols), return_index=True, return_inverse=True)
-    rows = zip(*(col[first].tolist() for col in cols))
-    spelled = np.array([spell(row) for row in rows], dtype=object)
-    return spelled[where].tolist()
-
-
-def _spell_head(row) -> str:
-    flag, invalid, *counts = row
-    return _JSONL_HEAD % (_JSON_BOOL[flag], _JSON_BOOL[invalid], *counts)
-
-
-def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
-    """One JSON object per trajectory, byte-identical to json.dumps of each row dict.
-
-    ``spans`` is an iterable of consecutive spans, such as
-    :func:`protocol1_spans`; each span's rows are written as it arrives, so
-    formatting overlaps the workers computing later spans.  Columns are
-    converted at most BATCH_SPAN rows at a time and poured into a fixed row
-    template.  The rows go to a temporary file beside ``path`` that replaces
-    it only when every span is written, so a failed run leaves no partial
-    file.  Returns the whole batch.
-    """
-    parts = []
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            first = 0
-            for part in spans:
-                _write_rows(fh, part, first)
-                first += part.flag.size
-                parts.append(part)
-            if not parts:
-                raise ValueError(f"no spans to write to {path}: the span stream is empty")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    return _concatenate(parts, parts[0].config)
-
-
-def _write_rows(fh, batch: BatchResult, first: int) -> None:
-    """Rows of ``batch``, numbered from ``first``.
-
-    Each chunk of at most BATCH_SPAN rows is spelled column group by column
-    group: the (flag, invalid_regime, counts) head and the (n_deletions,
-    final_shift) tail once per distinct value (:func:`_spelled_rows`), each
-    float column once per distinct bit pattern (:func:`_json_floats`).  A row
-    is then a 7-field template filled from the index and those spellings.
-    """
-    for lo in range(0, batch.flag.size, BATCH_SPAN):
-        sl = slice(lo, lo + BATCH_SPAN)
-        counts = batch.counts[sl].reshape(-1, 4)
-        cols = (
-            range(first + lo, first + lo + counts.shape[0]),
-            _spelled_rows([batch.flag[sl], batch.invalid[sl], *counts.T], _spell_head),
-            _json_floats(batch.Phi[sl]),
-            _json_floats(batch.dPhi_dtheta[sl]),
-            _json_floats(batch.final_amp_a[sl]),
-            _json_floats(batch.fisher_information[sl]),
-            _spelled_rows([batch.n_deletions[sl], batch.final_shift[sl]], _JSONL_TAIL.__mod__),
-        )
-        fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
-
-
-def write_summary_csv(batch: BatchResult, path):
-    import csv as _csv
-
-    cfg, p = batch.config, batch.config.params
-    summary = batch.summary()
-    with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh)
-        wr.writerow(["g", "n", "u", "s", "N", "r", "q", "theta", "n_del", "seed", *summary])
-        wr.writerow([p.g, p.n, str(p.u), p.s, p.n_qubits, cfg.r, cfg.q, cfg.theta, cfg.n_del,
-                     cfg.seed, *summary.values()])

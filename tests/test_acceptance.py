@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
 from symsense.metrology import qfi_pure

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, outputs, manifests, determinism."""
 
+import csv
 import json
 import platform
 import subprocess
@@ -260,6 +261,101 @@ def test_protocol1_failed_run_leaves_no_files(tmp_path, capsys, monkeypatch):
     out.write_text("earlier run\n")
     assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier run\n"
+
+
+def _rows_fail_after_the_first(monkeypatch, directory):
+    """Every csv writer raises at its second row; returns the file sizes seen then."""
+    real_writer, seen = csv.writer, []
+
+    class Writer:
+        def __init__(self, fh, *args, **kwargs):
+            self.fh, self.wr, self.rows = fh, real_writer(fh, *args, **kwargs), 0
+
+        def writerow(self, row):
+            if self.rows:
+                self.fh.flush()
+                seen.append(sorted(p.stat().st_size for p in directory.iterdir()))
+                raise ValueError("row failed")
+            self.wr.writerow(row)
+            self.rows += 1
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", Writer)
+    return seen
+
+
+def _spans_fail_after_the_first(monkeypatch, directory):
+    """The second Protocol-1 span raises; returns the file sizes seen then."""
+    run_span, seen = protocols._run_batch_span, []
+
+    def fail_after_first_span(config, lo, hi):
+        if lo > 0:
+            seen.append(sorted(p.stat().st_size for p in directory.iterdir()))
+            raise ValueError("span failed")
+        return run_span(config, lo, hi)
+
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 64)
+    monkeypatch.setattr(protocols, "_run_batch_span", fail_after_first_span)
+    monkeypatch.setenv("SYMSENSE_THREADS", "1")
+    return seen
+
+
+CODE_3_3 = ["--g", "3", "--n", "3"]
+PROTOCOL1_CSV = PROTOCOL1_SMALL[:-1] + ["csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, fail",
+    [
+        (["qfi", *CODE_3_3], _rows_fail_after_the_first),
+        (["fi-scan", *CODE_3_3, "--steps", "5"], _rows_fail_after_the_first),
+        (["delete", *CODE_3_3, "--t", "2"], _rows_fail_after_the_first),
+        (["ad", *CODE_3_3, "--steps", "5"], _rows_fail_after_the_first),
+        (["polytope"], _rows_fail_after_the_first),
+        (["fqec-scan", "--q-list", "1.5"], _rows_fail_after_the_first),
+        (PROTOCOL1_CSV, _rows_fail_after_the_first),
+        (PROTOCOL1_SMALL, _spans_fail_after_the_first),
+    ],
+    ids=["qfi", "fi-scan", "delete", "ad", "polytope", "fqec-scan", "protocol1-csv",
+         "protocol1-json"],
+)
+def test_a_run_that_fails_mid_file_leaves_no_file(tmp_path, capsys, monkeypatch, argv, fail):
+    out = tmp_path / "out.data"
+    seen = fail(monkeypatch, tmp_path)
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "failed" in capsys.readouterr().err
+    # the failure came after rows reached the temporary file, which is gone
+    assert len(seen) == 1 and len(seen[0]) == 1 and seen[0][0] > 0
+    assert list(tmp_path.iterdir()) == []
+    # the file of an earlier run is kept as it was
+    out.write_text("earlier run\n")
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier run\n"
+
+
+PROTOCOL2 = ["protocol2", *CODE_3_3, "--r", "2", "--q", "1", "--theta", "0.01", "--trials", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, *CODE_3_3, *flag]
+        for command in ("qfi", "fi-scan", "delete", "ad")
+        for flag in (["--format", "json"], ["--seed", "1"])
+    ]
+    + [PROTOCOL2 + ["--out", "p.jsonl"], PROTOCOL2 + ["--format", "json"]],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_protocol1_one_span_starts_no_pool(tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
 """Smoke-run every demo script in a scratch directory."""
 
-import os
 import pathlib
 import runpy
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsense import protocols
+from symsense import cli, protocols
+from symsense.cli import write_summary_csv, write_trajectories_jsonl
 from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
 from symsense.noise import delete
 from symsense.protocols import (
@@ -23,8 +24,6 @@ from symsense.protocols import (
     run_protocol2,
     run_protocol3,
     trajectory_rng,
-    write_summary_csv,
-    write_trajectories_jsonl,
 )
 from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
 from symsense.symcore import SymState, apply_signal
@@ -322,7 +321,7 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
         col[j : j + len(specials)] = specials
         col[30:] = col[0]  # repeated values share one spelling
     batch.flag[::3] = True
-    monkeypatch.setattr(protocols, "BATCH_SPAN", 7)  # several chunks
+    monkeypatch.setattr(cli, "BATCH_SPAN", 7)  # several chunks
     path = tmp_path / "traj.jsonl"
     write_trajectories_jsonl([batch], path)
     assert path.read_text() == _jsonl_reference(batch)
@@ -357,7 +356,7 @@ def test_row_keys_compact_before_the_radix_product_overflows():
         col[1000:1100] = col[1000]  # repeated rows, so equal keys must appear
     # a constant column, and one whose range (2^64) does not fit an int64
     cols += [np.full(2000, -7), np.array([-(2**63), 2**63 - 1] * 1000)]
-    key = protocols._row_keys(cols)
+    key = cli._row_keys(cols)
     assert key.dtype == np.int64 and key.min() >= 0
     want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1].ravel()
     # equal keys exactly where the rows are equal
