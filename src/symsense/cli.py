@@ -345,8 +345,10 @@ def _protocol_config(args) -> ProtocolConfig:
 
 
 def cmd_protocol1(args, out=None) -> int:
+    if args.format == "json" and not out:
+        raise ValueError("--format json writes every trajectory to --out, and no --out was given")
     config = _protocol_config(args)
-    if out and args.format == "json":
+    if args.format == "json":
         # rows are written span by span while the workers compute later spans
         batch = write_trajectories_jsonl(protocol1_spans(config, args.trials), out)
     else:

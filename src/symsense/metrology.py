@@ -98,7 +98,7 @@ def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:
 PI_4_COS_FLOOR = 2.0**-51
 
 
-def fi_phase_readout(phi_amp: float, Phi: float, dPhi_dtheta: float) -> float:
+def fi_phase_readout(phi_amp, Phi, dPhi_dtheta):
     """FI of a plus/minus measurement on cos(phi)|a0> + e^{i Phi} sin(phi)|a1>.
 
     F = sin^2(2 phi) sin^2(Phi) / (cos^2(2 phi) + sin^2(2 phi) sin^2(Phi)) * (dPhi/dtheta)^2.
@@ -106,9 +106,10 @@ def fi_phase_readout(phi_amp: float, Phi: float, dPhi_dtheta: float) -> float:
     near phi = pi/4, Phi = 0.  At phi = pi/4 (to within the rounding of phi,
     see PI_4_COS_FLOOR) the prefactor is identically 1, including the Phi -> 0
     limit where the expression is 0/0, so the FI is (dPhi/dtheta)^2.
+    Elementwise over arrays that broadcast; a scalar for scalar inputs.
     """
-    c2 = math.cos(2.0 * phi_amp)
-    if abs(c2) <= PI_4_COS_FLOOR:
-        return dPhi_dtheta**2
-    num = (math.sin(2.0 * phi_amp) * math.sin(Phi)) ** 2
-    return num / (c2 * c2 + num) * dPhi_dtheta**2
+    phi_amp = np.asarray(phi_amp)
+    c2 = np.cos(2.0 * phi_amp)
+    num = (np.sin(2.0 * phi_amp) * np.sin(Phi)) ** 2
+    pref = np.where(np.abs(c2) <= PI_4_COS_FLOOR, 1.0, num / (c2 * c2 + num))
+    return pref * np.asarray(dPhi_dtheta) ** 2

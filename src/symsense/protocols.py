@@ -56,7 +56,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
-from symsense.metrology import PI_4_COS_FLOOR
+from symsense.metrology import fi_phase_readout
 from symsense.noise import delete
 from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
 from symsense.symcore import SymState, signal_phases
@@ -181,15 +181,6 @@ def _phase_step(x0, x1, dx0, dx1):
     return np.angle(x1 / x0), (dx1 / x1 - dx0 / x0).imag
 
 
-def fi_phase_readout_vec(phi_amp, Phi, dPhi) -> np.ndarray:
-    """Vectorized plus/minus readout FI (see metrology.fi_phase_readout)."""
-    phi_amp = np.asarray(phi_amp)
-    c2 = np.cos(2.0 * phi_amp)
-    num = (np.sin(2.0 * phi_amp) * np.sin(Phi)) ** 2
-    pref = np.where(np.abs(c2) <= PI_4_COS_FLOOR, 1.0, num / (c2 * c2 + num))
-    return pref * np.asarray(dPhi) ** 2
-
-
 # ---------------------------------------------------------------------------
 # exact reference trajectory
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     """
     p = config.params
     g = p.g
-    tau, delta = config.tau, config.theta * config.tau
+    tau, delta = config.tau, config.delta
     z = [zeta(p, delta, j) for j in (0, 1)]
     dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
     uniforms = rng.random((config.r, 3)).tolist()
@@ -326,7 +317,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     final = _on_weights(n_cur, support, amps)
     a0, a1 = complex(np.vdot(frame.cw0, final)), complex(np.vdot(frame.cw1, final))
     phi_amp = math.atan2(abs(a1), abs(a0))
-    fi = float(fi_phase_readout_vec(phi_amp, Phi, dPhi))
+    fi = float(fi_phase_readout(phi_amp, Phi, dPhi))
     return TrajectoryRecord(counts, Phi, dPhi, False, False, s_cur, abs(a0), fi, n_deleted,
                             state_phase=float(np.angle(a1 / a0)))
 
@@ -518,7 +509,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     r = config.r
     p = config.params
     g, N0, s0 = p.g, p.n_qubits, p.s
-    tau, delta = config.tau, config.theta * config.tau
+    tau, delta = config.tau, config.delta
     U = _span_uniforms(config.seed, lo, hi, r)
 
     # phase increments of a round by outcome 2 t + syn (t = 1 rows are
@@ -632,7 +623,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     ok = ~(flag | invalid)
     a_abs, b_abs = np.sqrt(mod2[:, back])
     phi_amp = np.arctan2(b_abs, a_abs)
-    fi = np.where(ok, fi_phase_readout_vec(phi_amp, Phi, dPhi), 0.0)
+    fi = np.where(ok, fi_phase_readout(phi_amp, Phi, dPhi), 0.0)
     return BatchResult(
         flag=flag,
         invalid=invalid,
@@ -675,7 +666,7 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
     """
     p = config.params
     g, n, N, s = p.g, p.n, p.n_qubits, p.s
-    tau, delta = config.tau, config.theta * config.tau
+    tau, delta = config.tau, config.delta
     lam = config.n_del * N * tau
     p_del = lam / (1.0 + lam)
 
@@ -770,7 +761,7 @@ def expected_fi_p1(
         if prob_traj < 1e-18:
             continue
         phi_amp = math.atan(mod_u)  # tan(phi) = |b/a| Prod|u| with a = b initially
-        fi = float(fi_phase_readout_vec(phi_amp, Phi, dPhi))
+        fi = float(fi_phase_readout(phi_amp, Phi, dPhi))
         mean += prob_traj * fi
         total_p += prob_traj
     mean /= total_p

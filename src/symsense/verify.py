@@ -16,6 +16,15 @@ Criterion 10 runs ``check_schur_dimension``, ``check_syt_counts``,
 ``check_sequential_split``, ``check_kl_gnu`` and ``check_general_qec``.
 test_noise.py::test_shared_oracles_catch_a_broken_channel shows the deletion
 and damping oracles failing on a broken channel.
+
+``protocol1_mismatches`` is the one comparison of the Protocol-1 batch with
+its exact reference trajectory; the ``verify`` command does not run it.  It is
+called by test_protocols.py::test_reference_and_batch_agree_trajectorywise,
+test_protocols.py::test_batch_phase_vs_state_phase,
+test_protocols.py::test_reference_and_batch_agree_high_noise,
+test_protocols.py::test_flag_and_invalid_regime_paths,
+test_protocols.py::test_regime_rule_agrees_on_both_paths and
+test_protocols.py::test_reference_and_batch_agree_at_the_criterion8_code.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from symsense.fullspace import (
 )
 from symsense.metrology import qfi_pure
 from symsense.noise import amplitude_damp, delete, deletion_qfi
+from symsense.protocols import BatchResult, run_protocol1, trajectory_rng
 from symsense.qec import pflag_closed_form, qec_sense_probabilities
 from symsense.symcore import SymState, apply_signal, binom
 
@@ -205,6 +215,43 @@ def check_pflag() -> float:
             b = math.sqrt(1.0 - a * a)
             worst = max(worst, projection_deviation(params, x, a, b))
     return worst
+
+
+# Protocol-1 record fields the two paths compute in different float orders, as
+# (field, rel, abs): |got - want| <= max(rel |want|, abs), or both NaN.  The
+# other fields must be equal.
+PROTOCOL1_TOLERANCES = (
+    ("Phi", 1e-9, 1e-13),
+    ("dPhi_dtheta", 1e-9, 1e-12),
+    ("final_amp_a", 0.0, 1e-10),
+    ("fisher_information", 1e-6, 1e-300),
+)
+PROTOCOL1_EXACT = ("flag", "invalid_regime", "counts", "n_deletions", "final_shift")
+
+
+def protocol1_mismatches(batch: BatchResult, indices) -> list[str]:
+    """Where the rows ``indices`` of ``batch`` differ from ``run_protocol1``.
+
+    Each row is replayed by the exact reference trajectory on its own stream,
+    ``trajectory_rng(batch.config.seed, index)``, and compared field by field,
+    aborted rows included.  One line per mismatch names the trajectory, the
+    field, the batch's value and the reference's.
+    """
+    config = batch.config
+    found = []
+    for index in map(int, indices):
+        rec = run_protocol1(config, trajectory_rng(config.seed, index))
+        for field in PROTOCOL1_EXACT:
+            got = getattr(batch, "invalid" if field == "invalid_regime" else field)[index].tolist()
+            want = np.asarray(getattr(rec, field)).tolist()
+            if got != want:
+                found.append(f"trajectory {index}: {field} {got!r}, want {want!r}")
+        for field, rel, abs_tol in PROTOCOL1_TOLERANCES:
+            got, want = float(getattr(batch, field)[index]), float(getattr(rec, field))
+            close = got == want or abs(got - want) <= max(rel * abs(want), abs_tol)
+            if not (close or math.isnan(got) and math.isnan(want)):
+                found.append(f"trajectory {index}: {field} {got!r}, want {want!r}")
+    return found
 
 
 def check_deletion_qfi_monotone() -> list:

@@ -1,11 +1,14 @@
 """Command-line front end: parsing, outputs, manifests, determinism."""
 
+import ast
 import csv
 import json
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,18 @@ def test_protocol1_failed_run_leaves_no_files(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "earlier run\n"
 
 
+def test_protocol1_json_without_out_is_rejected_before_running(tmp_path, capsys, monkeypatch):
+    def no_span(config, lo, hi):
+        raise AssertionError("a span ran")
+
+    monkeypatch.setattr(protocols, "_run_batch_span", no_span)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(PROTOCOL1_SMALL) == 2
+    captured = capsys.readouterr()
+    assert "--format json" in captured.err and "--out" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _rows_fail_after_the_first(monkeypatch, directory):
     """Every csv writer raises at its second row; returns the file sizes seen then."""
     real_writer, seen = csv.writer, []
@@ -424,3 +439,15 @@ def test_verify_json_exit_code_matches_text_mode(monkeypatch, capsys):
     failed = [rec for rec in records if not rec["pass"]]
     assert failed == [{"name": "general QEC entanglement fidelity", "value": 0.5,
                        "threshold": 1e-8, "pass": False}]
+
+
+def test_verify_docstring_names_only_tests_that_exist():
+    # the module docstring maps each shared comparison to the tests that call it
+    import symsense.verify
+
+    named = re.findall(r"(test_\w+\.py)::(test_\w+)", symsense.verify.__doc__)
+    assert named
+    for file, name in named:
+        tree = ast.parse((Path(__file__).parent / file).read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in defined, f"{file}::{name}"

@@ -8,7 +8,6 @@ import pytest
 
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.metrology import fi_code_basis, fi_phase_readout, qfi_pure, sld
-from symsense.protocols import fi_phase_readout_vec
 from symsense.symcore import SymState, apply_signal
 
 
@@ -150,18 +149,15 @@ def test_fi_phase_readout_without_cancellation_near_pi_4(offset, want):
     # sin^2 Phi / (sin^2 2d + sin^2 Phi) = 1e-16 / (4 d^2 + 1e-16)
     got = fi_phase_readout(math.pi / 4 + offset, 1e-8, 1.0)
     assert got == pytest.approx(want, rel=1e-6)
-    assert fi_phase_readout_vec(math.pi / 4 + offset, 1e-8, 1.0) == got
-    twins = fi_phase_readout_vec(np.array([math.pi / 4 + offset, 0.3]), np.array([1e-8, 0.2]), 2.0)
-    assert twins.tolist() == [4.0 * got, fi_phase_readout(0.3, 0.2, 2.0)]
+    rows = fi_phase_readout(np.array([math.pi / 4 + offset, 0.3]), np.array([1e-8, 0.2]), 2.0)
+    assert rows.tolist() == [4.0 * got, fi_phase_readout(0.3, 0.2, 2.0)]
 
 
 def test_fi_phase_readout_pi_4_floor():
     # phi within its own rounding of pi/4 is pi/4: prefactor 1 even at Phi = 0
     for phi in (math.nextafter(math.pi / 4, 0.0), math.nextafter(math.pi / 4, 1.0)):
         assert fi_phase_readout(phi, 0.0, 5.0) == 25.0
-        assert fi_phase_readout_vec(phi, 0.0, 5.0) == 25.0
     assert fi_phase_readout(math.pi / 4 + 1e-12, 0.0, 5.0) == 0.0
-    assert fi_phase_readout_vec(math.pi / 4 + 1e-12, 0.0, 5.0) == 0.0
 
 
 def test_fi_phase_readout_vs_finite_difference():
