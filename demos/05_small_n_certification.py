@@ -18,7 +18,6 @@ from symsense.fullspace import (
     enumerate_syt,
     general_qec_smallN,
     kl_check,
-    pauli_op,
     sequential_j2_measure,
     signal_unitary_dense,
 )
@@ -49,10 +48,11 @@ print(f"  after signal rotation theta = 0.7: "
       f"{kl_check(rotated, t=1)['max_violation']:.2e} (QEC data is rotation invariant)")
 
 print("\nproject-and-recover QEC for a single-qubit X/Z channel (symmetrized):")
+# each Kraus operator as its Pauli expansion: (coefficient, positions, kinds) terms
 kraus = [
-    np.eye(2**9, dtype=complex) / math.sqrt(1.5),
-    0.5 * pauli_op(9, (1,), ("X",)) / math.sqrt(1.5),
-    0.5 * pauli_op(9, (1,), ("Z",)) / math.sqrt(1.5),
+    [(1 / math.sqrt(1.5), (), ())],
+    [(0.5 / math.sqrt(1.5), (1,), ("X",))],
+    [(0.5 / math.sqrt(1.5), (1,), ("Z",))],
 ]
 rep = general_qec_smallN(states, kraus, max_weight=1)
 print(f"  entanglement fidelity: {rep['entanglement_fidelity']:.12f}")

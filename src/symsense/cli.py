@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -55,7 +56,9 @@ from symsense.qec import deletion_qec
 from symsense.symcore import as_fraction, jz_moments
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The checkout's ``git describe``, asked once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -356,9 +359,12 @@ def cmd_protocol1(args, out=None) -> int:
     summary = batch.summary()
     for key, val in summary.items():
         print(f"{key}: {val}")
-    ana_full = expected_fi_p1(config)["mean_fi"]
+    ana_full = expected_fi_p1(config)
     ana_res = expected_fi_p1(config, include_nodel_syn1=False, max_total_syn1=1)["mean_fi"]
-    print(f"analytic mean_fi (leading order, all sectors): {ana_full:.6g}")
+    print(f"analytic mean_fi (leading order, all sectors): {ana_full['mean_fi']:.6g}")
+    # in full: the mass the leading order leaves out can be below 1e-6
+    sector_p = ana_full["sector_probability"]
+    print(f"analytic sector_probability (leading order, all sectors): {sector_p}")
     print(
         f"analytic mean_fi (<=1 syn1 round, no nodel-syn1 -- the sector a run "
         f"of this size can resolve): {ana_res:.6g}"
@@ -422,7 +428,9 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="symsense",
         description="Field sensing with permutation-invariant gnu codes: "

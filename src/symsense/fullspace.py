@@ -8,8 +8,9 @@ of the sequential angular-momentum measurement are prefixes of the index.
 
 Paulis are applied to 2^N vectors as (x|z) bit masks (Aaronson & Gottesman,
 PRA 70, 052328 (2004)) by ``pauli_apply``, in O(2^N) per vector; the dense
-``pauli_op`` matrix is kept for building Kraus inputs and as the reference
-the bit-mask form is tested against.
+``pauli_op`` matrix is kept as the reference the bit-mask form is tested
+against.  An operator is passed as its Pauli expansion, a sequence of
+(coefficient, positions, kinds) terms in the labels of ``enumerate_paulis``.
 
 ``general_qec_smallN`` computes in Schur coefficients (Bacon, Chuang &
 Harrow, PRL 97, 170502 (2006)).  By Schur-Weyl duality the qubit
@@ -18,9 +19,10 @@ P_j only, so the permutation twirl of an operator keeps its path-diagonal
 (2j+1) x (2j+1) blocks and replaces each by their mean over the paths of
 spin j.  The recovery rows lie in single path blocks and the remainder of
 the recovery is block diagonal, so the fidelity comes from (2j+1)-sized
-matrices; no 2^N x 2^N operator is formed besides the caller's Kraus
-operators and the basis.  The dense ``symmetrize_channel`` stays as the
-reference the twirl is tested against.
+matrices.  The caller's Kraus operators are Pauli expansions, applied to
+the codewords term by term, so no 2^N x 2^N operator is formed besides the
+basis.  The dense ``symmetrize_channel`` stays as the reference the twirl is
+tested against.
 
 Two-row Young diagrams (r1, r2) label the Schur-Weyl blocks of N qubits;
 standard tableaux of a diagram are in bijection with the admissible
@@ -44,6 +46,9 @@ MAX_DENSE_QUBITS = 12
 # Knill-Laflamme deviations at or below this are rounding noise (exact codes
 # give ~1e-16 at N = 9), well under the 1e-10 tolerance of verify's KL check
 KL_LABEL_FLOOR = 1e-12
+# Paulis per batch of kl_check: the images of a batch take
+# KL_CHUNK * M * 2^N complex numbers (1 MB for a pair of codewords at N = 9)
+KL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,16 @@ def pauli_apply(
     (P v)[i] = i^{#Y} (-1)^{popcount((i xor x) and z)} v[i xor x].  ``vecs``
     is one 2^N vector or a stack of them with the basis index last.
     """
+    x, z, n_y = _pauli_masks(N, positions, kinds)
+    src = np.arange(2**N) ^ x
+    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _parity_table(N)[src & z])
+    return phase * np.asarray(vecs)[..., src]
+
+
+def _pauli_masks(
+    N: int, positions: tuple[int, ...], kinds: tuple[str, ...]
+) -> tuple[int, int, int]:
+    """The x and z bit masks of a Pauli label and its number of Y letters."""
     x = z = n_y = 0
     for pos, kind in zip(positions, kinds):
         if kind not in "IXYZ":
@@ -136,9 +151,7 @@ def pauli_apply(
         if kind in "YZ":
             z |= bit
         n_y += kind == "Y"
-    src = np.arange(2**N) ^ x
-    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _parity_table(N)[src & z])
-    return phase * np.asarray(vecs)[..., src]
+    return x, z, n_y
 
 
 def enumerate_paulis(N: int, max_weight: int):
@@ -447,19 +460,31 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
     Returns the worst deviation and the offending Pauli label.  The label is
     None when the worst deviation is at most KL_LABEL_FLOOR: a code that
     satisfies the criterion leaves only rounding noise, and which Pauli
-    carries the largest noise depends on summation order.
+    carries the largest noise depends on summation order.  The Paulis are
+    applied and their overlaps taken KL_CHUNK labels at a time; on equal
+    deviations the first label in ``enumerate_paulis`` order is reported.
     """
     N = code_states[0].n_qubits
     vecs = np.array([cs.vec for cs in code_states])
     M = len(vecs)
+    labels = list(enumerate_paulis(N, 2 * t))
+    x, z, n_y = np.array([_pauli_masks(N, *label) for label in labels]).T
+    parity = _parity_table(N)
+    y_phase = np.array((1, 1j, -1, -1j))[n_y % 4, None]
     worst = 0.0
     worst_label = None
-    for positions, kinds in enumerate_paulis(N, 2 * t):
-        overlaps = vecs.conj() @ pauli_apply(N, positions, kinds, vecs).T  # <i|E|j>
-        c = np.trace(overlaps) / M
-        dev = float(np.max(np.abs(overlaps - c * np.eye(M))))
-        if dev > worst:
-            worst, worst_label = dev, (positions, kinds)
+    # pauli_apply for KL_CHUNK labels at a time: images[p, j] = E_p|j>
+    for lo in range(0, len(labels), KL_CHUNK):
+        part = slice(lo, lo + KL_CHUNK)
+        src = np.arange(2**N) ^ x[part, None]
+        phase = y_phase[part] * (1 - 2 * parity[src & z[part, None]])
+        images = phase[:, None, :] * vecs[np.arange(M)[:, None], src[:, None, :]]
+        overlaps = vecs.conj() @ images.transpose(0, 2, 1)  # <i|E_p|j>
+        c = np.trace(overlaps, axis1=1, axis2=2) / M
+        devs = np.max(np.abs(overlaps - c[:, None, None] * np.eye(M)), axis=(1, 2))
+        k = int(np.argmax(devs))  # the first of equal maxima, as a strict > keeps
+        if devs[k] > worst:
+            worst, worst_label = float(devs[k]), labels[lo + k]
     if worst <= KL_LABEL_FLOOR:
         worst_label = None
     return {"max_violation": worst, "worst_pauli": worst_label}
@@ -472,10 +497,14 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
 
 def general_qec_smallN(
     code_states: list[DenseState],
-    kraus_ops: list[np.ndarray],
+    kraus_ops: list[list[tuple[complex, tuple[int, ...], tuple[str, ...]]]],
     max_weight: int,
 ) -> dict:
     """Project-and-recover QEC in the sequentially coupled basis.
+
+    Each Kraus operator is given by its Pauli expansion, a sequence of
+    (coefficient, positions, kinds) terms with the labels of
+    ``enumerate_paulis``: [(1.0, (), ()), (0.5, (1,), ("X",))] is I + X_1 / 2.
 
     The corrupted input is first symmetrized (permutation averaging keeps
     weight-limited errors correctible), then per angular-momentum block the
@@ -495,15 +524,16 @@ def general_qec_smallN(
     value depends on the channel.
 
     Everything after the input is computed in Schur coefficients.  The
-    codewords, the error images E|j_L> and the channel images K|j_L> are
-    expanded in the stacked ``schur_blocks`` basis once.  The symmetrized
-    channel(|j_L><k_L|) is then, per spin j, one (2j+1) x (2j+1) block on
-    every path of that spin (``_path_twirl``).  The recovery Kraus operators
+    codewords, the error images E|j_L> and the channel images K|j_L> (sums
+    of ``pauli_apply`` images over the terms of K) are expanded in the
+    stacked ``schur_blocks`` basis once.  The symmetrized channel(|j_L><k_L|)
+    is then, per spin j, one (2j+1) x (2j+1) block on every path of that
+    spin (``_path_twirl``).  The recovery Kraus operators
     K_k = sum_j |j_L><b_kj| have each row b_kj inside one path block, so the
     remainder R = I - sum_kj |b_kj><b_kj| is block diagonal with blocks
     R_p = I - sum beta beta^dag.  The overlaps <j_L|recover(y)|k_L> and the
     trace of recover(y) are contractions of these small blocks; no 2^N x 2^N
-    operator is formed besides the caller's Kraus operators and the basis.
+    operator is formed besides the basis.
     """
     N = code_states[0].n_qubits
     M = len(code_states)
@@ -521,7 +551,10 @@ def general_qec_smallN(
     )
     # channel(|x_L><y_L|) = sum_K (K|x_L>)(K|y_L>)^dag; twirl[j2][x, y] is its
     # symmetrized block on each path of spin j2 / 2
-    kraus_c = _schur_coeffs(basis, np.array([(K @ vecs.T).T for K in kraus_ops]))
+    kraus_c = _schur_coeffs(
+        basis,
+        np.array([sum(c * pauli_apply(N, pos, kinds, vecs) for c, pos, kinds in K) for K in kraus_ops]),
+    )
     twirl = _path_twirl(kraus_c, kraus_c, spins)
 
     # per spin, summed over its paths: cover[a, b, m, n] = sum_k conj(beta_ka[m])

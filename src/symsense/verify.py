@@ -11,7 +11,8 @@ and test_noise.py::test_delete_matches_dense_partial_trace.
 ``damping_distance``: criterion 3.  ``projection_deviation``: criterion 5 and
 test_qec.py::test_projection_probabilities_closed_forms_grid.
 ``check_kl_gnu``: test_fullspace.py::test_kl_check_gnu_code_and_rotations.
-``general_qec_report``: test_fullspace.py::test_general_qec_single_qubit_channel.
+``general_qec_report``: test_fullspace.py::test_general_qec_single_qubit_channel
+and test_fullspace.py::test_general_qec_report_memory_excludes_dense_kraus_operators.
 Criterion 10 runs ``check_schur_dimension``, ``check_syt_counts``,
 ``check_sequential_split``, ``check_kl_gnu`` and ``check_general_qec``.
 test_noise.py::test_shared_oracles_catch_a_broken_channel shows the deletion
@@ -33,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -40,13 +42,13 @@ import numpy as np
 from symsense.codes import GnuParams, Label, logical_pair, make_logical
 from symsense.fullspace import (
     DenseState,
+    YoungDiagram2,
     embed_sym,
     enumerate_syt,
     general_qec_smallN,
     insert_zeros,
     kl_check,
     partial_trace_first,
-    pauli_op,
     sequential_j2_measure,
     signal_unitary_dense,
 )
@@ -131,10 +133,16 @@ def check_ad_oracle(rng) -> float:
     return worst
 
 
+@lru_cache(maxsize=None)
+def _enumerated_syt_counts(N: int) -> tuple[tuple[YoungDiagram2, int], ...]:
+    """Each two-row diagram of N boxes with its number of ``enumerate_syt`` tableaux."""
+    return tuple((diagram, len(tabs)) for diagram, tabs in enumerate_syt(N).items())
+
+
 def check_schur_dimension() -> int:
     bad = 0
     for N in range(1, 13):
-        total = sum(d.syt_count() * d.ssyt_count() for d in enumerate_syt(N))
+        total = sum(d.syt_count() * d.ssyt_count() for d, _ in _enumerated_syt_counts(N))
         if total != 2**N:
             bad += 1
     return bad
@@ -143,8 +151,8 @@ def check_schur_dimension() -> int:
 def check_syt_counts() -> int:
     bad = 0
     for N in range(1, 13):
-        for diagram, tabs in enumerate_syt(N).items():
-            if len(tabs) != diagram.syt_count() or len(tabs) != diagram.syt_count_hooks():
+        for diagram, count in _enumerated_syt_counts(N):
+            if count != diagram.syt_count() or count != diagram.syt_count_hooks():
                 bad += 1
     return bad
 
@@ -182,13 +190,8 @@ def general_qec_report() -> dict:
     with Kraus operators I, X_1 / 2 and Z_1 / 2, normalized."""
     params = GnuParams(3, 3, Fraction(1), 0)
     cw0, cw1 = logical_pair(params)
-    kraus = [
-        np.eye(2**9, dtype=complex),
-        0.5 * pauli_op(9, (1,), ("X",)),
-        0.5 * pauli_op(9, (1,), ("Z",)),
-    ]
     norm = math.sqrt(1.0 + 0.25 + 0.25)
-    kraus = [K / norm for K in kraus]
+    kraus = [[(1 / norm, (), ())], [(0.5 / norm, (1,), ("X",))], [(0.5 / norm, (1,), ("Z",))]]
     return general_qec_smallN([embed_sym(cw0), embed_sym(cw1)], kraus, max_weight=1)
 
 

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symsense import protocols
+from symsense import cli, protocols
 from symsense.cli import main
 from symsense.codes import GnuParams
-from symsense.protocols import ProtocolConfig
+from symsense.protocols import ProtocolConfig, expected_fi_p1
 from test_protocols import _jsonl_reference, _usable_cpus
 
 
@@ -118,6 +118,34 @@ def test_protocol1_command(tmp_path, capsys, monkeypatch):
     assert manifest["workers"] == min(64, _usable_cpus())
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+def test_protocol1_prints_the_sector_probability_after_the_full_analytic_mean(capsys):
+    args = ["protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12", "--r", "6",
+            "--q", "1.2", "--theta", "0.005", "--ndel", "0.002", "--trials", "20", "--seed", "3"]
+    assert run_cli(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    full = lines.index(next(line for line in lines if line.startswith("analytic mean_fi (leading")))
+    config = ProtocolConfig(GnuParams(8, 3, Fraction(22, 3), 12), 6, 1.2, 0.005, 0.002, seed=3)
+    want = expected_fi_p1(config)["sector_probability"]
+    assert lines[full + 1] == f"analytic sector_probability (leading order, all sectors): {want}"
+    assert lines[full + 2].startswith("analytic mean_fi (<=1 syn1 round")
+
+
+def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatch):
+    cli._git_describe.cache_clear()
+    calls = []
+    real_run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: calls.append(a) or real_run(*a, **k))
+    builds = []
+    for steps in ("3", "4"):
+        out = tmp_path / f"fi-{steps}.csv"
+        assert run_cli(["fi-scan", "--g", "2", "--n", "3", "--steps", steps, "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["steps"] == int(steps)
+        builds.append(manifest["build"])
+    assert len(calls) == 1 and builds[0] == builds[1]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Dense small-N certification: tableaux, Schur blocks, symmetrization, KL, recovery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -340,12 +341,45 @@ def test_kl_check_repetition_code_fails():
     assert report["max_violation"] > 0.5  # X-type violations
 
 
+def _random_orthonormal_states(N, M, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2**N, M)) + 1j * rng.standard_normal((2**N, M))
+    q, _ = np.linalg.qr(z)
+    return [DenseState(N, q[:, j]) for j in range(M)]
+
+
+def _kl_check_loop(code_states, t):
+    """Reference for kl_check: one Pauli at a time, the first largest deviation."""
+    N = code_states[0].n_qubits
+    vecs = np.array([cs.vec for cs in code_states])
+    M = len(vecs)
+    worst, worst_label = 0.0, None
+    for positions, kinds in enumerate_paulis(N, 2 * t):
+        overlaps = vecs.conj() @ pauli_apply(N, positions, kinds, vecs).T
+        dev = float(np.max(np.abs(overlaps - np.trace(overlaps) / M * np.eye(M))))
+        if dev > worst:
+            worst, worst_label = dev, (positions, kinds)
+    return {"max_violation": worst, "worst_pauli": worst_label if worst > KL_LABEL_FLOOR else None}
+
+
+@pytest.mark.parametrize(
+    "states, t",
+    [
+        # 106 Paulis of weight <= 2 on 5 qubits: two batches, the last one short
+        (_random_orthonormal_states(5, 3, seed=4), 1),
+        (_random_orthonormal_states(3, 2, seed=6), 2),
+        # the repetition code: equal deviations, the first label is reported
+        ([DenseState(3, np.eye(8, dtype=complex)[0]), DenseState(3, np.eye(8, dtype=complex)[7])], 1),
+    ],
+)
+def test_kl_check_batches_equal_a_loop_over_paulis(states, t):
+    assert kl_check(states, t) == _kl_check_loop(states, t)
+
+
 def test_general_qec_identity_channel():
     params = GnuParams(3, 3, Fraction(1), 0)
     cw0, cw1 = logical_pair(params)
-    rep = general_qec_smallN(
-        [embed_sym(cw0), embed_sym(cw1)], [np.eye(2**9, dtype=complex)], max_weight=0
-    )
+    rep = general_qec_smallN([embed_sym(cw0), embed_sym(cw1)], [[(1.0, (), ())]], max_weight=0)
     assert abs(rep["entanglement_fidelity"] - 1.0) < 1e-10
 
 
@@ -355,6 +389,20 @@ def test_general_qec_single_qubit_channel():
     assert abs(rep["output_trace"] - 1.0) < 1e-10
     for block in rep["blocks"]:
         assert block["r_T"] <= block["bound"] + 1e-12
+
+
+def test_general_qec_report_memory_excludes_dense_kraus_operators():
+    # the Schur basis is cached per N, so warm it first; the (3,3,1) check then
+    # needs no 2^9 x 2^9 operator (a dense Kraus matrix alone is 4 MiB)
+    schur_blocks(9)
+    _schur_coordinates(9)
+    tracemalloc.start()
+    try:
+        general_qec_report()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_measurement_order_permutation_invariance():
@@ -448,9 +496,14 @@ def test_per_qubit_damping_matches_kraus_strings(N):
 
 
 def _dense_recovery_qec(code_states, kraus_ops, max_weight):
-    """Reference for general_qec_smallN with dense Paulis and recovery Kraus operators."""
+    """Reference for general_qec_smallN with dense Paulis and recovery Kraus operators.
+
+    The channel's Kraus operators, given as Pauli expansions, are built as
+    dense matrices with ``pauli_op``.
+    """
     N = code_states[0].n_qubits
     M = len(code_states)
+    kraus_ops = [sum(c * pauli_op(N, pos, kinds) for c, pos, kinds in K) for K in kraus_ops]
     vecs = [cs.vec for cs in code_states]
     errors = [pauli_op(N, pos, kinds) for pos, kinds in enumerate_paulis(N, max_weight)]
     recovery, blocks = [], []
@@ -479,13 +532,6 @@ def _dense_recovery_qec(code_states, kraus_ops, max_weight):
     return fid.real / M**2, np.trace(phi(rho_in)).real, blocks
 
 
-def _random_orthonormal_states(N, M, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2**N, M)) + 1j * rng.standard_normal((2**N, M))
-    q, _ = np.linalg.qr(z)
-    return [DenseState(N, q[:, j]) for j in range(M)]
-
-
 @pytest.mark.parametrize(
     "states, max_weight",
     [
@@ -501,16 +547,39 @@ def _random_orthonormal_states(N, M, seed):
 )
 def test_general_qec_matches_dense_recovery_reference(states, max_weight):
     N = states[0].n_qubits
+    norm = math.sqrt(1.0 + 0.25 + 0.16 + 0.09)
     kraus = [
-        np.eye(2**N, dtype=complex),
-        0.5 * pauli_op(N, (1,), ("X",)),
-        0.4 * pauli_op(N, (1, 2), ("Y", "Z")),
-        0.3 * pauli_op(N, (2, N), ("X", "X")),
+        [(1.0 / norm, (), ())],
+        [(0.5 / norm, (1,), ("X",))],
+        [(0.4 / norm, (1, 2), ("Y", "Z"))],
+        [(0.3 / norm, (2, N), ("X", "X"))],
     ]
-    kraus = [K / math.sqrt(1.0 + 0.25 + 0.16 + 0.09) for K in kraus]
     rep = general_qec_smallN(states, kraus, max_weight=max_weight)
     fid, trace, blocks = _dense_recovery_qec(states, kraus, max_weight=max_weight)
     assert abs(rep["entanglement_fidelity"] - fid) < 1e-12
     assert abs(rep["output_trace"] - trace) < 1e-12
     assert abs(rep["output_trace"] - 1.0) > 0.1
+    assert rep["blocks"] == blocks
+
+
+@pytest.mark.parametrize(
+    "states, max_weight",
+    [
+        ([embed_sym(cw) for cw in logical_pair(GnuParams(2, 3, Fraction(1), 0))], 1),
+        (_random_orthonormal_states(5, 3, seed=21), 1),
+    ],
+)
+def test_general_qec_two_term_kraus_matches_dense_recovery_reference(states, max_weight):
+    # amplitude damping of qubit 1: K0 = diag(1, sqrt(1 - gamma)) and
+    # K1 = sqrt(gamma) |0><1|, as sums of two Pauli terms each
+    gamma = 0.3
+    rest = math.sqrt(1.0 - gamma)
+    kraus = [
+        [((1.0 + rest) / 2, (), ()), ((1.0 - rest) / 2, (1,), ("Z",))],
+        [(math.sqrt(gamma) / 2, (1,), ("X",)), (1j * math.sqrt(gamma) / 2, (1,), ("Y",))],
+    ]
+    rep = general_qec_smallN(states, kraus, max_weight=max_weight)
+    fid, trace, blocks = _dense_recovery_qec(states, kraus, max_weight=max_weight)
+    assert abs(rep["entanglement_fidelity"] - fid) < 1e-12
+    assert abs(rep["output_trace"] - trace) < 1e-12
     assert rep["blocks"] == blocks
