@@ -19,7 +19,7 @@ from symsense.fullspace import (
     general_qec_smallN,
     kl_check,
     sequential_j2_measure,
-    signal_unitary_dense,
+    signal_phases_dense,
 )
 
 print("Schur-Weyl bookkeeping (two-row diagrams):")
@@ -42,8 +42,8 @@ cw0, cw1 = logical_pair(params)
 states = [embed_sym(cw0), embed_sym(cw1)]
 print(f"\nKnill-Laflamme for the (g=3, n=3) code on N = 9, weight <= 2 errors:")
 print(f"  max violation: {kl_check(states, t=1)['max_violation']:.2e}")
-u = signal_unitary_dense(9, 0.7)
-rotated = [DenseState(9, u @ s.vec) for s in states]
+phases = signal_phases_dense(9, 0.7)
+rotated = [DenseState(9, phases * s.vec) for s in states]
 print(f"  after signal rotation theta = 0.7: "
       f"{kl_check(rotated, t=1)['max_violation']:.2e} (QEC data is rotation invariant)")
 

@@ -284,6 +284,9 @@ def cmd_qfi(args, out=None) -> int:
 
 def cmd_fi_scan(args, out=None) -> int:
     _check_steps(args)
+    for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not np.isfinite(theta):
+            raise ValueError(f"{flag} must be finite, got {theta!r}")
     params = _params_from_args(args)
     qfi = qfi_pure(make_logical(params, Label.PLUS).state)
     with _csv_writer(out, ["theta", "fi_two_outcome", "fi_three_outcome", "qfi"]) as wr:

@@ -174,9 +174,9 @@ def j2_dense(N: int, k: int) -> np.ndarray:
     return out
 
 
-def signal_unitary_dense(N: int, theta: float) -> np.ndarray:
-    diag = np.exp(-1j * theta * np.array([0.5 * N - idx.bit_count() for idx in range(2**N)]))
-    return np.diag(diag)
+def signal_phases_dense(N: int, theta: float) -> np.ndarray:
+    """The 2^N diagonal of exp(-i theta Jz): the signal rotation is ``phases * vec``."""
+    return np.exp(-1j * theta * np.array([0.5 * N - idx.bit_count() for idx in range(2**N)]))
 
 
 def partial_trace_first(rho: np.ndarray, N: int, t: int) -> np.ndarray:
@@ -319,7 +319,9 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
     The coefficients are real, so the vectors are stored as float64.  A step
     appends qubit k + 1 as the low bit: viewed as a (2^k, 2) array, a new
     vector holds the coefficient times an old vector in column 0 (the new
-    qubit up) and in column 1 (down).
+    qubit up) and in column 1 (down).  The blocks' vectors are read-only
+    views into one stacked (2^N, 2^N) basis, the one ``_schur_coordinates``
+    returns.
     """
     if N > 10:
         raise ValueError("Schur basis construction capped at N = 10")
@@ -347,7 +349,11 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
                         new_vecs[row, :, col] = coeff * vecs[(j2 - m2_old) // 2]
                 new_blocks.append((path + (j2_new,), new_vecs.reshape(j2_new + 1, -1)))
         blocks = new_blocks
-    return tuple(SchurBlock(path, vecs) for path, vecs in blocks)
+    basis = np.vstack([vecs for _, vecs in blocks])
+    basis.flags.writeable = False
+    stops = np.cumsum([len(vecs) for _, vecs in blocks])
+    return tuple(SchurBlock(path, basis[stop - len(vecs):stop])
+                 for (path, vecs), stop in zip(blocks, stops))
 
 
 @lru_cache(maxsize=8)
@@ -359,8 +365,7 @@ def _schur_coordinates(N: int) -> tuple[np.ndarray, np.ndarray, dict[int, np.nda
     array of its blocks' rows.
     """
     blocks = schur_blocks(N)
-    basis = np.vstack([blk.vectors for blk in blocks])
-    basis.flags.writeable = False
+    basis = blocks[0].vectors.base  # the stacked basis every block views
     starts = np.cumsum([0] + [blk.vectors.shape[0] for blk in blocks[:-1]])
     rows: dict[int, list] = {}
     for blk, start in zip(blocks, starts):

@@ -22,7 +22,7 @@ from symsense.symcore import as_fraction
 @dataclass(frozen=True)
 class LPInstance:
     """Problem data: prior-knowledge exponent c, timestep exponent q >= 1,
-    deletion-rate exponent eta in [0,1], and the two error budgets e1, e2 > 0."""
+    deletion-rate exponent eta in [0,1], and the two error budgets e1, e2 >= 0."""
 
     c: Fraction
     q: Fraction
@@ -37,6 +37,8 @@ class LPInstance:
             raise ValueError("q must be >= 1")
         if not (0 <= self.eta <= 1):
             raise ValueError("eta must lie in [0, 1]")
+        if self.e1 < 0 or self.e2 < 0:
+            raise ValueError(f"error budgets must be >= 0, got e1 = {self.e1}, e2 = {self.e2}")
 
     # Constraints in the form a*alpha + b*gamma <= rhs -----------------------
 

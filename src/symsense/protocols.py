@@ -16,8 +16,8 @@ its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
 take their place.  Two implementations are provided:
 
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
-  one trajectory at a time, its signal applied on the state's known support
-  only; only its Phi bookkeeping uses the shared formulas.
+  one trajectory at a time, the signal applied on the state's known support
+  only and the QEC round of ``qec.qec_sense``; Phi uses the shared formulas.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: BATCH_SPAN
   trajectories advance in lock-step, each as its logical weights
   (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
@@ -55,10 +55,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
+from symsense.codes import GnuParams, Label, code_fits, make_logical
 from symsense.metrology import fi_phase_readout
 from symsense.noise import delete
-from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
+from symsense.qec import code_frame, pflag_closed_form, project_syndrome, zeta, zeta_derivative
 from symsense.symcore import SymState, signal_phases
 
 BATCH_SPAN = 16384  # trajectories per batch span, serial and pooled runs alike
@@ -196,29 +196,6 @@ def _poisson_bucket(u: float, lam: float) -> int:
     return 2
 
 
-class _CodeFrame(NamedTuple):
-    """A code's lattice, |0_L>, |1_L>, q_0, q_1, both codewords on the lattice, and its signal phases."""
-
-    lattice: np.ndarray
-    cw0: np.ndarray
-    cw1: np.ndarray
-    q0: np.ndarray
-    q1: np.ndarray
-    cw0_lat: np.ndarray
-    cw1_lat: np.ndarray
-    phases: np.ndarray
-
-
-def _code_frame(params: GnuParams, s: int, n_qubits: int, delta: float) -> _CodeFrame:
-    """The frame of the (g, n) code shifted to (s, n_qubits), for a signal delta per round."""
-    cur = params.with_shift(s, n_qubits)
-    lattice = cur.weight_lattice()
-    cw0, cw1 = logical_pair(cur)
-    q0, q1 = q_vectors(cur)[:2]
-    return _CodeFrame(lattice, cw0.amps, cw1.amps, q0.amps, q1.amps,
-                      cw0.amps[lattice], cw1.amps[lattice], signal_phases(n_qubits, lattice, delta))
-
-
 def _on_weights(n_qubits: int, weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """The length-(n_qubits + 1) amplitude vector holding ``amps`` at ``weights``, zero elsewhere."""
     full = np.zeros(n_qubits + 1, dtype=complex)
@@ -236,9 +213,10 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
 
     The state is kept on a known support: the code lattice after a QEC
     round, the branch's non-zero weights after a deletion.  A round writes
-    the signal-evolved support into a zero Dicke vector and projects it with
-    full-vector ``np.vdot``s against the :func:`_code_frame` arrays, which
-    equals ``apply_signal`` then ``SymState.inner`` bit for bit.
+    the signal-evolved support into a zero Dicke vector and runs the library
+    QEC round on it: ``qec.project_syndrome`` against the current code's
+    ``qec.code_frame``, as ``qec.qec_sense`` does, which equals
+    ``apply_signal`` then ``SymState.inner`` bit for bit.
     """
     p = config.params
     g = p.g
@@ -254,9 +232,10 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     flag = invalid = False
     n_deleted = 0
 
-    frame = _code_frame(p, s_cur, n_cur, delta)
+    frame = code_frame(p)
+    lattice_phases = signal_phases(n_cur, frame.lattice, delta)
     # the state: amplitudes `amps` on the weights `support`, whose signal phases are `phases`
-    support, phases = frame.lattice, frame.phases
+    support, phases = frame.lattice, lattice_phases
     amps = make_logical(p, Label.PLUS).state.amps[support]
     for u_del, u_sigma, u_syn in uniforms:
         lam = config.n_del * n_cur * tau
@@ -279,24 +258,17 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             if not code_fits(p, n_cur, s_cur):
                 invalid = True
                 break
-            frame = _code_frame(p, s_cur, n_cur, delta)
+            frame = code_frame(p.with_shift(s_cur, n_cur))
+            lattice_phases = signal_phases(n_cur, frame.lattice, delta)
             support = np.flatnonzero(branch)
             amps, phases = branch[support], signal_phases(n_cur, support, delta)
         evolved = _on_weights(n_cur, support, amps * phases)
-
-        e0, e1 = complex(np.vdot(frame.cw0, evolved)), complex(np.vdot(frame.cw1, evolved))
-        d0, d1 = complex(np.vdot(frame.q0, evolved)), complex(np.vdot(frame.q1, evolved))
-        p_code = abs(e0) ** 2 + abs(e1) ** 2
-        p_q = abs(d0) ** 2 + abs(d1) ** 2
-        if u_syn < p_code:
-            syn, c0, c1, p_syn = 0, e0, e1, p_code
-        elif u_syn < p_code + p_q:
-            syn, c0, c1, p_syn = 1, d0, d1, p_q
-        else:
+        syn, c0, c1, p_syn = project_syndrome(frame, evolved, u_syn)
+        if syn < 0:
             flag = True
             break
-        support, phases = frame.lattice, frame.phases
-        amps = (c0 * frame.cw0_lat + c1 * frame.cw1_lat) / math.sqrt(p_syn)
+        support, phases = frame.lattice, lattice_phases
+        amps = (c0 * frame.cw_on_lattice[0] + c1 * frame.cw_on_lattice[1]) / math.sqrt(p_syn)
         counts[t, syn] += 1
 
         # analytic phase increment and its theta-derivative at this outcome
@@ -315,7 +287,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
         )
 
     final = _on_weights(n_cur, support, amps)
-    a0, a1 = complex(np.vdot(frame.cw0, final)), complex(np.vdot(frame.cw1, final))
+    a0, a1 = (complex(np.vdot(cw, final)) for cw in frame.basis[:2])
     phi_amp = math.atan2(abs(a1), abs(a0))
     fi = float(fi_phase_readout(phi_amp, Phi, dPhi))
     return TrajectoryRecord(counts, Phi, dPhi, False, False, s_cur, abs(a0), fi, n_deleted,

@@ -5,7 +5,8 @@ sequence: a modulo-g weight measurement fixes the post-deletion shift, a
 projective measurement distinguishes the codespace (syn = 0) from the span of
 the normalized ``Jz``-displaced codewords ``|q_j>`` (syn = 1), anything else
 raises the failure flag, and on syn = 1 the recovery maps ``|q_j>`` back to
-``|j_L>``.  All recoveries act as exact basis maps on the Dicke block.
+``|j_L>``.  All recoveries act as exact basis maps on the Dicke block.  The
+round is :func:`project_syndrome` on a :func:`code_frame`, as in Protocol 1.
 
 Closed-form phase bookkeeping lives in :func:`phase_formulas`: the relative
 phases ``zeta_j`` picked up without deletions and the exact single-deletion
@@ -18,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,17 +102,60 @@ def q_vectors(params: GnuParams) -> tuple[SymState, SymState, float]:
     generator seen by codeword j, orthogonal to the codespace by construction.
     Built once per code and shared, like the codewords of ``make_logical``.
     """
-    cw0, cw1 = logical_pair(params)
-    qs = []
-    nsq = None
-    for cw in (cw0, cw1):
+    qs, norms = [], []
+    for cw in logical_pair(params):
         jzc = jz_apply(cw)
-        mean = cw.inner(jzc).real
-        amps = jzc.amps - mean * cw.amps
-        nn = float(np.vdot(amps, amps).real)
-        qs.append(SymState(params.n_qubits, amps / math.sqrt(nn)))
-        nsq = nn if nsq is None else nsq
-    return qs[0], qs[1], nsq
+        amps = jzc.amps - cw.inner(jzc).real * cw.amps
+        norms.append(float(np.vdot(amps, amps).real))
+        qs.append(SymState(params.n_qubits, amps / math.sqrt(norms[-1])))
+    return qs[0], qs[1], norms[0]
+
+
+class CodeFrame(NamedTuple):
+    """A code's weight lattice, its |0_L>, |1_L>, |q_0>, |q_1> as Dicke vectors,
+    and its |0_L>, |1_L> on the lattice."""
+
+    lattice: np.ndarray
+    basis: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    cw_on_lattice: tuple[np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=CODEWORD_CACHE)
+def code_frame(params: GnuParams) -> CodeFrame:
+    """The vectors a QEC-while-sensing round on this code projects onto, built once per code."""
+    lattice = params.weight_lattice()
+    basis = tuple(v.amps for v in (*logical_pair(params), *q_vectors(params)[:2]))
+    on_lattice = (basis[0][lattice], basis[1][lattice])
+    for arr in (lattice, *on_lattice):  # shared by every caller, like the codewords
+        arr.flags.writeable = False
+    return CodeFrame(lattice, basis, on_lattice)
+
+
+def frame_overlaps(frame: CodeFrame, amps: np.ndarray) -> list[complex]:
+    """<0_L|psi>, <1_L|psi>, <q_0|psi>, <q_1|psi> for the Dicke vector ``amps`` of psi."""
+    return [complex(np.vdot(v, amps)) for v in frame.basis]
+
+
+def _leak(frame: CodeFrame, amps: np.ndarray, overlaps: list[complex]) -> float:
+    """Squared norm of the part of ``amps`` outside the frame's basis."""
+    residual = amps - sum(c * v for c, v in zip(overlaps, frame.basis))
+    return float(np.vdot(residual, residual).real)
+
+
+def project_syndrome(frame: CodeFrame, amps: np.ndarray, u: float):
+    """(syn, c_0, c_1, P[syn]) of the projective round on the normalized ``amps``, for a uniform u.
+
+    syn = 0 (codespace) if u < P[0], syn = 1 (q-space) if u < P[0] + P[1], with
+    the recovered state (c_0 |0_L> + c_1 |1_L>) / sqrt(P[syn]); else the flag,
+    syn = -1, with c_0 = c_1 = 0 and the leaked weight as P."""
+    e0, e1, d0, d1 = overlaps = frame_overlaps(frame, amps)
+    p_code = abs(e0) ** 2 + abs(e1) ** 2
+    p_q = abs(d0) ** 2 + abs(d1) ** 2
+    if u < p_code:
+        return 0, e0, e1, p_code
+    if u < p_code + p_q:
+        return 1, d0, d1, p_q
+    return -1, 0j, 0j, _leak(frame, amps, overlaps)
 
 
 def deleted_codewords(params: GnuParams, sigma: int, t: int = 1) -> tuple[SymState, SymState]:
@@ -207,21 +251,12 @@ def qec_sense(
     new_shift = params.s - sigma
     if sigma > t or not code_fits(params, state.n_qubits, new_shift):
         return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
-    small = params.with_shift(new_shift, state.n_qubits)
-    cw0, cw1 = logical_pair(small)
-    q0, q1, _ = q_vectors(small)
-    c0, c1 = cw0.inner(mod.post_state), cw1.inner(mod.post_state)
-    d0, d1 = q0.inner(mod.post_state), q1.inner(mod.post_state)
-    p_code = abs(c0) ** 2 + abs(c1) ** 2
-    p_q = abs(d0) ** 2 + abs(d1) ** 2
-    u = rng.random()
-    if u < p_code:
-        amps = (c0 * cw0.amps + c1 * cw1.amps) / math.sqrt(p_code)
-        return QecSenseResult(SymState(state.n_qubits, amps), new_shift, syn=0, flag=0)
-    if u < p_code + p_q:
-        amps = (d0 * cw0.amps + d1 * cw1.amps) / math.sqrt(p_q)
-        return QecSenseResult(SymState(state.n_qubits, amps), new_shift, syn=1, flag=0)
-    return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
+    frame = code_frame(params.with_shift(new_shift, state.n_qubits))
+    syn, c0, c1, p_syn = project_syndrome(frame, mod.post_state.amps, rng.random())
+    if syn < 0:
+        return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
+    amps = (c0 * frame.basis[0] + c1 * frame.basis[1]) / math.sqrt(p_syn)
+    return QecSenseResult(SymState(state.n_qubits, amps), new_shift, syn=syn, flag=0)
 
 
 def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, float, float]:
@@ -242,16 +277,11 @@ def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, 
         if sigma > t or not code_fits(params, state.n_qubits, params.s - sigma):
             pf += br.probability
             continue
-        small = params.with_shift(params.s - sigma, state.n_qubits)
-        cw0, cw1 = logical_pair(small)
-        q0, q1, _ = q_vectors(small)
-        coeffs = [(v, v.inner(br.post_state)) for v in (cw0, cw1, q0, q1)]
-        residual = br.post_state.amps - sum(c * v.amps for v, c in coeffs)
-        pc = abs(coeffs[0][1]) ** 2 + abs(coeffs[1][1]) ** 2
-        pq = abs(coeffs[2][1]) ** 2 + abs(coeffs[3][1]) ** 2
-        p0 += br.probability * pc
-        p1 += br.probability * pq
-        pf += br.probability * float(np.vdot(residual, residual).real)
+        frame = code_frame(params.with_shift(params.s - sigma, state.n_qubits))
+        c = frame_overlaps(frame, br.post_state.amps)
+        p0 += br.probability * (abs(c[0]) ** 2 + abs(c[1]) ** 2)
+        p1 += br.probability * (abs(c[2]) ** 2 + abs(c[3]) ** 2)
+        pf += br.probability * _leak(frame, br.post_state.amps, c)
     return p0, p1, pf
 
 
@@ -322,12 +352,10 @@ def phase_formulas(
     if sigma is None:
         return PhaseFormulas(z0, z1)
     prim0, prim1 = deleted_codewords(params, sigma, t=1)
-    small = params.with_shift(params.s - sigma, params.n_qubits - 1)
-    cw0, cw1 = logical_pair(small)
-    q0, q1, _ = q_vectors(small)
-    ev0, ev1 = apply_signal(prim0, delta), apply_signal(prim1, delta)
-    u0 = cw1.inner(ev1) / cw0.inner(ev0)
-    u1 = q1.inner(ev1) / q0.inner(ev0)
+    frame = code_frame(params.with_shift(params.s - sigma, params.n_qubits - 1))
+    c0 = frame_overlaps(frame, apply_signal(prim0, delta).amps)
+    c1 = frame_overlaps(frame, apply_signal(prim1, delta).amps)
+    u0, u1 = c1[1] / c0[0], c1[3] / c0[2]
     return PhaseFormulas(z0, z1, cmath.phase(u0), cmath.phase(u1), u0, u1)
 
 

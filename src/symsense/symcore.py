@@ -210,14 +210,23 @@ def binom_exp_sum_direct(n: int, s: int, y: float, parity: str) -> complex:
 
 
 def as_fraction(x) -> Fraction:
-    """Parse u-like inputs ('7/3', 2, 1.5, Fraction) into an exact Fraction."""
+    """Parse u-like inputs ('7/3', 2, 1.5, Fraction) into an exact Fraction.
+
+    A zero denominator or a non-finite float raises ValueError, as any other
+    malformed value does.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot interpret {x!r} as an exact rational")
         return Fraction(x).limit_denominator(10**9)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

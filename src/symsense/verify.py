@@ -50,7 +50,7 @@ from symsense.fullspace import (
     kl_check,
     partial_trace_first,
     sequential_j2_measure,
-    signal_unitary_dense,
+    signal_phases_dense,
 )
 from symsense.metrology import qfi_pure
 from symsense.noise import amplitude_damp, delete, deletion_qfi
@@ -179,8 +179,8 @@ def check_kl_gnu() -> float:
     cw0, cw1 = logical_pair(params)
     report = kl_check([embed_sym(cw0), embed_sym(cw1)], t=1)
     theta_rot = 0.7
-    u = signal_unitary_dense(params.n_qubits, theta_rot)
-    rot = [DenseState(9, u @ embed_sym(cw).vec) for cw in (cw0, cw1)]
+    phases = signal_phases_dense(params.n_qubits, theta_rot)
+    rot = [DenseState(9, phases * embed_sym(cw).vec) for cw in (cw0, cw1)]
     report_rot = kl_check(rot, t=1)
     return max(report["max_violation"], report_rot["max_violation"])
 

@@ -70,7 +70,8 @@ def test_delete_and_ad_commands(tmp_path):
 @pytest.mark.parametrize(
     "command, flag, value",
     [("ad", "--gamma-max", "1.5"), ("ad", "--gamma-max", "nan"), ("ad", "--gamma-max", "-0.1"),
-     ("ad", "--steps", "0"), ("fi-scan", "--steps", "0"), ("fi-scan", "--steps", "-2")],
+     ("ad", "--steps", "0"), ("fi-scan", "--steps", "0"), ("fi-scan", "--steps", "-2"),
+     ("fi-scan", "--theta-max", "nan"), ("fi-scan", "--theta-min", "inf")],
 )
 def test_scan_commands_reject_bad_grid_before_writing(tmp_path, capsys, command, flag, value):
     out = tmp_path / "scan.csv"
@@ -196,6 +197,20 @@ def test_polytope_command(capsys, tmp_path):
     assert "gamma* = 2/9" in text
     assert "11/9" in text
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["qfi", "--g", "3", "--n", "3", "--u", "1/0"], "zero denominator"),
+     (["polytope", "--c", "1/0"], "zero denominator"),
+     (["protocol3", "--e1", "inf"], "exact rational"),
+     (["polytope", "--e1", "-1", "--e2", "-3"], "error budgets must be >= 0"),
+     (["protocol3", "--e2", "-0.5"], "error budgets must be >= 0")],
+)
+def test_malformed_rationals_and_negative_budgets_exit_2(capsys, argv, message):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_fqec_scan_command(tmp_path):

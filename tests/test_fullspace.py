@@ -405,6 +405,27 @@ def test_general_qec_report_memory_excludes_dense_kraus_operators():
     assert peak < 4e6
 
 
+@pytest.mark.parametrize("N", [1, 6])
+def test_schur_blocks_are_read_only_views_into_the_stacked_basis(N):
+    basis, starts, _ = _schur_coordinates(N)
+    assert basis.shape == (2**N, 2**N) and not basis.flags.writeable
+    for blk, start in zip(schur_blocks(N), starts):
+        assert blk.vectors.base is basis and not blk.vectors.flags.writeable
+        assert np.array_equal(blk.vectors, basis[start:start + blk.j_doubled + 1])
+
+
+def test_check_kl_gnu_builds_no_dense_operator():
+    # the signal rotation is a phase vector; one 2^9 x 2^9 complex matrix is 4 MiB
+    check_kl_gnu()
+    tracemalloc.start()
+    try:
+        check_kl_gnu()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**9
+
+
 def test_measurement_order_permutation_invariance():
     # the prefix J^2 operators commute, so measuring the nested family in any
     # order yields the same joint outcome distribution; compare increasing vs

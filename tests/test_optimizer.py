@@ -80,6 +80,14 @@ def test_vertex_enumeration_dominates_grid():
                 assert inst.objective(alpha, gamma) <= opt
 
 
+@pytest.mark.parametrize("e1, e2", [(-1, 0), (0, Fraction(-1, 10))])
+def test_negative_error_budgets_are_rejected(e1, e2):
+    with pytest.raises(ValueError, match="error budgets"):
+        LPInstance(Fraction(1, 2), Fraction(3, 2), 1, e1, e2)
+    # zero budgets stay valid: fqec-scan and protocol3 default to them
+    assert solve_lp(LPInstance(Fraction(1, 2), Fraction(3, 2), 1, 0, 0)) is not None
+
+
 def test_infeasible_instance_reported():
     inst = LPInstance(Fraction(0), Fraction(1), Fraction(0), Fraction(100), Fraction(1, 10))
     assert solve_lp(inst) is None

@@ -26,8 +26,8 @@ from symsense.protocols import (
     run_protocol3,
     trajectory_rng,
 )
-from symsense.qec import pflag_closed_form, q_vectors, zeta, zeta_derivative
-from symsense.symcore import SymState, apply_signal
+from symsense.qec import code_frame, pflag_closed_form, q_vectors, zeta, zeta_derivative
+from symsense.symcore import SymState, apply_signal, signal_phases
 from symsense.verify import protocol1_mismatches
 
 
@@ -706,14 +706,15 @@ def test_frame_phases_match_apply_signal_on_a_post_qec_state():
     config = criterion8_config(seed=3)
     p, delta = config.params, config.delta
     for s, n_qubits in ((p.s, p.n_qubits), (p.s - 1, p.n_qubits - 1), (p.s, p.n_qubits - 2)):
-        frame = protocols._code_frame(p, s, n_qubits, delta)
+        frame = code_frame(p.with_shift(s, n_qubits))
         c0, c1 = 0.6 - 0.1j, 0.3 + 0.7j
-        lat = (c0 * frame.cw0_lat + c1 * frame.cw1_lat) / math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        lat0, lat1 = frame.cw_on_lattice
+        lat = (c0 * lat0 + c1 * lat1) / math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
         post_qec = np.zeros(n_qubits + 1, dtype=complex)
         post_qec[frame.lattice] = lat
         want = apply_signal(SymState(n_qubits, post_qec), delta).amps
         got = np.zeros(n_qubits + 1, dtype=complex)
-        got[frame.lattice] = lat * frame.phases
+        got[frame.lattice] = lat * signal_phases(n_qubits, frame.lattice, delta)
         assert got.tobytes() == want.tobytes()
 
 

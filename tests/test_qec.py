@@ -12,6 +12,7 @@ from symsense.metrology import qfi_pure
 from symsense.noise import delete
 from symsense.qec import (
     bound_checkers,
+    code_frame,
     deleted_codewords,
     deletion_qec,
     jz_apply,
@@ -20,6 +21,7 @@ from symsense.qec import (
     pflag_closed_form,
     phase_formulas,
     phi11_ratio,
+    project_syndrome,
     q_vectors,
     qec_sense,
     qec_sense_probabilities,
@@ -193,6 +195,35 @@ def test_q_vectors_built_once_and_read_only():
     assert q_vectors(GnuParams(5, 7, 2, 3)) is first
     for q in first[:2]:
         assert not q.amps.flags.writeable
+
+
+def test_code_frame_built_once_read_only_and_shared_with_the_codewords():
+    params = GnuParams(5, 7, Fraction(2), 3)
+    frame = code_frame(params)
+    assert code_frame(GnuParams(5, 7, 2, 3)) is frame
+    cw0, cw1 = logical_pair(params)
+    q0, q1, _ = q_vectors(params)
+    assert all(v is s.amps for v, s in zip(frame.basis, (cw0, cw1, q0, q1)))
+    assert np.array_equal(frame.lattice, params.weight_lattice())
+    for arr, cw in zip(frame.cw_on_lattice, (cw0, cw1)):
+        assert np.array_equal(arr, cw.amps[frame.lattice])
+    for arr in (frame.lattice, *frame.cw_on_lattice):
+        assert not arr.flags.writeable
+
+
+def test_project_syndrome_splits_the_unit_interval_by_syndrome_weight():
+    # n = 5 leaks out of codespace + q-space, so all three outcomes have weight
+    params = GnuParams(3, 5, Fraction(1), 2)
+    frame = code_frame(params)
+    psi = apply_signal(make_logical(params, Label.PLUS).state, 0.4)
+    p0, p1, pf = qec_sense_probabilities(psi, params)
+    assert min(p0, p1, pf) > 1e-3
+    syn, c0, c1, p = project_syndrome(frame, psi.amps, 0.0)
+    assert (syn, p) == (0, p0) and (c0, c1) == tuple(cw.inner(psi) for cw in logical_pair(params))
+    assert project_syndrome(frame, psi.amps, p0 * (1 - 1e-12))[0] == 0
+    syn, c0, c1, p = project_syndrome(frame, psi.amps, p0)
+    assert (syn, p) == (1, p1) and (c0, c1) == tuple(q.inner(psi) for q in q_vectors(params)[:2])
+    assert project_syndrome(frame, psi.amps, p0 + p1) == (-1, 0j, 0j, pf)
 
 
 def test_qU_norm_sandwich_closed_form():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsense.fullspace import embed_sym, signal_unitary_dense
+from symsense.fullspace import embed_sym, signal_phases_dense
 from symsense.symcore import (
     SymState,
     apply_signal,
@@ -47,7 +47,7 @@ def test_apply_signal_against_dense_unitary_n2():
     ratio = out.amps[2] / out.amps[0]
     assert abs(ratio - np.exp(0.6j)) < 1e-14
 
-    dense_out = signal_unitary_dense(2, 0.3) @ embed_sym(psi).vec
+    dense_out = signal_phases_dense(2, 0.3) * embed_sym(psi).vec
     assert np.allclose(embed_sym(out).vec, dense_out, atol=1e-14)
 
 
