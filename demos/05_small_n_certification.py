@@ -6,7 +6,6 @@ momentum measurement, the Knill-Laflamme residuals of a distance-3 code (and
 its signal-rotated images), and an end-to-end project-and-recover QEC round.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +15,11 @@ from symsense.fullspace import (
     DenseState,
     embed_sym,
     enumerate_syt,
-    general_qec_smallN,
     kl_check,
     sequential_j2_measure,
     signal_phases_dense,
 )
+from symsense.verify import general_qec_report
 
 print("Schur-Weyl bookkeeping (two-row diagrams):")
 for N in (2, 6, 10, 12):
@@ -38,8 +37,7 @@ for seed in range(2000):
 print(f"  triplet : singlet = {outcomes[2]} : {outcomes[0]} (expected 1:1)")
 
 params = GnuParams(3, 3, Fraction(1), 0)
-cw0, cw1 = logical_pair(params)
-states = [embed_sym(cw0), embed_sym(cw1)]
+states = [embed_sym(cw) for cw in logical_pair(params)]
 print(f"\nKnill-Laflamme for the (g=3, n=3) code on N = 9, weight <= 2 errors:")
 print(f"  max violation: {kl_check(states, t=1)['max_violation']:.2e}")
 phases = signal_phases_dense(9, 0.7)
@@ -48,13 +46,8 @@ print(f"  after signal rotation theta = 0.7: "
       f"{kl_check(rotated, t=1)['max_violation']:.2e} (QEC data is rotation invariant)")
 
 print("\nproject-and-recover QEC for a single-qubit X/Z channel (symmetrized):")
-# each Kraus operator as its Pauli expansion: (coefficient, positions, kinds) terms
-kraus = [
-    [(1 / math.sqrt(1.5), (), ())],
-    [(0.5 / math.sqrt(1.5), (1,), ("X",))],
-    [(0.5 / math.sqrt(1.5), (1,), ("Z",))],
-]
-rep = general_qec_smallN(states, kraus, max_weight=1)
+# the (3,3,1) code under Kraus operators I, X_1 / 2, Z_1 / 2, normalized
+rep = general_qec_report()
 print(f"  entanglement fidelity: {rep['entanglement_fidelity']:.12f}")
 for block in rep["blocks"]:
     print(f"  block j-path {block['j_path']}: r_T = {block['r_T']} "

@@ -394,10 +394,7 @@ def cmd_protocol3(args) -> int:
 
 
 def cmd_polytope(args, out=None) -> int:
-    inst = LPInstance(
-        as_fraction(args.c), as_fraction(args.q), as_fraction(args.eta),
-        as_fraction(args.e1), as_fraction(args.e2),
-    )
+    inst = LPInstance(args.c, args.q, args.eta, args.e1, args.e2)  # fields parsed by as_fraction
     sol = solve_lp(inst)
     if sol is None:
         print("polytope is empty (infeasible instance)")
@@ -427,7 +424,7 @@ def cmd_fqec_scan(args, out) -> int:
 def cmd_verify(args) -> int:
     from symsense.verify import run_verification
 
-    failures = run_verification(verbose=True, as_json=args.json)
+    failures = run_verification(as_json=args.json)
     return 1 if failures else 0
 
 

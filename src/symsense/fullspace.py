@@ -72,26 +72,29 @@ class DenseState:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _weights(N: int) -> np.ndarray:
+    """Read-only Hamming weight of every N-bit basis index; its parity is ``& 1``."""
+    weights = np.zeros(2**N, dtype=np.int8)
+    for b in range(N):  # the indices with bit b as their top set bit
+        weights[1 << b : 2 << b] = weights[: 1 << b] + 1
+    weights.flags.writeable = False
+    return weights
+
+
 def embed_sym(state: SymState) -> DenseState:
     """Embed a Dicke-basis symmetric state into the full 2^N space."""
     N = state.n_qubits
-    vec = np.zeros(2**N, dtype=complex)
-    for idx in range(2**N):
-        w = idx.bit_count()
-        if state.amps[w] != 0:
-            vec[idx] = state.amps[w] / math.sqrt(binom(N, w))
-    return DenseState(N, vec)
+    amps = np.where(state.amps != 0, state.amps / np.sqrt([binom(N, w) for w in range(N + 1)]), 0)
+    return DenseState(N, amps[_weights(N)])
 
 
 def project_sym(dense: DenseState) -> SymState:
     """Overlap of a dense state with each Dicke state (no normalization)."""
     N = dense.n_qubits
     amps = np.zeros(N + 1, dtype=complex)
-    for idx in range(2**N):
-        amps[idx.bit_count()] += dense.vec[idx]
-    for w in range(N + 1):
-        amps[w] /= math.sqrt(binom(N, w))
-    return SymState(N, amps)
+    np.add.at(amps, _weights(N), dense.vec)  # in index order, as a loop would add
+    return SymState(N, amps / np.sqrt([binom(N, w) for w in range(N + 1)]))
 
 
 _PAULI = {
@@ -113,15 +116,6 @@ def pauli_op(N: int, positions: tuple[int, ...], kinds: tuple[str, ...]) -> np.n
     return out
 
 
-@lru_cache(maxsize=None)
-def _parity_table(N: int) -> np.ndarray:
-    """popcount(i) mod 2 for every N-bit basis index i."""
-    parity = np.zeros(2**N, dtype=np.int8)
-    for b in range(N):
-        parity[1 << b : 2 << b] = 1 - parity[: 1 << b]
-    return parity
-
-
 def pauli_apply(
     N: int, positions: tuple[int, ...], kinds: tuple[str, ...], vecs: np.ndarray
 ) -> np.ndarray:
@@ -133,7 +127,7 @@ def pauli_apply(
     """
     x, z, n_y = _pauli_masks(N, positions, kinds)
     src = np.arange(2**N) ^ x
-    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * _parity_table(N)[src & z])
+    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * (_weights(N)[src & z] & 1))
     return phase * np.asarray(vecs)[..., src]
 
 
@@ -165,8 +159,7 @@ def enumerate_paulis(N: int, max_weight: int):
 
 def j2_dense(N: int, k: int) -> np.ndarray:
     """Total angular momentum squared of the first k qubits, on all N."""
-    dim = 2**N
-    out = 0.75 * k * np.eye(dim, dtype=complex)
+    out = 0.75 * k * np.eye(2**N, dtype=complex)
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             for kind in "XYZ":
@@ -176,29 +169,22 @@ def j2_dense(N: int, k: int) -> np.ndarray:
 
 def signal_phases_dense(N: int, theta: float) -> np.ndarray:
     """The 2^N diagonal of exp(-i theta Jz): the signal rotation is ``phases * vec``."""
-    return np.exp(-1j * theta * np.array([0.5 * N - idx.bit_count() for idx in range(2**N)]))
+    return np.exp(-1j * theta * (0.5 * N - _weights(N)))
 
 
 def partial_trace_first(rho: np.ndarray, N: int, t: int) -> np.ndarray:
     """Trace out the first t qubits (the high bits) of an N-qubit density matrix."""
-    d_keep = 2 ** (N - t)
-    r = rho.reshape(2**t, d_keep, 2**t, d_keep)
-    return np.einsum("abad->bd", r)
+    return np.einsum("abad->bd", rho.reshape(2**t, 2 ** (N - t), 2**t, 2 ** (N - t)))
 
 
 def insert_zeros(vec: np.ndarray, n_small: int, positions: tuple[int, ...]) -> np.ndarray:
     """Insert |0> qubits at the given 1-based positions of the enlarged register."""
     n_big = n_small + len(positions)
-    pos_set = set(positions)
-    small_slots = [p for p in range(1, n_big + 1) if p not in pos_set]
-    out = np.zeros(2**n_big, dtype=complex)
-    for idx in range(2**n_small):
-        big = 0
-        for bit_i, slot in enumerate(small_slots):
-            if (idx >> (n_small - 1 - bit_i)) & 1:
-                big |= 1 << (n_big - slot)
-        out[big] = vec[idx]
-    return out
+    # qubit p is axis p - 1 of the (2,) * n tensor (the high bit first)
+    at = tuple(0 if p in positions else slice(None) for p in range(1, n_big + 1))
+    out = np.zeros((2,) * n_big, dtype=complex)
+    out[at] = np.reshape(vec, (2,) * n_small)
+    return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +305,25 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
     The coefficients are real, so the vectors are stored as float64.  A step
     appends qubit k + 1 as the low bit: viewed as a (2^k, 2) array, a new
     vector holds the coefficient times an old vector in column 0 (the new
-    qubit up) and in column 1 (down).  The blocks' vectors are read-only
-    views into one stacked (2^N, 2^N) basis, the one ``_schur_coordinates``
-    returns.
+    qubit up) and in column 1 (down).  Every step writes straight into one
+    stacked (2^(k+1), 2^(k+1)) array whose row slices are the blocks; the
+    returned blocks' vectors are read-only views into the last one, the basis
+    ``_schur_coordinates`` returns.
     """
     if N > 10:
         raise ValueError("Schur basis construction capped at N = 10")
-    # per path, the magnetic states as rows m = +j .. -j on k qubits
-    blocks = [((1,), np.eye(2))]
+    basis, paths = np.eye(2), [(1,)]  # each path's rows m = +j .. -j, in path order
     for k in range(1, N):
-        new_blocks = []
-        for path, vecs in blocks:
+        new_basis = np.zeros((2 ** (k + 1), 2 ** (k + 1)))
+        new_vecs = new_basis.reshape(2 ** (k + 1), 2**k, 2)
+        new_paths = []
+        old_lo = lo = 0  # the first rows of the current old and new blocks
+        for path in paths:
             j2 = path[-1]
             # couple with the next qubit: j' = j + 1/2 and (if j > 0) j' = j - 1/2
             for j2_new in (j2 + 1, j2 - 1):
                 if j2_new < 0:
                     continue
-                new_vecs = np.zeros((j2_new + 1, 2**k, 2))
                 for row, m2 in enumerate(range(j2_new, -j2_new - 1, -2)):
                     # CG for (j) x (1/2) -> j'; m = m_old + (+-1/2)
                     for col, half in enumerate((1, -1)):
@@ -346,14 +334,14 @@ def schur_blocks(N: int) -> tuple[SchurBlock, ...]:
                             coeff = math.sqrt((j2 + half * m2 + 1) / (2.0 * (j2 + 1)))
                         else:
                             coeff = -half * math.sqrt((j2 - half * m2 + 1) / (2.0 * (j2 + 1)))
-                        new_vecs[row, :, col] = coeff * vecs[(j2 - m2_old) // 2]
-                new_blocks.append((path + (j2_new,), new_vecs.reshape(j2_new + 1, -1)))
-        blocks = new_blocks
-    basis = np.vstack([vecs for _, vecs in blocks])
+                        new_vecs[lo + row, :, col] = coeff * basis[old_lo + (j2 - m2_old) // 2]
+                new_paths.append(path + (j2_new,))
+                lo += j2_new + 1
+            old_lo += j2 + 1
+        basis, paths = new_basis, new_paths
     basis.flags.writeable = False
-    stops = np.cumsum([len(vecs) for _, vecs in blocks])
-    return tuple(SchurBlock(path, basis[stop - len(vecs):stop])
-                 for (path, vecs), stop in zip(blocks, stops))
+    starts = np.cumsum([0] + [path[-1] + 1 for path in paths])
+    return tuple(SchurBlock(path, basis[lo:hi]) for path, lo, hi in zip(paths, starts, starts[1:]))
 
 
 @lru_cache(maxsize=8)
@@ -410,20 +398,16 @@ def sequential_j2_measure(
     """
     N = state.n_qubits
     blocks = schur_blocks(N)
-    probs = []
-    for blk in blocks:
-        coeffs = blk.vectors.conj() @ state.vec
-        probs.append(float(np.sum(np.abs(coeffs) ** 2)))
-    probs = np.array(probs)
+    basis, starts, _ = _schur_coordinates(N)
+    coeffs = _schur_coeffs(basis, state.vec)
+    probs = np.add.reduceat(np.abs(coeffs) ** 2, starts)  # one weight per block
     idx = rng.choice(len(blocks), p=probs / probs.sum())
     blk = blocks[idx]
-    coeffs = blk.vectors.conj() @ state.vec
-    post = (coeffs @ blk.vectors) / math.sqrt(probs[idx])
-    row1 = tuple(
-        k + 1 for k in range(N) if blk.j_path_doubled[k] > (blk.j_path_doubled[k - 1] if k else 0)
-    )
-    tab = StandardTableau(N, row1, blk.j_path_doubled)
-    return tab, DenseState(N, post)
+    rows = coeffs[starts[idx] : starts[idx] + blk.j_doubled + 1]
+    post = (rows @ blk.vectors) / math.sqrt(probs[idx])
+    path = blk.j_path_doubled  # label k + 1 sits in row 1 where the path steps up
+    row1 = tuple(k + 1 for k in range(N) if path[k] > (path[k - 1] if k else 0))
+    return StandardTableau(N, row1, path), DenseState(N, post)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +458,6 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
     M = len(vecs)
     labels = list(enumerate_paulis(N, 2 * t))
     x, z, n_y = np.array([_pauli_masks(N, *label) for label in labels]).T
-    parity = _parity_table(N)
     y_phase = np.array((1, 1j, -1, -1j))[n_y % 4, None]
     worst = 0.0
     worst_label = None
@@ -482,7 +465,7 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
     for lo in range(0, len(labels), KL_CHUNK):
         part = slice(lo, lo + KL_CHUNK)
         src = np.arange(2**N) ^ x[part, None]
-        phase = y_phase[part] * (1 - 2 * parity[src & z[part, None]])
+        phase = y_phase[part] * (1 - 2 * (_weights(N)[src & z[part, None]] & 1))
         images = phase[:, None, :] * vecs[np.arange(M)[:, None], src[:, None, :]]
         overlaps = vecs.conj() @ images.transpose(0, 2, 1)  # <i|E_p|j>
         c = np.trace(overlaps, axis1=1, axis2=2) / M

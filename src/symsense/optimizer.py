@@ -88,15 +88,13 @@ def polytope_membership(
     }
 
 
-def is_feasible(inst: LPInstance, alpha, gamma, ghz_proof_variant: bool = False) -> bool:
-    return all(s >= 0 for s in polytope_membership(inst, alpha, gamma, ghz_proof_variant).values())
+def is_feasible(inst: LPInstance, alpha, gamma) -> bool:
+    return all(s >= 0 for s in polytope_membership(inst, alpha, gamma).values())
 
 
-def feasible_vertices(
-    inst: LPInstance, ghz_proof_variant: bool = False
-) -> list[tuple[Fraction, Fraction]]:
+def feasible_vertices(inst: LPInstance) -> list[tuple[Fraction, Fraction]]:
     """All feasible pairwise constraint intersections (the polytope's vertices)."""
-    rows = inst.constraints(ghz_proof_variant)
+    rows = inst.constraints()
     vertices = []
     for (_, a1, b1, r1), (_, a2, b2, r2) in itertools.combinations(rows, 2):
         det = a1 * b2 - a2 * b1
@@ -104,12 +102,12 @@ def feasible_vertices(
             continue
         alpha = (r1 * b2 - r2 * b1) / det
         gamma = (a1 * r2 - a2 * r1) / det
-        if is_feasible(inst, alpha, gamma, ghz_proof_variant) and (alpha, gamma) not in vertices:
+        if is_feasible(inst, alpha, gamma) and (alpha, gamma) not in vertices:
             vertices.append((alpha, gamma))
     return vertices
 
 
-def solve_lp(inst: LPInstance, ghz_proof_variant: bool = False):
+def solve_lp(inst: LPInstance):
     """Exact vertex-enumeration maximizer of the protocol FI exponent.
 
     With two variables every vertex is the intersection of two constraint
@@ -117,7 +115,7 @@ def solve_lp(inst: LPInstance, ghz_proof_variant: bool = False):
     (alpha*, gamma*, objective) as Fractions, or None if the polytope is empty.
     """
     best = None
-    for alpha, gamma in feasible_vertices(inst, ghz_proof_variant):
+    for alpha, gamma in feasible_vertices(inst):
         val = inst.objective(alpha, gamma)
         if best is None or val > best[2]:
             best = (alpha, gamma, val)

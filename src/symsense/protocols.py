@@ -773,6 +773,8 @@ def run_protocol3(c1: float, k: int, q, e1, e2) -> list[Fraction]:
     from symsense.optimizer import LPInstance, p2_exponent
     from symsense.symcore import as_fraction
 
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     cs = [as_fraction(c1)]
     for _ in range(k):
         inst = LPInstance(cs[-1], as_fraction(q), Fraction(1), as_fraction(e1), as_fraction(e2))

@@ -228,11 +228,26 @@ def deletion_qec(branch: SymState, params: GnuParams, t: int) -> tuple[SymState,
 # ---------------------------------------------------------------------------
 
 
-def qec_sense(
-    state: SymState,
-    params: GnuParams,
-    rng: np.random.Generator,
-) -> QecSenseResult:
+def _deletions(state: SymState, params: GnuParams) -> int:
+    """The deletions a round infers from the state's qubit count, after checking its inputs."""
+    if params.n < 3 or params.n % 2 == 0:
+        raise ValueError("qec_sense expects odd n >= 3")
+    t = params.n_qubits - state.n_qubits
+    if t < 0:
+        raise ValueError("state has more qubits than the code")
+    return t
+
+
+def _residue_frame(params: GnuParams, n_qubits: int, t: int, residue: int):
+    """(shift, frame) a modulo-g residue implies; frame is None when the round flags
+    before projecting: more shift than deletions, or a shifted code that no longer fits."""
+    sigma = (params.s - residue) % params.g
+    if sigma > t or not code_fits(params, n_qubits, params.s - sigma):
+        return params.s - sigma, None
+    return params.s - sigma, code_frame(params.with_shift(params.s - sigma, n_qubits))
+
+
+def qec_sense(state: SymState, params: GnuParams, rng: np.random.Generator) -> QecSenseResult:
     """One measure/project/recover round on a (possibly once-deleted) evolved code state.
 
     ``params`` describes the code *before* the deletions; the number of
@@ -241,22 +256,15 @@ def qec_sense(
     the residue implies more shift than there were deletions, or the shifted
     code no longer fits the remaining qubits (``codes.code_fits``).
     """
-    if params.n < 3 or params.n % 2 == 0:
-        raise ValueError("qec_sense expects odd n >= 3")
-    t = params.n_qubits - state.n_qubits
-    if t < 0:
-        raise ValueError("state has more qubits than the code")
+    t = _deletions(state, params)
     mod = modulo_meas(state, params.g, rng)
-    sigma = (params.s - mod.residue) % params.g
-    new_shift = params.s - sigma
-    if sigma > t or not code_fits(params, state.n_qubits, new_shift):
-        return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
-    frame = code_frame(params.with_shift(new_shift, state.n_qubits))
-    syn, c0, c1, p_syn = project_syndrome(frame, mod.post_state.amps, rng.random())
-    if syn < 0:
-        return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
-    amps = (c0 * frame.basis[0] + c1 * frame.basis[1]) / math.sqrt(p_syn)
-    return QecSenseResult(SymState(state.n_qubits, amps), new_shift, syn=syn, flag=0)
+    new_shift, frame = _residue_frame(params, state.n_qubits, t, mod.residue)
+    if frame is not None:
+        syn, c0, c1, p_syn = project_syndrome(frame, mod.post_state.amps, rng.random())
+        if syn >= 0:
+            amps = (c0 * frame.basis[0] + c1 * frame.basis[1]) / math.sqrt(p_syn)
+            return QecSenseResult(SymState(state.n_qubits, amps), new_shift, syn=syn, flag=0)
+    return QecSenseResult(mod.post_state, new_shift, syn=-1, flag=1)
 
 
 def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, float, float]:
@@ -267,17 +275,15 @@ def qec_sense_probabilities(state: SymState, params: GnuParams) -> tuple[float, 
     cancels: it is never negative and keeps its relative precision for tiny
     leakage.  A branch that ``qec_sense`` flags before projecting (too much
     shift for the deletions, or a shifted code that no longer fits) counts
-    wholly as flag.
+    wholly as flag.  Inputs ``qec_sense`` refuses raise the same ValueError.
     """
-    t = params.n_qubits - state.n_qubits
-    branches = modulo_branches(state, params.g)
+    t = _deletions(state, params)
     p0 = p1 = pf = 0.0
-    for br in branches:
-        sigma = (params.s - br.residue) % params.g
-        if sigma > t or not code_fits(params, state.n_qubits, params.s - sigma):
+    for br in modulo_branches(state, params.g):
+        frame = _residue_frame(params, state.n_qubits, t, br.residue)[1]
+        if frame is None:
             pf += br.probability
             continue
-        frame = code_frame(params.with_shift(params.s - sigma, state.n_qubits))
         c = frame_overlaps(frame, br.post_state.amps)
         p0 += br.probability * (abs(c[0]) ** 2 + abs(c[1]) ** 2)
         p1 += br.probability * (abs(c[2]) ** 2 + abs(c[3]) ** 2)

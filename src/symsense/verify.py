@@ -140,21 +140,18 @@ def _enumerated_syt_counts(N: int) -> tuple[tuple[YoungDiagram2, int], ...]:
 
 
 def check_schur_dimension() -> int:
-    bad = 0
-    for N in range(1, 13):
-        total = sum(d.syt_count() * d.ssyt_count() for d, _ in _enumerated_syt_counts(N))
-        if total != 2**N:
-            bad += 1
-    return bad
+    return sum(
+        sum(d.syt_count() * d.ssyt_count() for d, _ in _enumerated_syt_counts(N)) != 2**N
+        for N in range(1, 13)
+    )
 
 
 def check_syt_counts() -> int:
-    bad = 0
-    for N in range(1, 13):
-        for diagram, count in _enumerated_syt_counts(N):
-            if count != diagram.syt_count() or count != diagram.syt_count_hooks():
-                bad += 1
-    return bad
+    return sum(
+        count != diagram.syt_count() or count != diagram.syt_count_hooks()
+        for N in range(1, 13)
+        for diagram, count in _enumerated_syt_counts(N)
+    )
 
 
 def check_sequential_split() -> float:
@@ -322,12 +319,12 @@ def run_checks() -> list[CheckResult]:
     return results
 
 
-def run_verification(verbose: bool = True, as_json: bool = False) -> list[str]:
+def run_verification(as_json: bool = False) -> list[str]:
     """Run the checks and return the names of the failed ones.
 
-    With ``verbose`` it prints one PASS/FAIL line per check and a summary;
-    with ``as_json`` instead one JSON object per line and check, holding its
-    name, value, threshold and pass.
+    Prints one PASS/FAIL line per check and a summary, or with ``as_json``
+    one JSON object per line and check, holding its name, value, threshold
+    and pass.
     """
     results = run_checks()
     failures = [res.name for res in results if not res.passed]
@@ -335,7 +332,7 @@ def run_verification(verbose: bool = True, as_json: bool = False) -> list[str]:
         for res in results:
             print(json.dumps({"name": res.name, "value": res.value,
                               "threshold": res.threshold, "pass": res.passed}))
-    elif verbose:
+    else:
         width = max(len(res.name) for res in results)
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'}  {res.name:<{width}}  {res.detail}")

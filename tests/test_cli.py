@@ -186,6 +186,8 @@ def test_protocol3_command(capsys):
     assert run_cli(["protocol3", "--c1", "0.5", "--k", "2", "--q", "1.5"]) == 0
     out = capsys.readouterr().out
     assert "c_2 = 11/18" in out
+    assert run_cli(["protocol3", "--c1", "0.5", "--k", "0"]) == 0  # no iteration: c_1 only
+    assert capsys.readouterr().out == "c_1 = 1/2 (0.500000)\n"
 
 
 def test_polytope_command(capsys, tmp_path):
@@ -205,7 +207,8 @@ def test_polytope_command(capsys, tmp_path):
      (["polytope", "--c", "1/0"], "zero denominator"),
      (["protocol3", "--e1", "inf"], "exact rational"),
      (["polytope", "--e1", "-1", "--e2", "-3"], "error budgets must be >= 0"),
-     (["protocol3", "--e2", "-0.5"], "error budgets must be >= 0")],
+     (["protocol3", "--e2", "-0.5"], "error budgets must be >= 0"),
+     (["protocol3", "--k", "-3"], "k must be >= 0")],
 )
 def test_malformed_rationals_and_negative_budgets_exit_2(capsys, argv, message):
     assert run_cli(argv) == 2

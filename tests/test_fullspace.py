@@ -414,6 +414,20 @@ def test_schur_blocks_are_read_only_views_into_the_stacked_basis(N):
         assert np.array_equal(blk.vectors, basis[start:start + blk.j_doubled + 1])
 
 
+def test_cold_schur_build_holds_one_basis_beside_the_one_it_returns():
+    # at N = 10: the 8 MiB basis and the 2 MiB step before it, no per-block copies
+    schur_blocks.cache_clear()
+    _schur_coordinates.cache_clear()
+    tracemalloc.start()
+    try:
+        schur_blocks(10)
+        _schur_coordinates(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
+
+
 def test_check_kl_gnu_builds_no_dense_operator():
     # the signal rotation is a phase vector; one 2^9 x 2^9 complex matrix is 4 MiB
     check_kl_gnu()

@@ -1,4 +1,4 @@
-"""Static checks on the source tree: every top-level import is used."""
+"""Static checks on the source tree and the demos: every top-level import is used."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for p in [*ROOT.glob("src/symsense/*.py"), *ROOT.glob("tests/*.py")]
+    p for p in [*ROOT.glob("src/symsense/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]
     if p.name != "__init__.py"  # the package's re-exports are read by its users
 )
 

@@ -313,8 +313,14 @@ def test_qec_sense_flags_a_shifted_code_that_no_longer_fits():
 
 def test_qec_sense_requires_odd_n():
     params = GnuParams(3, 4, Fraction(1), 0)
-    with pytest.raises(ValueError):
-        qec_sense(make_logical(params, Label.PLUS).state, params, np.random.default_rng(0))
+    # both round functions also refuse a 13-qubit state on the N = 11 code
+    state13 = make_logical(GnuParams(3, 3, Fraction(12, 9), 1), Label.PLUS).state
+    code11 = GnuParams(3, 3, Fraction(10, 9), 1)
+    for state, code in ((make_logical(params, Label.PLUS).state, params), (state13, code11)):
+        with pytest.raises(ValueError):
+            qec_sense(state, code, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            qec_sense_probabilities(state, code)
 
 
 # ---------------------------------------------------------------------------
