@@ -17,7 +17,7 @@ from symsense.noise import ad_qfi_bound, amplitude_damp, delete, deletion_qfi
 from symsense.qec import deletion_qec
 
 params = GnuParams(g=5, n=5, u=Fraction(6, 5), s=4)  # N = 34, corrects t <= 4 deletions
-plus = make_logical(params, Label.PLUS).state
+plus = make_logical(params, Label.PLUS)
 N = params.n_qubits
 print(f"probe: (g=5, n=5, u=6/5, s=4) on N = {N} qubits, QFI = {qfi_pure(plus):.1f}")
 

@@ -38,7 +38,7 @@ def main() -> None:
     print(f"  deletion sigma=0: phi_10 = {pf.phi10:+.3e}, phi_11 = {pf.phi11:+.3e}, "
           f"|u_0| = {abs(pf.u0):.6f}")
 
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     res = qec_sense(apply_signal(plus, delta), params, np.random.default_rng(1))
     print(f"one round on the evolved probe: syn={res.syn}, flag={res.flag}, "
           f"shift {params.s} -> {res.new_shift}")

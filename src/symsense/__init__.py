@@ -12,8 +12,8 @@ The package is organised in layers:
 * :mod:`symsense.fullspace` -- small-N full-Hilbert-space certification layer.
 """
 
-from symsense.symcore import SymState, SymEnsemble, apply_signal, jz_moments
-from symsense.codes import GnuParams, LogicalState, make_logical, code_projector_overlap
+from symsense.symcore import SymState, apply_signal, jz_moments
+from symsense.codes import GnuParams, make_logical, code_projector_overlap
 from symsense.noise import delete, amplitude_damp, deletion_qfi, ad_qfi_bound
 from symsense.metrology import qfi_pure, sld, fi_code_basis, fi_phase_readout
 from symsense.qec import (
@@ -29,11 +29,9 @@ from symsense.protocols import ProtocolConfig, run_protocol1, expected_fi_p1
 
 __all__ = [
     "SymState",
-    "SymEnsemble",
     "apply_signal",
     "jz_moments",
     "GnuParams",
-    "LogicalState",
     "make_logical",
     "code_projector_overlap",
     "delete",

@@ -274,7 +274,7 @@ def _check_steps(args) -> None:
 
 def cmd_qfi(args, out=None) -> int:
     params = _params_from_args(args)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     print(f"QFI = {qfi_pure(plus):.12g}  (g^2 n = {params.g ** 2 * params.n})")
     with _csv_writer(out, ["w", "amplitude", "codeword"]) as wr:
         for k, w in enumerate(params.weight_lattice()):
@@ -288,7 +288,7 @@ def cmd_fi_scan(args, out=None) -> int:
         if not np.isfinite(theta):
             raise ValueError(f"{flag} must be finite, got {theta!r}")
     params = _params_from_args(args)
-    qfi = qfi_pure(make_logical(params, Label.PLUS).state)
+    qfi = qfi_pure(make_logical(params, Label.PLUS))
     with _csv_writer(out, ["theta", "fi_two_outcome", "fi_three_outcome", "qfi"]) as wr:
         for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
             f2, f3 = fi_code_basis(params, float(theta))
@@ -298,7 +298,7 @@ def cmd_fi_scan(args, out=None) -> int:
 
 def cmd_sld(args) -> int:
     params = _params_from_args(args)
-    dec = sld(make_logical(params, Label.PLUS).state)
+    dec = sld(make_logical(params, Label.PLUS))
     print(f"eigenvalues: {dec.eigval_plus:+.12g} / {dec.eigval_minus:+.12g}")
     print(f"QFI (4 var): {dec.eigval_plus ** 2:.12g}")
     return 0
@@ -308,7 +308,7 @@ def cmd_delete(args, out=None) -> int:
     params = _params_from_args(args)
     if not 1 <= args.t <= params.n_qubits:
         raise ValueError(f"--t must be in 1..{params.n_qubits} (N of the code), got {args.t}")
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     with _csv_writer(out, ["t", "shift", "weight", "branch_variance", "qfi_after"]) as wr:
         for t in range(1, args.t + 1):
             qfi_after = deletion_qfi(params, t) if min(params.g, params.n) > t else float("nan")
@@ -323,7 +323,7 @@ def cmd_ad(args, out=None) -> int:
     if not 0.0 <= args.gamma_max <= 1.0:
         raise ValueError(f"--gamma-max must be in [0, 1], got {args.gamma_max}")
     params = _params_from_args(args)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     with _csv_writer(out, ["gamma", "qfi_bound", "n_branches"]) as wr:
         for gamma in np.linspace(0.0, args.gamma_max, args.steps):
             bound = ad_qfi_bound(params, float(gamma))
@@ -334,7 +334,7 @@ def cmd_ad(args, out=None) -> int:
 
 def cmd_qec_delete(args) -> int:
     params = _params_from_args(args)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     total = 0.0
     for br in delete(plus, args.t):
         corrected, a = deletion_qec(br.state, params, args.t)

@@ -3,11 +3,12 @@
 A (g, n, u, s) code lives on N = g*n*u + s qubits and supports its codewords
 on the weight lattice {g*k + s : k = 0..n}; logical zero (one) carries the
 even-k (odd-k) half of a binomial profile.  The code distance is min(g, n).
+A codeword is a plain :class:`~symsense.symcore.SymState`, built once per
+(params, label) and shared read-only by every caller.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,27 +83,21 @@ def code_fits(params: GnuParams, n_qubits, s):
     return (s >= 0) & (n_qubits - s >= params.g * params.n)
 
 
-@dataclass(frozen=True)
-class LogicalState:
-    params: GnuParams
-    label: Label
-    state: SymState
-
-
 def _binomial_profile(params: GnuParams) -> np.ndarray:
     n = params.n
     return np.array([math.sqrt(binom(n, k)) for k in range(n + 1)]) * 2.0 ** (-(n - 1) / 2)
 
 
-def make_logical(params: GnuParams, label: Label | str) -> LogicalState:
+def make_logical(params: GnuParams, label: Label | str) -> SymState:
     """Construct a logical codeword of the shifted gnu code.
 
     Zero/One carry the even-k/odd-k binomial amplitudes on weights g*k+s;
     Plus and Minus are their sum and difference over sqrt(2).  Minus is
     provided because the protocol readout measures in the plus-minus basis.
 
-    Codewords are built once per (params, label) and shared: the most recent
-    CODEWORD_CACHE of them are kept, and their amplitudes are read-only.
+    Returns the shared ``SymState`` itself: codewords are built once per
+    (params, label), the most recent CODEWORD_CACHE of them are kept, and
+    their amplitudes are read-only.
     """
     if isinstance(label, str):
         label = Label(label.lower())
@@ -110,7 +105,7 @@ def make_logical(params: GnuParams, label: Label | str) -> LogicalState:
 
 
 @lru_cache(maxsize=CODEWORD_CACHE)
-def _make_logical(params: GnuParams, label: Label) -> LogicalState:
+def _make_logical(params: GnuParams, label: Label) -> SymState:
     N = params.n_qubits
     profile = _binomial_profile(params)
     amps = np.zeros(N + 1, dtype=complex)
@@ -126,12 +121,12 @@ def _make_logical(params: GnuParams, label: Label) -> LogicalState:
         if label is Label.MINUS:
             signs[1::2] = -1.0
         amps[lattice] = profile * signs / math.sqrt(2.0)
-    return LogicalState(params, label, SymState(N, amps))
+    return SymState(N, amps)
 
 
 def logical_pair(params: GnuParams) -> tuple[SymState, SymState]:
-    """(|0_L>, |1_L>) as plain states."""
-    return make_logical(params, Label.ZERO).state, make_logical(params, Label.ONE).state
+    """(|0_L>, |1_L>), the shared codewords of ``make_logical``."""
+    return make_logical(params, Label.ZERO), make_logical(params, Label.ONE)
 
 
 def code_projector_overlap(params: GnuParams, state: SymState) -> tuple[float, float, float]:
@@ -142,36 +137,9 @@ def code_projector_overlap(params: GnuParams, state: SymState) -> tuple[float, f
     rather than as ``1 - p_plus - p_minus``, which cancels: it is never
     negative and keeps its relative precision for tiny leakage.
     """
-    plus = make_logical(params, Label.PLUS).state
-    minus = make_logical(params, Label.MINUS).state
+    plus = make_logical(params, Label.PLUS)
+    minus = make_logical(params, Label.MINUS)
     c_plus, c_minus = plus.inner(state), minus.inner(state)
     residual = state.amps - c_plus * plus.amps - c_minus * minus.amps
     return abs(c_plus) ** 2, abs(c_minus) ** 2, float(np.vdot(residual, residual).real)
 
-
-def codeword_to_json(logical: LogicalState) -> str:
-    """Serialize a codeword as {g,n,u:"p/q",s,label,amps:[{w,re,im}]}."""
-    p = logical.params
-    amps = [
-        {"w": int(w), "re": float(a.real), "im": float(a.imag)}
-        for w, a in enumerate(logical.state.amps)
-        if a != 0
-    ]
-    doc = {
-        "g": p.g,
-        "n": p.n,
-        "u": f"{p.u.numerator}/{p.u.denominator}",
-        "s": p.s,
-        "label": logical.label.value,
-        "amps": amps,
-    }
-    return json.dumps(doc)
-
-
-def codeword_from_json(text: str) -> LogicalState:
-    doc = json.loads(text)
-    params = GnuParams(doc["g"], doc["n"], Fraction(doc["u"]), doc["s"])
-    amps = np.zeros(params.n_qubits + 1, dtype=complex)
-    for entry in doc["amps"]:
-        amps[entry["w"]] = entry["re"] + 1j * entry["im"]
-    return LogicalState(params, Label(doc["label"]), SymState(params.n_qubits, amps))

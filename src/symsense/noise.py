@@ -5,6 +5,9 @@ on fewer qubits: deletions produce t+1 branches labelled by the weight shift a,
 amplitude damping produces N+1 branches labelled by the damped-excitation
 count x (insertion positions are traced out, which is harmless because every
 downstream quantity depends only on the branch states).
+Each channel returns a ``BranchList``: a plain list of its branches (weight
+and normalized state) that also carries the probability mass pruned as
+negligible (weight <= PRUNE_EPS).
 
 Both channels work on the state's support (its non-zero weights), so a call
 costs O(t |support|) (deletion) or O(N |support|) (damping) arithmetic.
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from symsense.codes import GnuParams
-from symsense.symcore import SymEnsemble, SymState, sqrt_binom_ratio, binom
+from symsense.symcore import SymState, sqrt_binom_ratio, binom
 
 PRUNE_EPS = 1e-15
 # (branch, weight) pairs amplitude_damp evaluates per vectorized step
@@ -44,10 +47,6 @@ class BranchList(list):
     def __init__(self, items=(), pruned_mass: float = 0.0):
         super().__init__(items)
         self.pruned_mass = pruned_mass
-
-    def as_ensemble(self) -> SymEnsemble:
-        """The block-diagonal mixture the channel produced."""
-        return SymEnsemble(tuple((br.weight, br.state) for br in self))
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     lattice_phases = signal_phases(n_cur, frame.lattice, delta)
     # the state: amplitudes `amps` on the weights `support`, whose signal phases are `phases`
     support, phases = frame.lattice, lattice_phases
-    amps = make_logical(p, Label.PLUS).state.amps[support]
+    amps = make_logical(p, Label.PLUS).amps[support]
     for u_del, u_sigma, u_syn in uniforms:
         lam = config.n_del * n_cur * tau
         t = _poisson_bucket(u_del, lam)
@@ -686,6 +686,8 @@ def expected_fi_p1(
     per trajectory for the same reason one order higher: trajectories with two
     shift-balanced syn = 1 deletions recover a near-unit readout prefactor and
     an FI ~ (2 dphi_11/dtheta)^2, at a per-trajectory probability ~ 1e-8.
+    Trajectories below probability 1e-18 are skipped; if none is left,
+    ``mean_fi`` is nan and ``sector_probability`` is 0.
 
     For reference the dictionary also reports the two r^2-scaling constants:
     ``r2_formula_stated`` is the published 37/64 r^2 g^6 tau^6 theta^4,
@@ -736,7 +738,7 @@ def expected_fi_p1(
         fi = float(fi_phase_readout(phi_amp, Phi, dPhi))
         mean += prob_traj * fi
         total_p += prob_traj
-    mean /= total_p
+    mean = mean / total_p if total_p > 0.0 else math.nan
 
     base = r * r * g**6 * tau**6 * theta**4
     return {
@@ -756,6 +758,10 @@ def expected_fi_p1(
 
 def run_protocol2(config: ProtocolConfig, n_traj: int = 2000) -> dict:
     """Repeat Protocol 1 r^(q-1) times: E[F_P2] = r^(q-1) (1 - f1) E[F_P1 | success]."""
+    if config.q < 1:
+        raise ValueError(
+            f"Protocol 2 repeats Protocol 1 r^(q-1) times: q must be >= 1, got {config.q}"
+        )
     batch = run_protocol1_batch(config, n_traj)
     reps = float(config.r) ** (config.q - 1.0)
     f1 = batch.failure_rate()

@@ -385,7 +385,6 @@ def bound_checkers(
     params: GnuParams,
     delta: float,
     sigma: int,
-    a_amp: float = 1.0 / math.sqrt(2.0),
 ) -> list[BoundCheck]:
     """Evaluate both sides of the single-deletion perturbation and Taylor bounds.
 
@@ -401,7 +400,8 @@ def bound_checkers(
         raise ValueError("bounds assume |g delta / 2| <= pi/6")
     pf = phase_formulas(params, delta, sigma)
     eps = g * math.sqrt(n) / N
-    b_amp = math.sqrt(1.0 - a_amp**2)
+    # the plus probe: equal amplitudes on |0_L> and |1_L>
+    a_amp = b_amp = 1.0 / math.sqrt(2.0)
     checks = []
     for j, u in ((0, pf.u0), (1, pf.u1)):
         checks.append(BoundCheck(f"u{j}_modulus", abs(abs(u) - 1.0), 3.0 * eps))

@@ -54,8 +54,8 @@ class SymState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def is_normalized(self, atol: float = NORM_ATOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_ATOL
 
     def normalized(self) -> "SymState":
         nrm = math.sqrt(self.norm_sq())
@@ -88,25 +88,6 @@ class SymState:
         """Haar-like random symmetric state (iid complex Gaussian, normalized)."""
         z = rng.standard_normal(n_qubits + 1) + 1j * rng.standard_normal(n_qubits + 1)
         return SymState(n_qubits, z / np.linalg.norm(z))
-
-
-@dataclass(frozen=True)
-class SymEnsemble:
-    """Probabilistic mixture of symmetric states (one branch per channel outcome)."""
-
-    branches: tuple  # of (probability, SymState)
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    def total_probability(self) -> float:
-        return float(sum(p for p, _ in self.branches))
-
-    def __iter__(self):
-        return iter(self.branches)
-
-    def __len__(self):
-        return len(self.branches)
 
 
 # ---------------------------------------------------------------------------

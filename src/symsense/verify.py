@@ -314,7 +314,7 @@ def run_checks() -> list[CheckResult]:
         f"{len(mono)} counterexample(s)" + (f": {mono}" if mono else ""),
     )
     params = GnuParams(4, 4, Fraction(1), 0)
-    qfi = qfi_pure(make_logical(params, Label.PLUS).state)
+    qfi = qfi_pure(make_logical(params, Label.PLUS))
     record("plus-probe QFI = g^2 n", qfi - 64.0, 1e-10, f"value {qfi}")
     return results
 

@@ -64,10 +64,10 @@ def test_criterion1_qfi_closed_form():
         n = int(rng.integers(1, 16))
         s = int(rng.integers(0, 101))
         params = GnuParams(g, n, Fraction(1), s)
-        got = qfi_pure(make_logical(params, Label.PLUS).state)
+        got = qfi_pure(make_logical(params, Label.PLUS))
         worst = max(worst, abs(got - g * g * n) / (g * g * n))
     for N in (5, 30, 100):
-        ghz = qfi_pure(make_logical(GnuParams(N, 1, Fraction(1), 0), Label.PLUS).state)
+        ghz = qfi_pure(make_logical(GnuParams(N, 1, Fraction(1), 0), Label.PLUS))
         worst = max(worst, abs(ghz - N * N) / (N * N))
     report(1, worst <= 1e-10, f"max relative error {worst:.2e} in {time.time() - t0:.2f}s")
 
@@ -116,7 +116,7 @@ def test_criterion4_qec_before_sensing():
     # desk-scale instance g = n = 5 with shift >= t and u > 1 so every
     # post-deletion branch has a valid recovery code (N = 34)
     params = GnuParams(5, 5, Fraction(6, 5), 4)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     ideal = params.g**2 * params.n
     N = params.n_qubits
     worst = 0.0

@@ -133,6 +133,31 @@ def test_protocol1_prints_the_sector_probability_after_the_full_analytic_mean(ca
     assert lines[full + 2].startswith("analytic mean_fi (<=1 syn1 round")
 
 
+def test_protocol1_keeps_its_file_when_no_analytic_sector_survives(tmp_path, capsys):
+    out = tmp_path / "traj.jsonl"
+    args = ["protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12", "--r", "32",
+            "--q", "1.5", "--theta", "0.01", "--ndel", "1000", "--trials", "5", "--seed", "1",
+            "--format", "json", "--out", str(out)]
+    assert run_cli(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "analytic mean_fi (leading order, all sectors): nan" in lines
+    assert "analytic sector_probability (leading order, all sectors): 0.0" in lines
+    assert len(out.read_text().splitlines()) == 5
+    assert (tmp_path / "traj.jsonl.manifest.json").exists()
+
+
+def test_protocol2_rejects_q_below_one_before_running(capsys, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("the Protocol-1 batch ran")
+
+    monkeypatch.setattr(protocols, "run_protocol1_batch", no_batch)
+    args = ["protocol2", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12", "--r", "4",
+            "--q", "0.5", "--theta", "0.01", "--trials", "5"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "q must be >= 1" in captured.err and captured.out == ""
+
+
 def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatch):
     cli._git_describe.cache_clear()
     calls = []

@@ -1,4 +1,4 @@
-"""Codeword construction, sandwich identities, and serialization."""
+"""Codeword construction, sandwich identities and the codeword cache."""
 
 import math
 from fractions import Fraction
@@ -11,8 +11,6 @@ from symsense.codes import (
     GnuParams,
     Label,
     code_projector_overlap,
-    codeword_from_json,
-    codeword_to_json,
     logical_pair,
     make_logical,
 )
@@ -22,8 +20,8 @@ from symsense.symcore import SymState, apply_signal, jz_moments
 
 def test_small_codewords_by_hand():
     params = GnuParams(2, 2, Fraction(1), 0)
-    zero = make_logical(params, Label.ZERO).state
-    one = make_logical(params, Label.ONE).state
+    zero = make_logical(params, Label.ZERO)
+    one = make_logical(params, Label.ONE)
     assert abs(zero.amps[0] - 1 / math.sqrt(2)) < 1e-14
     assert abs(zero.amps[4] - 1 / math.sqrt(2)) < 1e-14
     assert abs(one.amps[2] - 1.0) < 1e-14
@@ -33,7 +31,7 @@ def test_small_codewords_by_hand():
 def test_ghz_is_g_equals_n_code():
     N = 12
     params = GnuParams(N, 1, Fraction(1), 0)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     assert abs(plus.amps[0] - 0.5 * math.sqrt(2)) < 1e-14
     assert abs(plus.amps[N] - 0.5 * math.sqrt(2)) < 1e-14
 
@@ -54,7 +52,7 @@ def test_rejects_non_integer_qubit_count():
 
 def test_projector_overlap_plus_state():
     params = GnuParams(4, 3, Fraction(2), 5)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     p_plus, p_minus, p_other = code_projector_overlap(params, plus)
     assert abs(p_plus - 1.0) < 1e-13
     assert abs(p_minus) < 1e-13
@@ -65,7 +63,7 @@ def test_projector_overlap_evolved_plus():
     # p+ = cos^4(g Delta / 2), p- = sin^4 for (g=2, n=2): the canonical
     # half-angle convention of U = exp(-i theta Jz)
     params = GnuParams(2, 2, Fraction(1), 0)
-    evolved = apply_signal(make_logical(params, Label.PLUS).state, 0.4)
+    evolved = apply_signal(make_logical(params, Label.PLUS), 0.4)
     p_plus, p_minus, _ = code_projector_overlap(params, evolved)
     assert abs(p_plus - math.cos(0.4) ** 4) < 1e-12
     assert abs(p_minus - math.sin(0.4) ** 4) < 1e-12
@@ -83,10 +81,10 @@ def test_projector_overlap_leakage_without_cancellation():
     # exact codewords leak nothing: the residual is rounding noise, never negative
     params = GnuParams(4, 3, Fraction(2), 5)
     for label in (Label.PLUS, Label.MINUS, Label.ZERO, Label.ONE):
-        _, _, p_other = code_projector_overlap(params, make_logical(params, label).state)
+        _, _, p_other = code_projector_overlap(params, make_logical(params, label))
         assert 0.0 <= p_other < 1e-30
     # a true leakage of 1e-20 is resolved, where 1 - p+ - p- would round it away
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     amps = math.sqrt(1.0 - 1e-20) * plus.amps
     amps[params.s + 1] = 1e-10
     _, _, p_other = code_projector_overlap(params, SymState(params.n_qubits, amps))
@@ -103,10 +101,11 @@ def test_make_logical_built_once_and_read_only():
     assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
     assert after.currsize == before.currsize
     # shared codewords cannot be changed through any caller
-    assert not first.state.amps.flags.writeable
+    assert not first.amps.flags.writeable
     with pytest.raises(ValueError):
-        first.state.amps[params.s] = 0.0
-    assert make_logical(GnuParams(7, 5, 3, 11), "minus").label is Label.MINUS
+        first.amps[params.s] = 0.0
+    # an equal GnuParams and a string label reach the same cached codeword
+    assert make_logical(GnuParams(7, 5, 3, 11), "minus") is make_logical(params, Label.MINUS)
 
 
 def test_jz_sandwich_identities():
@@ -124,16 +123,7 @@ def test_jz_sandwich_identities():
             second = jz_apply(cw).norm_sq()
             want = (N / 2 - s) ** 2 + (2 * s - N) * g * n / 2 + g * g * n * (n + 1) / 4
             assert abs(second - want) < 1e-9 * max(1.0, abs(want))
-        plus = make_logical(params, Label.PLUS).state
+        plus = make_logical(params, Label.PLUS)
         _, _, var = jz_moments(plus)
         assert abs(var - g * g * n / 4.0) < 1e-10 * max(1.0, g * g * n / 4.0)
 
-
-def test_codeword_json_roundtrip():
-    params = GnuParams(5, 4, Fraction(9, 5), 7)
-    logical = make_logical(params, Label.MINUS)
-    text = codeword_to_json(logical)
-    back = codeword_from_json(text)
-    assert back.params == params
-    assert back.label is Label.MINUS
-    assert np.allclose(back.state.amps, logical.state.amps)

@@ -160,7 +160,7 @@ def test_prefix_j2_operators_commute():
 
 def test_sequential_measurement_symmetric_input():
     params = GnuParams(2, 2, Fraction(1), 1)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     tab, post = sequential_j2_measure(embed_sym(plus), np.random.default_rng(0))
     assert tab.diagram == YoungDiagram2(plus.n_qubits, 0)  # one-row tableau
     assert abs(abs(np.vdot(post.vec, embed_sym(plus).vec)) - 1.0) < 1e-12
@@ -243,7 +243,7 @@ def test_measurement_order_invariance():
 
 def test_symmetrize_invariant_state_unchanged():
     params = GnuParams(2, 2, Fraction(1), 0)
-    vec = embed_sym(make_logical(params, Label.PLUS).state).vec
+    vec = embed_sym(make_logical(params, Label.PLUS)).vec
     rho = np.outer(vec, vec.conj())
     out = symmetrize_channel(rho, 4)
     assert np.max(np.abs(out - rho)) < 1e-12

@@ -1,9 +1,12 @@
-"""Static checks on the source tree and the demos: every top-level import is used."""
+"""Static checks on the source tree and the demos: every top-level import is
+used, and every name the package exports exists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import symsense
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -35,3 +38,7 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_top_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    assert [name for name in symsense.__all__ if not hasattr(symsense, name)] == []

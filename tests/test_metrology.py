@@ -18,14 +18,14 @@ def test_qfi_of_plus_probe_sweep():
         n = int(rng.integers(1, 16))
         s = int(rng.integers(0, 101))
         params = GnuParams(g, n, Fraction(1), s)
-        got = qfi_pure(make_logical(params, Label.PLUS).state)
+        got = qfi_pure(make_logical(params, Label.PLUS))
         assert abs(got - g * g * n) <= 1e-10 * g * g * n
 
 
 def test_qfi_dicke_and_ghz():
     assert qfi_pure(SymState.from_weight(10, 3)) == 0.0
     N = 64
-    ghz = make_logical(GnuParams(N, 1, Fraction(1), 0), Label.PLUS).state
+    ghz = make_logical(GnuParams(N, 1, Fraction(1), 0), Label.PLUS)
     assert abs(qfi_pure(ghz) - N * N) < 1e-10 * N * N
 
 

@@ -46,7 +46,7 @@ def test_delete_all_zeros_product_state():
 
 def test_delete_branches_orthogonal_mod_g():
     params = GnuParams(4, 4, Fraction(1), 3)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     outs = delete(plus, 2)
     assert abs(sum(o.weight for o in outs) - 1.0) < 1e-12
     for i, a in enumerate(outs):
@@ -128,7 +128,7 @@ def test_deletion_qfi_t0_and_precondition():
 def test_deletion_qfi_compositional_oracle():
     # closed-form branch sums vs delete() + jz_moments recomposition
     params = GnuParams(4, 4, Fraction(1), 0)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     for t in (1, 2, 3):
         want = 4.0 * sum(br.weight * jz_moments(br.state)[2] for br in delete(plus, t))
         got = deletion_qfi(params, t)
@@ -158,7 +158,7 @@ def test_ad_qfi_bound_limits():
 
 def test_ad_qfi_bound_compositional_oracle():
     params = GnuParams(3, 3, Fraction(1), 0)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     for gamma in (0.1, 0.35):
         want = 4.0 * sum(br.weight * jz_moments(br.state)[2] for br in amplitude_damp(plus, gamma))
         got = ad_qfi_bound(params, gamma)
@@ -174,17 +174,6 @@ def test_channel_probability_conservation():
         assert abs(sum(o.weight for o in outs) + outs.pruned_mass - 1.0) < 1e-12
         outs = amplitude_damp(psi, float(rng.uniform(0.05, 0.95)))
         assert abs(sum(o.weight for o in outs) + outs.pruned_mass - 1.0) < 1e-12
-
-
-def test_channel_ensemble_view():
-    from symsense.symcore import SymEnsemble
-
-    psi = SymState.from_weight(4, 2)
-    ens = delete(psi, 2).as_ensemble()
-    assert isinstance(ens, SymEnsemble)
-    assert abs(ens.total_probability() - 1.0) < 1e-12
-    for prob, state in ens:
-        assert state.is_normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +243,7 @@ def _branch_bits(result, label):
 def _channel_states():
     rng = np.random.default_rng(2024)
     states = {f"random N={N}": SymState.random(N, rng) for N in (1, 7, 50, 300)}
-    states["code N=2000"] = make_logical(
-        GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS
-    ).state
+    states["code N=2000"] = make_logical(GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS)
     states["Dicke N=40 w=17"] = SymState.from_weight(40, 17)
     holes = SymState.random(60, rng).amps.copy()
     holes[[0, 5, 6, 7, 31, 58]] = 0.0  # interior zeros and a zero end

@@ -433,6 +433,19 @@ def test_expected_fi_zero_signal_and_homogeneity():
     assert b["r2_formula_quarter"] / a["r2_formula_quarter"] == pytest.approx(64.0)
 
 
+def test_expected_fi_is_nan_when_no_sector_survives():
+    # a deletion is near certain every round, so every enumerated sector is below 1e-18
+    params = GnuParams(8, 3, Fraction(22, 3), 12)
+    cfg = ProtocolConfig(params, r=32, q=1.5, theta=0.01, n_del=1000.0, seed=1)
+    res = expected_fi_p1(cfg)
+    assert math.isnan(res["mean_fi"]) and res["sector_probability"] == 0.0
+    base = 32**2 * 8**6 * cfg.tau**6 * 0.01**4
+    assert res["r2_formula_stated"] == (37.0 / 64.0) * base
+    assert res["r2_formula_quarter"] == (9.0 / 16.0) * base
+    assert 0.0 <= res["p_zero_deletions"] < 1e-18
+    assert math.isfinite(res["del_syn1_round_prob"])
+
+
 def test_protocol2_single_repetition_at_q1():
     cfg = ProtocolConfig(small_config().params, r=6, q=1.0, theta=5e-3, n_del=1e-3, seed=2)
     res = run_protocol2(cfg, n_traj=400)
@@ -610,7 +623,7 @@ def _replay_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> proto
         cur = p.with_shift(s, n_qubits)
         return (cur, cur.weight_lattice(), *logical_pair(cur), *q_vectors(cur)[:2])
 
-    state = make_logical(p, Label.PLUS).state
+    state = make_logical(p, Label.PLUS)
     N0 = n_cur = p.n_qubits
     s_cur = p.s
     counts = np.zeros((2, 2), dtype=int)

@@ -59,7 +59,7 @@ def test_modulo_three_weight_example():
 
 def test_modulo_codeword_deterministic():
     params = GnuParams(5, 3, Fraction(2), 7)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     branches = modulo_branches(plus, params.g)
     assert len(branches) == 1
     assert branches[0].residue == params.s % params.g
@@ -72,7 +72,7 @@ def test_modulo_codeword_deterministic():
 
 def test_deletion_qec_t0_identity():
     params = GnuParams(3, 3, Fraction(1), 2)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     corrected, a = deletion_qec(plus, params, 0)
     assert a == 0
     assert np.allclose(corrected.amps, plus.amps)
@@ -81,12 +81,12 @@ def test_deletion_qec_t0_identity():
 def test_deletion_qec_single_deletion_branches():
     # u > 1 so the one-qubit-smaller code still fits its top codeword weight
     params = GnuParams(3, 3, Fraction(4, 3), 2)  # N = 14
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     for br in delete(plus, 1):
         corrected, a = deletion_qec(br.state, params, 1)
         assert a == br.shift
         small = params.with_shift(params.s - a, params.n_qubits - 1)
-        ideal = make_logical(small, Label.PLUS).state
+        ideal = make_logical(small, Label.PLUS)
         fid = corrected.fidelity(ideal)
         assert fid > 0.99  # amplitude distortion is O(g sqrt(n)/N)
         # post-QEC state is exactly in the smaller codespace
@@ -137,7 +137,7 @@ def test_pflag_is_the_residual_norm_outside_code_and_q_spaces():
     for v in basis:
         leak -= np.vdot(v.amps, leak) * v.amps
     leak /= np.linalg.norm(leak)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     psi = SymState(params.n_qubits, math.sqrt(1.0 - 1e-20) * plus.amps + 1e-10 * leak)
     p0, p1, pf = qec_sense_probabilities(psi, params)
     assert pf == pytest.approx(1e-20, rel=1e-6)
@@ -146,7 +146,7 @@ def test_pflag_is_the_residual_norm_outside_code_and_q_spaces():
 
 def test_pflag_zero_for_n3():
     params = GnuParams(4, 3, Fraction(3), 1)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     for delta in (0.01, 0.3, 1.0):
         p0, p1, pf = qec_sense_probabilities(apply_signal(plus, delta), params)
         assert pflag_closed_form(3, 0.5 * params.g * delta)[2] == 0.0
@@ -159,7 +159,7 @@ def test_pflag_n5_quarter_pi():
     _, _, pf = pflag_closed_form(5, math.pi / 4)
     assert abs(pf - 0.625) < 1e-14
     params = GnuParams(2, 5, Fraction(3), 0)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     delta = math.pi / 2 / params.g
     _, _, pf_num = qec_sense_probabilities(apply_signal(plus, delta), params)
     assert abs(pf_num - 0.625) < 1e-12
@@ -215,7 +215,7 @@ def test_project_syndrome_splits_the_unit_interval_by_syndrome_weight():
     # n = 5 leaks out of codespace + q-space, so all three outcomes have weight
     params = GnuParams(3, 5, Fraction(1), 2)
     frame = code_frame(params)
-    psi = apply_signal(make_logical(params, Label.PLUS).state, 0.4)
+    psi = apply_signal(make_logical(params, Label.PLUS), 0.4)
     p0, p1, pf = qec_sense_probabilities(psi, params)
     assert min(p0, p1, pf) > 1e-3
     syn, c0, c1, p = project_syndrome(frame, psi.amps, 0.0)
@@ -245,7 +245,7 @@ def test_qU_norm_sandwich_closed_form():
 def test_qec_sense_outcomes_and_phases_no_deletion():
     # sample until both syndromes are seen; check exact post-state phases
     params = GnuParams(4, 3, Fraction(3), 1)
-    plus = make_logical(params, Label.PLUS).state
+    plus = make_logical(params, Label.PLUS)
     delta = 0.25  # x = 0.5: P[syn=1] ~ 0.5
     evolved = apply_signal(plus, delta)
     pf = phase_formulas(params, delta)
@@ -292,7 +292,7 @@ def test_qec_sense_flags_a_shifted_code_that_no_longer_fits():
     # GnuParams(2, 3, 1, 0) has no spare qubit: after one deletion neither
     # shift leaves a code (u < 1 at sigma = 0, s < 0 at sigma = 1)
     params = GnuParams(2, 3, Fraction(1), 0)
-    for br in delete(make_logical(params, Label.PLUS).state, 1):
+    for br in delete(make_logical(params, Label.PLUS), 1):
         evolved = apply_signal(br.state, 0.1)
         for seed in range(10):
             res = qec_sense(evolved, params, np.random.default_rng(seed))
@@ -303,7 +303,7 @@ def test_qec_sense_flags_a_shifted_code_that_no_longer_fits():
         assert abs(p0 + p1 + pf - 1.0) < 1e-12
     # one spare qubit: sigma = 0 still fits, so only the sigma = 1 mass is unfit
     params = GnuParams(2, 3, Fraction(7, 6), 0)
-    branches = delete(make_logical(params, Label.PLUS).state, 1)
+    branches = delete(make_logical(params, Label.PLUS), 1)
     amps = sum(math.sqrt(br.weight) * br.state.amps for br in branches)
     mixed = apply_signal(SymState(params.n_qubits - 1, amps), 0.1)
     p0, p1, pf = qec_sense_probabilities(mixed, params)
@@ -314,9 +314,9 @@ def test_qec_sense_flags_a_shifted_code_that_no_longer_fits():
 def test_qec_sense_requires_odd_n():
     params = GnuParams(3, 4, Fraction(1), 0)
     # both round functions also refuse a 13-qubit state on the N = 11 code
-    state13 = make_logical(GnuParams(3, 3, Fraction(12, 9), 1), Label.PLUS).state
+    state13 = make_logical(GnuParams(3, 3, Fraction(12, 9), 1), Label.PLUS)
     code11 = GnuParams(3, 3, Fraction(10, 9), 1)
-    for state, code in ((make_logical(params, Label.PLUS).state, params), (state13, code11)):
+    for state, code in ((make_logical(params, Label.PLUS), params), (state13, code11)):
         with pytest.raises(ValueError):
             qec_sense(state, code, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ def test_apply_signal_matches_dense_formula_bit_for_bit():
 
     rng = np.random.default_rng(11)
     states = [SymState.random(n, rng) for n in (1, 7, 50)]
-    states.append(make_logical(GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS).state)
+    states.append(make_logical(GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS))
     gappy = SymState.random(30, rng).amps.copy()
     gappy[[0, 3, 4, 17, 29]] = 0.0
     states.append(SymState(30, gappy))
