@@ -2,7 +2,7 @@
 
 A (g, n, u, s) code lives on N = g*n*u + s qubits and supports its codewords
 on the weight lattice {g*k + s : k = 0..n}; logical zero (one) carries the
-even-k (odd-k) half of a binomial profile.  The code distance is min(g, n).
+even-k (odd-k) half of :func:`lattice_profile`.  The code distance is min(g, n).
 A codeword is a plain :class:`~symsense.symcore.SymState`, built once per
 (params, label) and shared read-only by every caller.
 """
@@ -83,9 +83,13 @@ def code_fits(params: GnuParams, n_qubits, s):
     return (s >= 0) & (n_qubits - s >= params.g * params.n)
 
 
-def _binomial_profile(params: GnuParams) -> np.ndarray:
-    n = params.n
-    return np.array([math.sqrt(binom(n, k)) for k in range(n + 1)]) * 2.0 ** (-(n - 1) / 2)
+@lru_cache(maxsize=None)
+def lattice_profile(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) / 2^((n-1)/2) for k = 0..n: |0_L>'s (even k) and |1_L>'s (odd k)
+    amplitudes on the weight lattice of every code with this n.  Shared, read-only."""
+    profile = np.array([math.sqrt(binom(n, k)) for k in range(n + 1)]) * 2.0 ** (-(n - 1) / 2)
+    profile.flags.writeable = False
+    return profile
 
 
 def make_logical(params: GnuParams, label: Label | str) -> SymState:
@@ -107,15 +111,12 @@ def make_logical(params: GnuParams, label: Label | str) -> SymState:
 @lru_cache(maxsize=CODEWORD_CACHE)
 def _make_logical(params: GnuParams, label: Label) -> SymState:
     N = params.n_qubits
-    profile = _binomial_profile(params)
+    profile = lattice_profile(params.n)
     amps = np.zeros(N + 1, dtype=complex)
     lattice = params.weight_lattice()
-    if label is Label.ZERO:
-        sel = np.arange(params.n + 1) % 2 == 0
-        amps[lattice[sel]] = profile[sel]
-    elif label is Label.ONE:
-        sel = np.arange(params.n + 1) % 2 == 1
-        amps[lattice[sel]] = profile[sel]
+    if label in (Label.ZERO, Label.ONE):
+        half = slice(int(label is Label.ONE), None, 2)  # even k: |0_L>, odd k: |1_L>
+        amps[lattice[half]] = profile[half]
     else:
         signs = np.ones(params.n + 1)
         if label is Label.MINUS:

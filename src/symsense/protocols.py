@@ -5,8 +5,8 @@ on the failure flag, and reads out in the logical plus/minus basis; its Fisher
 information comes from the accumulated logical phase Phi and its
 theta-derivative.
 
-Each round starts from a logical pair a|0_L> + b|1_L> of the current n = 3
-code and maps (a, b) -> (a X_0, b X_1) / sqrt(P).  With one deletion the
+Each round starts from a logical pair a|0_L> + b|1_L> of the current code (any
+odd n >= 3) and maps (a, b) -> (a X_0, b X_1) / sqrt(P).  With one deletion the
 factors are the lattice sums of :func:`one_deletion_ratios`: E_0, E_1 onto the
 codespace (syn = 0) or D_0, D_1 onto the q-space (syn = 1), the deletion's
 binomial sqrt-ratios folded in, returned with their analytic theta-derivatives
@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from symsense.codes import GnuParams, Label, code_fits, make_logical
+from symsense.codes import GnuParams, Label, code_fits, lattice_profile, make_logical
 from symsense.metrology import fi_phase_readout
 from symsense.noise import delete
 from symsense.qec import code_frame, pflag_closed_form, project_syndrome, zeta, zeta_derivative
@@ -76,8 +76,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.params.n != 3:
-            raise ValueError("the sensing protocol uses n = 3 codes")
+        if self.params.n < 3 or self.params.n % 2 == 0:
+            raise ValueError(f"the sensing protocol needs an odd n >= 3, got n = {self.params.n}")
         if self.r < 1:
             raise ValueError("need at least one round")
         for name in ("q", "theta", "n_del"):
@@ -132,13 +132,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 # per-round lattice sums (shared by every Protocol-1 path)
 # ---------------------------------------------------------------------------
 
-# n = 3 profiles over the lattice k = 0..3: codeword amplitudes c_k (even k
-# carry |0_L>, odd k |1_L>) and q-vector amplitudes q_k
-_K = np.arange(4, dtype=float)
-_C = 0.5 * np.array([1.0, math.sqrt(3.0), math.sqrt(3.0), 1.0])
-_Q = _C * (2.0 / math.sqrt(3.0)) * (1.5 - _K)
-
-
 class LatticeSums(NamedTuple):
     """Factors X = (E_0, E_1, D_0, D_1) of a round with one deletion, stacked
     on axis 0, their theta-derivatives dX, and the deleted state's norm
@@ -152,28 +145,34 @@ class LatticeSums(NamedTuple):
 
 def _pairs(t, prof):
     """(even-k, odd-k) sums of prof * t over the lattice (last) axis."""
-    return prof[0] * t[..., 0] + prof[2] * t[..., 2], prof[1] * t[..., 1] + prof[3] * t[..., 3]
+    return (prof[0::2] * t[..., 0::2]).sum(axis=-1), (prof[1::2] * t[..., 1::2]).sum(axis=-1)
 
 
-def one_deletion_ratios(g: int, n_qubits, s, sigma, delta: float, tau: float) -> LatticeSums:
-    """Lattice sums of a round with one deletion of shift sigma, vectorized.
+def one_deletion_ratios(g: int, n: int, n_qubits, s, sigma, delta, tau) -> LatticeSums:
+    """Lattice sums of a round with one deletion of shift sigma on a (g, n) code, vectorized.
 
     ``n_qubits``, ``s``, ``sigma`` refer to the code *before* the deletion and
-    broadcast against each other.  Weight w = g k + s keeps sqrt((N - w)/N)
-    of its amplitude on sigma = 0 and sqrt(w/N) on sigma = 1, moves to
-    w - sigma and picks up e^{i delta (w - sigma)} (the common e^{-i delta N'/2}
-    is dropped), whose theta-derivative is i tau (w - sigma) times itself.
+    broadcast against each other.  On the lattice k = 0..n the codewords carry
+    c_k = ``lattice_profile(n)`` and the q-vectors the J_z displacement of
+    ``qec.q_vectors`` over its norm g sqrt(n)/2, q_k = c_k (2/sqrt(n)) (n/2 - k).
+    Weight w = g k + s keeps sqrt((N - w)/N) of its amplitude on sigma = 0 and
+    sqrt(w/N) on sigma = 1, moves to w - sigma and picks up e^{i delta (w - sigma)}
+    (the common e^{-i delta N'/2} is dropped), whose theta-derivative is
+    i tau (w - sigma) times itself.
     X_1/X_0 is the codespace ratio <1|U|1'>/<0|U|0'> for the E pair and the
     q-space ratio for the D pair; their arguments are phi_{1,0} and phi_{1,1}.
     """
+    k = np.arange(n + 1, dtype=float)
+    c = lattice_profile(n)
+    q = c * (2.0 / math.sqrt(n)) * (n / 2 - k)
     N = np.asarray(n_qubits, dtype=float)[..., None]
     sig = np.asarray(sigma, dtype=float)[..., None]
-    w = g * _K + np.asarray(s, dtype=float)[..., None]
+    w = g * k + np.asarray(s, dtype=float)[..., None]
     ratio = np.maximum(np.where(sig > 0.5, w / N, 1.0 - w / N), 0.0)
-    term = np.sqrt(ratio) * _C * np.exp(1j * delta * (w - sig))
+    term = np.sqrt(ratio) * c * np.exp(1j * delta * (w - sig))
     dterm = (1j * tau) * (w - sig) * term
-    X, dX = (np.stack([*_pairs(t, _C), *_pairs(t, _Q)]) for t in (term, dterm))
-    return LatticeSums(X, dX, *_pairs(ratio, _C * _C))
+    X, dX = (np.stack([*_pairs(t, c), *_pairs(t, q)]) for t in (term, dterm))
+    return LatticeSums(X, dX, *_pairs(ratio, c * c))
 
 
 def _phase_step(x0, x1, dx0, dx1):
@@ -219,7 +218,6 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     ``apply_signal`` then ``SymState.inner`` bit for bit.
     """
     p = config.params
-    g = p.g
     tau, delta = config.tau, config.delta
     z = [zeta(p, delta, j) for j in (0, 1)]
     dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
@@ -276,7 +274,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             Phi += z[syn]
             dPhi += dz[syn]
         else:
-            X, dX = one_deletion_ratios(g, pre_n, pre_s, sigma, delta, tau)[:2]
+            X, dX = one_deletion_ratios(p.g, p.n, pre_n, pre_s, sigma, delta, tau)[:2]
             inc, dinc = _phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
             Phi += float(inc)
             dPhi += float(dinc)
@@ -328,7 +326,7 @@ class BatchResult:
 
     def mean_fi(self) -> float:
         ok = self.success
-        return float(np.mean(self.fisher_information[ok])) if ok.any() else 0.0
+        return float(np.mean(self.fisher_information[ok])) if ok.any() else math.nan
 
     def se_fi(self) -> float:
         ok = self.success
@@ -491,7 +489,9 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     z_inc = np.array([*z, *z, 0.0])
     z_dinc = np.array([*dz, *dz, 0.0])
     p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * g * delta)
-    fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])  # |X|^2 without deletion
+    # |X|^2 without deletion: |E_0| = |E_1| and |D_0| = |D_1| at every odd n, as k -> n - k
+    # swaps the lattice halves, keeps c_k, negates q_k and conjugates the phases up to a factor
+    fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])
     both_sigmas = np.array([[0], [1]])
 
     # --- quiet rounds: each row's first event round, the rows sorted by it.
@@ -544,7 +544,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            both = one_deletion_ratios(g, n_k[drow], s_k[drow], both_sigmas, delta, tau)
+            both = one_deletion_ratios(g, p.n, n_k[drow], s_k[drow], both_sigmas, delta, tau)
             ma, mb = mod2_k[:, drow]
             sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
             cols = np.arange(drow.size)
@@ -649,7 +649,7 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
     ]
 
     # sigma on axis 0; logical amplitudes a = b = 1/sqrt(2)
-    X, dX, A, B = one_deletion_ratios(g, N, s, np.array([0, 1]), delta, tau)
+    X, dX, A, B = one_deletion_ratios(g, n, N, s, np.array([0, 1]), delta, tau)
     prob_sigma1 = 0.5 * (A[1] + B[1])
     for sigma in (0, 1):
         p_sig = p_del * (prob_sigma1 if sigma else 1.0 - prob_sigma1)
@@ -673,8 +673,8 @@ def expected_fi_p1(
     classes of :func:`_round_classes` (all but the dominant no-deletion syn=0
     class are rare, so the enumeration is truncated at ``RARE_COUNT_CAPS``), folds
     the plus/minus readout prefactor exactly, and averages.  Everything uses
-    the exact zeta / sandwich-ratio functions, hence the direct-expansion
-    cubic coefficient zeta_0 ~ -(g Delta)^3 / 4.
+    the exact zeta / sandwich-ratio functions of the code's n; only at n = 3
+    do they give the direct-expansion cubic zeta_0 ~ -(g Delta)^3 / 4.
 
     ``include_nodel_syn1=False`` drops the no-deletion syn = 1 sector: its
     per-trajectory probability is ~ r n (g theta tau)^2 / 4 (around 1e-6 at
@@ -689,10 +689,10 @@ def expected_fi_p1(
     Trajectories below probability 1e-18 are skipped; if none is left,
     ``mean_fi`` is nan and ``sector_probability`` is 0.
 
-    For reference the dictionary also reports the two r^2-scaling constants:
-    ``r2_formula_stated`` is the published 37/64 r^2 g^6 tau^6 theta^4,
-    ``r2_formula_quarter`` the (r dzeta0/dtheta)^2 = (9/16) r^2 g^6 tau^6
-    theta^4 that the -1/4 cubic coefficient implies for the pure syn=0 sector.
+    For reference the dictionary also reports two r^2-scaling constants, n = 3
+    statements reported at every n: ``r2_formula_stated`` is the published
+    37/64 r^2 g^6 tau^6 theta^4, ``r2_formula_quarter`` the (r dzeta0/dtheta)^2 =
+    (9/16) r^2 g^6 tau^6 theta^4 that the -1/4 cubic implies for the syn=0 sector.
     """
     p = config.params
     g = p.g
@@ -757,16 +757,17 @@ def expected_fi_p1(
 
 
 def run_protocol2(config: ProtocolConfig, n_traj: int = 2000) -> dict:
-    """Repeat Protocol 1 r^(q-1) times: E[F_P2] = r^(q-1) (1 - f1) E[F_P1 | success]."""
+    """Repeat Protocol 1 r^(q-1) times: E[F_P2] = r^(q-1) (1 - f1) E[F_P1 | success],
+    where f1 (``failure_rate``) is the share of rows that are flagged or stop as invalid."""
     if config.q < 1:
         raise ValueError(
             f"Protocol 2 repeats Protocol 1 r^(q-1) times: q must be >= 1, got {config.q}"
         )
     batch = run_protocol1_batch(config, n_traj)
     reps = float(config.r) ** (config.q - 1.0)
-    f1 = batch.failure_rate()
-    fi = reps * (1.0 - f1) * batch.mean_fi()
-    return {"fi_p2": fi, "repetitions": reps, "failure_rate": f1, "mean_fi_p1": batch.mean_fi()}
+    success, fi = float(batch.success.mean()), batch.mean_fi()
+    return {"fi_p2": reps * success * fi, "repetitions": reps, "failure_rate": 1.0 - success,
+            "mean_fi_p1": fi}
 
 
 def run_protocol3(c1: float, k: int, q, e1, e2) -> list[Fraction]:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from symsense.codes import CODEWORD_CACHE, GnuParams, code_fits, logical_pair
+from symsense.codes import CODEWORD_CACHE, GnuParams, code_fits, lattice_profile, logical_pair
 from symsense.symcore import SymState, apply_signal, sqrt_binom_ratio, binom
 
 
@@ -171,16 +171,15 @@ def deleted_codewords(params: GnuParams, sigma: int, t: int = 1) -> tuple[SymSta
         raise ValueError("shift too small: s >= sigma required")
     N = params.n_qubits
     M = N - t
-    n = params.n
-    pref = 2.0 ** (-(n - 1) / 2)
+    profile = lattice_profile(params.n)
     out = []
     for parity in (0, 1):
         amps = np.zeros(M + 1, dtype=complex)
-        for k in range(parity, n + 1, 2):
+        for k in range(parity, params.n + 1, 2):
             w = params.s + params.g * k
             if w - sigma > M:
                 continue  # branch amplitude is exactly zero (C(M, >M) = 0)
-            amps[w - sigma] = pref * math.sqrt(binom(n, k)) * sqrt_binom_ratio(M, w - sigma, N, w)
+            amps[w - sigma] = profile[k] * sqrt_binom_ratio(M, w - sigma, N, w)
         out.append(SymState(M, amps))
     return out[0], out[1]
 
@@ -427,7 +426,8 @@ def bound_checkers(
 
 
 def phi11_ratio(params: GnuParams, delta: float, sigma: int) -> float:
-    """phi_{1,1} / (g delta): approaches 4 sqrt(2) when s = N/2 - gn/2 + o(g)."""
+    """phi_{1,1} / (g delta).  Criterion 7 states 4 sqrt(2) for s = N/2 - gn/2 + o(g); on
+    n = 3 codes the small-angle limit is 3, and the ratio falls towards 1 once N delta >~ 1."""
     pf = phase_formulas(params, delta, sigma)
     return pf.phi11 / (params.g * delta)
 

@@ -141,6 +141,7 @@ def test_protocol1_keeps_its_file_when_no_analytic_sector_survives(tmp_path, cap
     assert run_cli(args) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "analytic mean_fi (leading order, all sectors): nan" in lines
+    assert "mean_FI: nan" in lines and "se_FI: nan" in lines
     assert "analytic sector_probability (leading order, all sectors): 0.0" in lines
     assert len(out.read_text().splitlines()) == 5
     assert (tmp_path / "traj.jsonl.manifest.json").exists()
@@ -177,7 +178,8 @@ def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--ndel", "-5", "n_del"), ("--ndel", "inf", "n_del"), ("--theta", "nan", "theta"),
-     ("--q", "inf", "q")],
+     ("--q", "inf", "q"), ("--n", "4", "odd n >= 3, got n = 4"),
+     ("--n", "6", "odd n >= 3, got n = 6"), ("--n", "1", "odd n >= 3, got n = 1")],
 )
 def test_protocol1_rejects_invalid_config_before_running(tmp_path, capsys, flag, value, field):
     out = tmp_path / "traj.jsonl"
@@ -188,6 +190,13 @@ def test_protocol1_rejects_invalid_config_before_running(tmp_path, capsys, flag,
     captured = capsys.readouterr()
     assert field in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_protocol1_runs_an_n5_code(capsys):
+    args = ["protocol1", "--g", "8", "--n", "5", "--u", "3", "--s", "80", "--r", "12", "--q", "1.2",
+            "--theta", "0.005", "--ndel", "0.003", "--trials", "50", "--seed", "42"]
+    assert run_cli(args) == 0
+    assert "n_traj: 50" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

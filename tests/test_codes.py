@@ -11,10 +11,11 @@ from symsense.codes import (
     GnuParams,
     Label,
     code_projector_overlap,
+    lattice_profile,
     logical_pair,
     make_logical,
 )
-from symsense.qec import jz_apply
+from symsense.qec import code_frame, jz_apply
 from symsense.symcore import SymState, apply_signal, jz_moments
 
 
@@ -106,6 +107,18 @@ def test_make_logical_built_once_and_read_only():
         first.amps[params.s] = 0.0
     # an equal GnuParams and a string label reach the same cached codeword
     assert make_logical(GnuParams(7, 5, 3, 11), "minus") is make_logical(params, Label.MINUS)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_lattice_profile_is_the_codewords_on_the_lattice(n):
+    profile = lattice_profile(n)
+    assert lattice_profile(n) is profile and not profile.flags.writeable
+    want = [math.sqrt(math.comb(n, k)) * 2.0 ** (-(n - 1) / 2) for k in range(n + 1)]
+    assert profile.tolist() == want
+    frame = code_frame(GnuParams(3, n, Fraction(2), 1))
+    for parity, on_lattice in enumerate(frame.cw_on_lattice):
+        assert on_lattice[parity::2].real.tobytes() == profile[parity::2].tobytes()
+        assert not on_lattice[1 - parity :: 2].any() and not on_lattice.imag.any()
 
 
 def test_jz_sandwich_identities():

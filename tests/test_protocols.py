@@ -31,8 +31,8 @@ from symsense.symcore import SymState, apply_signal, signal_phases
 from symsense.verify import protocol1_mismatches
 
 
-def small_config(seed=42, n_del=2e-3, theta=5e-3, r=12) -> ProtocolConfig:
-    g, n, N = 8, 3, 200
+def small_config(seed=42, n_del=2e-3, theta=5e-3, r=12, n=3) -> ProtocolConfig:
+    g, N = 8, 200
     s = (N - g * n) // 2
     params = GnuParams(g, n, Fraction(N - s, g * n), s)
     return ProtocolConfig(params, r=r, q=1.2, theta=theta, n_del=n_del, seed=seed)
@@ -54,9 +54,12 @@ HIGH_NOISE = ProtocolConfig(
 )
 
 
-def test_config_requires_n3():
-    with pytest.raises(ValueError):
-        ProtocolConfig(GnuParams(8, 5, Fraction(5), 0), r=4, q=1.5, theta=0.01, n_del=0.0)
+def test_config_accepts_odd_n_and_rejects_the_rest():
+    for n in (5, 7):
+        assert ProtocolConfig(GnuParams(8, n, Fraction(5), 0), r=4, q=1.5, theta=0.01, n_del=0.0)
+    for n in (1, 4, 6):
+        with pytest.raises(ValueError, match=f"odd n >= 3, got n = {n}"):
+            ProtocolConfig(GnuParams(8, n, Fraction(5), 0), r=4, q=1.5, theta=0.01, n_del=0.0)
 
 
 def test_noiseless_zero_signal_trajectory():
@@ -175,6 +178,22 @@ def test_protocol2_composition():
     assert res["fi_p2"] == pytest.approx(
         reps * (1 - res["failure_rate"]) * res["mean_fi_p1"], rel=1e-12
     )
+
+
+def test_protocol2_weights_by_the_success_rate():
+    # invalid-regime rows are failures too: the repetition succeeds only on rows mean_fi averages
+    batch = run_protocol1_batch(N16_ALL_CAUSES, 400)
+    assert batch.invalid.any() and batch.flag.any()
+    res = run_protocol2(N16_ALL_CAUSES, n_traj=400)
+    assert res["fi_p2"] == pytest.approx(batch.success.mean() * batch.mean_fi(), rel=1e-12)
+    assert res["failure_rate"] == pytest.approx(1.0 - batch.success.mean(), rel=1e-12)
+
+
+def test_mean_fi_is_nan_when_no_row_succeeds():
+    params = GnuParams(8, 3, Fraction(22, 3), 12)
+    batch = run_protocol1_batch(ProtocolConfig(params, 32, 1.5, 0.01, 1000.0, seed=1), 20)
+    assert not batch.success.any()
+    assert math.isnan(batch.mean_fi()) and math.isnan(batch.se_fi())
 
 
 def test_protocol3_iterations():
@@ -573,18 +592,27 @@ def test_dphi_matches_mpmath_on_deletion_rows():
 
 
 def test_one_deletion_phases_match_phase_formulas():
-    # phase_formulas takes phi_{1,0} and phi_{1,1} from full Dicke vectors
-    from symsense.qec import phase_formulas
+    # phase_formulas takes phi_{1,0} and phi_{1,1} from full Dicke vectors.  The sums
+    # themselves are E_j = <j_L|U|j'> and D_j = <q_j|U|j'> for the deleted codewords |j'>
+    # against the shifted code's frame (q-vectors from qec.q_vectors), but for the
+    # common phase e^{-i delta N'/2} that the lattice sums drop
+    from symsense.qec import deleted_codewords, frame_overlaps, phase_formulas
 
-    params = small_config().params
-    for delta in (1e-4, 3e-3, 0.02):
-        for sigma in (0, 1):
-            pf = phase_formulas(params, delta, sigma)
-            X = protocols.one_deletion_ratios(
-                params.g, params.n_qubits, params.s, sigma, delta, 1.0
-            ).X
-            assert abs(np.angle(X[1] / X[0]) - pf.phi10) <= 1e-12
-            assert abs(np.angle(X[3] / X[2]) - pf.phi11) <= 1e-12
+    for n in (3, 5, 7, 9):
+        params = small_config(n=n).params
+        for delta in (1e-4, 3e-3, 0.02):
+            for sigma in (0, 1):
+                pf = phase_formulas(params, delta, sigma)
+                X = protocols.one_deletion_ratios(
+                    params.g, n, params.n_qubits, params.s, sigma, delta, 1.0
+                ).X
+                assert abs(np.angle(X[1] / X[0]) - pf.phi10) <= 1e-12
+                assert abs(np.angle(X[3] / X[2]) - pf.phi11) <= 1e-12
+                frame = code_frame(params.with_shift(params.s - sigma, params.n_qubits - 1))
+                zero, one = (frame_overlaps(frame, apply_signal(cw, delta).amps)
+                             for cw in deleted_codewords(params, sigma))
+                got = X * np.exp(-0.5j * delta * (params.n_qubits - 1))
+                assert np.allclose(got, [zero[0], one[1], zero[2], one[3]], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -673,7 +701,7 @@ def _replay_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> proto
             Phi += zeta(cur, theta * tau, syn)
             dPhi += tau * zeta_derivative(cur, theta * tau, syn)
         else:
-            X, dX = protocols.one_deletion_ratios(p.g, pre_n, pre_s, sigma, theta * tau, tau)[:2]
+            X, dX = protocols.one_deletion_ratios(p.g, p.n, pre_n, pre_s, sigma, theta * tau, tau)[:2]
             inc, dinc = protocols._phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
             Phi += float(inc)
             dPhi += float(dinc)
@@ -824,7 +852,7 @@ def _replay_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         norm = np.ones(n_traj)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            both = protocols.one_deletion_ratios(g, n_cur[drow], s_cur[drow], both_sigmas, delta, tau)
+            both = protocols.one_deletion_ratios(g, p.n, n_cur[drow], s_cur[drow], both_sigmas, delta, tau)
             ma, mb = mod2[:, drow]
             sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
             cols = np.arange(drow.size)
@@ -924,3 +952,121 @@ def test_batch_span_matches_every_row_replay_bit_for_bit(config, lo, hi, covered
     want = _replay_batch_span(config, lo, hi)
     assert_same_bits(protocols._run_batch_span(config, lo, hi), want)
     assert covered(_first_event_rounds(config, lo, hi), want, config.r)
+
+
+# ---------------------------------------------------------------------------
+# the batch at n >= 5 against a 50-digit replay
+# ---------------------------------------------------------------------------
+
+
+def _mp_replay(config: ProtocolConfig, index: int, mp) -> dict:
+    """Trajectory ``index`` of ``config`` replayed at mp.mp.dps digits on its own uniforms.
+
+    The state is its amplitudes a_k on the current code's lattice g k + s.  A
+    deletion keeps sqrt((N - w)/N) (sigma = 0) or sqrt(w/N) (sigma = 1) of each
+    amplitude; the signal multiplies weight w by exp(-i delta (N/2 - w)); the
+    QEC round projects onto the codewords and onto the q-vectors, built here
+    from the codewords' J_z displacement.  The float reference is no oracle at
+    n >= 5: its lgamma deletion ratios are ~1e-13 off at N = 200, which moves
+    the FI of a tiny Phi by ~1e-6.
+    """
+    p = config.params
+    g, n = p.g, p.n
+    tau, delta = mp.mpf(config.tau), mp.mpf(config.delta)
+    c = [mp.sqrt(mp.binomial(n, k)) / mp.mpf(2) ** (mp.mpf(n - 1) / 2) for k in range(n + 1)]
+    halves = (range(0, n + 1, 2), range(1, n + 1, 2))
+    amps = [ck / mp.sqrt(2) for ck in c]  # |+_L>
+    N0 = n_cur = p.n_qubits
+    s_cur = p.s
+    counts = np.zeros((2, 2), dtype=np.int64)
+    row = dict(flag=False, invalid_regime=False)
+    for u_del, u_sigma, u_syn in trajectory_rng(config.seed, index).random((config.r, 3)).tolist():
+        lam = mp.mpf(config.n_del) * n_cur * tau
+        p0 = mp.exp(-lam)
+        t = 0 if u_del < p0 else 1 if u_del < p0 * (1 + lam) else 2
+        if t == 2:
+            row["flag"] = True
+            break
+        if n_cur - t < N0 / 2:
+            row["invalid_regime"] = True
+            break
+        if t == 1:
+            keep1 = [mp.mpf(g * k + s_cur) / n_cur for k in range(n + 1)]
+            sigma = int(u_sigma < mp.fsum(abs(a) ** 2 * x for a, x in zip(amps, keep1)))
+            kept = [a * mp.sqrt(x if sigma else 1 - x) for a, x in zip(amps, keep1)]
+            norm = mp.sqrt(mp.fsum(abs(a) ** 2 for a in kept))
+            amps = [a / norm for a in kept]
+            n_cur, s_cur = n_cur - 1, s_cur - sigma
+            if not code_fits(p, n_cur, s_cur):
+                row["invalid_regime"] = True
+                break
+        jz = [mp.mpf(n_cur) / 2 - (g * k + s_cur) for k in range(n + 1)]
+        amps = [a * mp.expj(-delta * x) for a, x in zip(amps, jz)]
+        e, d, q = [], [], [None] * (n + 1)
+        for half in halves:
+            mean = mp.fsum(c[k] ** 2 * jz[k] for k in half)
+            norm = mp.sqrt(mp.fsum((c[k] * (jz[k] - mean)) ** 2 for k in half))
+            for k in half:
+                q[k] = c[k] * (jz[k] - mean) / norm
+            e.append(mp.fsum(c[k] * amps[k] for k in half))
+            d.append(mp.fsum(q[k] * amps[k] for k in half))
+        p_code, p_q = (abs(x0) ** 2 + abs(x1) ** 2 for x0, x1 in (e, d))
+        if u_syn < p_code:
+            syn, coef, p_syn = 0, e, p_code
+        elif u_syn < p_code + p_q:
+            syn, coef, p_syn = 1, d, p_q
+        else:
+            row["flag"] = True
+            break
+        amps = [coef[k % 2] * c[k] / mp.sqrt(p_syn) for k in range(n + 1)]
+        counts[t, syn] += 1
+    row.update(counts=counts.tolist(), n_deletions=N0 - n_cur, final_shift=s_cur)
+    if not (row["flag"] or row["invalid_regime"]):
+        a0, a1 = (mp.fsum(c[k] * amps[k] for k in half) for half in halves)
+        row.update(final_amp_a=abs(a0), state_phase=mp.arg(a1 / a0))
+    return row
+
+
+def _mp_replay_mismatches(batch: BatchResult, indices, mp) -> list[str]:
+    """Where the rows ``indices`` of ``batch`` differ from their 50-digit replay:
+    the outcome fields exactly, final_amp_a by 1e-14, and Phi from the replayed
+    state's arg(a_1/a_0) by 1e-8 modulo 2 pi."""
+    found = []
+    for idx in indices:
+        want = _mp_replay(batch.config, idx, mp)
+        got = dict(flag=bool(batch.flag[idx]), invalid_regime=bool(batch.invalid[idx]),
+                   counts=batch.counts[idx].tolist(), n_deletions=int(batch.n_deletions[idx]),
+                   final_shift=int(batch.final_shift[idx]))
+        for field, value in got.items():
+            if value != want[field]:
+                found.append(f"trajectory {idx}: {field} {value!r}, want {want[field]!r}")
+        if "state_phase" not in want:
+            if not math.isnan(batch.final_amp_a[idx]):
+                found.append(f"trajectory {idx}: aborted row has final_amp_a {batch.final_amp_a[idx]!r}")
+            continue
+        if not abs(batch.final_amp_a[idx] - want["final_amp_a"]) <= 1e-14:
+            found.append(f"trajectory {idx}: final_amp_a {batch.final_amp_a[idx]!r}, "
+                         f"want {mp.nstr(want['final_amp_a'], 20)}")
+        wrapped = (batch.Phi[idx] - float(want["state_phase"]) + math.pi) % (2 * math.pi) - math.pi
+        if not abs(wrapped) < 1e-8:
+            found.append(f"trajectory {idx}: Phi {batch.Phi[idx]!r} is {wrapped!r} off the state")
+    return found
+
+
+@pytest.mark.parametrize(
+    "config, seen",
+    [
+        (small_config(n=5, n_del=3e-3), ("deleted", "ok")),
+        (small_config(n=7, n_del=3e-3), ("deleted", "ok")),
+        # x = g delta / 2 = 0.6: nearly every row is flagged
+        (dataclasses.replace(HIGH_NOISE, params=GnuParams(4, 5, Fraction(9, 5), 24)), ("flag",)),
+    ],
+    ids=["N200-n5", "N200-n7", "high-noise-n5"],
+)
+def test_batch_matches_a_50_digit_replay_at_odd_n_above_3(config, seen):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        batch = run_protocol1_batch(config, 60)
+        assert not _mp_replay_mismatches(batch, range(60), mp)
+    rows = dict(deleted=batch.n_deletions > 0, ok=batch.success, flag=batch.flag)
+    assert all(rows[key].any() for key in seen)
