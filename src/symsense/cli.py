@@ -31,7 +31,7 @@ import numpy as np
 from symsense import __version__
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.metrology import fi_code_basis, qfi_pure, sld
-from symsense.noise import ad_qfi_bound, amplitude_damp, delete, deletion_qfi
+from symsense.noise import ad_qfi_bound, damping_branch_count, delete, deletion_qfi
 from symsense.optimizer import (
     LPInstance,
     closed_form_optimum,
@@ -327,7 +327,7 @@ def cmd_ad(args, out=None) -> int:
     with _csv_writer(out, ["gamma", "qfi_bound", "n_branches"]) as wr:
         for gamma in np.linspace(0.0, args.gamma_max, args.steps):
             bound = ad_qfi_bound(params, float(gamma))
-            nb = len(amplitude_damp(plus, float(gamma)))
+            nb = damping_branch_count(plus, float(gamma))
             wr.writerow([f"{gamma:.12g}", f"{bound:.12g}", nb])
     return 0
 

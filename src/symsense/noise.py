@@ -20,6 +20,12 @@ support weights, so damping the N = 2000 code state never visits all
 N^2 / 2 (branch, weight) pairs.  The branch amplitudes are bit-identical to
 evaluating each weight through ``log_binom`` / ``sqrt_binom_ratio`` and
 ``math.exp`` (``np.exp`` is 1 ulp off on some arguments, so it is not used).
+
+``damping_branch_count`` counts the branches ``amplitude_damp`` keeps without
+forming them: it sums each branch's compact terms |a_w|^2 p_w(x) in one
+``np.add.reduceat`` per block, and only a branch whose sum lies within a few
+ulps per term of PRUNE_EPS is formed, in the same zero-padded vector, and
+decided by the same ``np.vdot`` norm.  ``symsense ad`` prints that count.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from symsense.symcore import SymState, sqrt_binom_ratio, binom
 PRUNE_EPS = 1e-15
 # (branch, weight) pairs amplitude_damp evaluates per vectorized step
 _AD_CHUNK_PAIRS = 1 << 14
+# ulps per term by which damping_branch_count widens its band around PRUNE_EPS
+_NORM_ULPS = 4
 # the largest integer that converts to a float without OverflowError
 _FLOAT_INT_MAX = int(sys.float_info.max)
 
@@ -136,31 +144,83 @@ def amplitude_damp(state: SymState, gamma_ad: float) -> list[ADOutcome]:
     entries, so a norm of the compact non-zero values would differ in the
     last bits.
     """
-    if not 0.0 <= gamma_ad <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
     N = state.n_qubits
-    support = np.flatnonzero(state.amps)
     outcomes = BranchList()
-    if support.size == 0:
-        return outcomes
     buf = np.zeros(N + 1, dtype=complex)
-    n_branches = int(support[-1]) + 1
-    rows = max(1, _AD_CHUNK_PAIRS // support.size)
-    for x0 in range(0, n_branches, rows):
-        xs = np.arange(x0, min(x0 + rows, n_branches))
-        pos, vals, bounds = _damping_terms(state, support, xs, gamma_ad)
+    for xs, pos, vals, bounds in _damping_blocks(state, gamma_ad):
         for x, a, b in zip(xs.tolist(), bounds, bounds[1:]):
             if a == b:
                 continue
             amps = buf[: N - x + 1]
-            amps[pos[a:b]] = vals[a:b]
-            nsq = float(np.vdot(amps, amps).real)
+            nsq = _formed_norm(amps, pos[a:b], vals[a:b])
             if nsq <= PRUNE_EPS:
                 outcomes.pruned_mass += nsq
             else:
                 outcomes.append(ADOutcome(x, nsq, SymState(N - x, amps / math.sqrt(nsq))))
             amps[pos[a:b]] = 0.0
     return outcomes
+
+
+def damping_branch_count(state: SymState, gamma_ad: float) -> int:
+    """The number of branches :func:`amplitude_damp` keeps, without forming them.
+
+    Equals ``len(amplitude_damp(state, gamma_ad))`` exactly.  Each formed
+    branch's squared norm is first summed from its compact non-zero terms.
+    That sum and the ``np.vdot`` norm ``amplitude_damp`` prunes on add the
+    same non-negative products in different orders, so they differ by less
+    than (1.5 terms + 0.5) eps of the norm; a compact sum outside
+    PRUNE_EPS (1 +- _NORM_ULPS (terms + 2) eps) therefore decides the branch
+    as the ``np.vdot`` norm would.  A branch inside that band is formed in
+    the zero-padded vector and decided by that norm, :func:`_formed_norm`.
+    """
+    N = state.n_qubits
+    kept = 0
+    buf = np.zeros(N + 1, dtype=complex)
+    for xs, pos, vals, bounds in _damping_blocks(state, gamma_ad):
+        lo, hi = np.array(bounds[:-1]), np.array(bounds[1:])
+        formed = lo < hi
+        lo, hi, xs = lo[formed], hi[formed], xs[formed]
+        # the empty branches own no terms, so each formed one's terms run up to the next start
+        sums = np.add.reduceat(vals.real * vals.real + vals.imag * vals.imag, lo)
+        band = _NORM_ULPS * (hi - lo + 2) * sys.float_info.epsilon * PRUNE_EPS
+        kept += int(np.count_nonzero(sums > PRUNE_EPS + band))
+        near = np.abs(sums - PRUNE_EPS) <= band
+        for x, a, b in zip(xs[near].tolist(), lo[near].tolist(), hi[near].tolist()):
+            amps = buf[: N - x + 1]
+            kept += _formed_norm(amps, pos[a:b], vals[a:b]) > PRUNE_EPS
+            amps[pos[a:b]] = 0.0
+    return kept
+
+
+def _formed_norm(amps: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> float:
+    """Write ``vals`` at ``pos`` into the zero vector ``amps`` and return its squared norm.
+
+    ``np.vdot``'s summation order depends on the positions of the entries, so
+    the norm is taken on the zero-padded vector, never on the compact values;
+    the caller zeroes ``pos`` again.
+    """
+    amps[pos] = vals
+    return float(np.vdot(amps, amps).real)
+
+
+def _damping_blocks(state: SymState, gamma_ad: float):
+    """``(xs, *_damping_terms(...))`` for consecutive blocks ``xs`` of the damping branches.
+
+    Raises ValueError, on the first step, for gamma outside [0, 1].  Branches
+    above the top support weight are exactly zero and are not visited; a
+    block holds at most ``_AD_CHUNK_PAIRS`` (branch, weight) pairs, or one
+    branch where the support alone is larger.
+    """
+    if not 0.0 <= gamma_ad <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma_ad}")
+    support = np.flatnonzero(state.amps)
+    if support.size == 0:
+        return
+    n_branches = int(support[-1]) + 1
+    rows = max(1, _AD_CHUNK_PAIRS // support.size)
+    for x0 in range(0, n_branches, rows):
+        xs = np.arange(x0, min(x0 + rows, n_branches))
+        yield xs, *_damping_terms(state, support, xs, gamma_ad)
 
 
 def _damping_terms(state: SymState, support: np.ndarray, xs: np.ndarray, gamma_ad: float):

@@ -18,6 +18,7 @@ take their place.  Two implementations are provided:
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
   one trajectory at a time, the signal applied on the state's known support
   only and the QEC round of ``qec.qec_sense``; Phi uses the shared formulas.
+  Its quiet rounds before the first event replay one cached chain of states.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: BATCH_SPAN
   trajectories advance in lock-step, each as its logical weights
   (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
@@ -51,11 +52,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from symsense.codes import GnuParams, Label, code_fits, lattice_profile, make_logical
+from symsense.codes import CODEWORD_CACHE, GnuParams, Label, code_fits, lattice_profile, make_logical
 from symsense.metrology import fi_phase_readout
 from symsense.noise import delete
 from symsense.qec import code_frame, pflag_closed_form, project_syndrome, zeta, zeta_derivative
@@ -202,6 +204,35 @@ def _on_weights(n_qubits: int, weights: np.ndarray, amps: np.ndarray) -> np.ndar
     return full
 
 
+@lru_cache(maxsize=CODEWORD_CACHE)
+def _quiet_chain(params: GnuParams, delta: float, r: int):
+    """The quiet rounds of the reference trajectory from |+_L> on the code ``params``.
+
+    Returns P[syn 0] of quiet round k for k = 0..r-1 and, as row k of a
+    read-only array, the lattice amplitudes before round k (row r: after the
+    last).  Each round is :func:`run_protocol1`'s own: the signal on the
+    lattice, ``qec.project_syndrome`` on the full Dicke vector, then
+    (c_0 cw_0 + c_1 cw_1) / sqrt(P).  The chain stops early if a round has
+    P[syn 0] = 0, after which no round is quiet.  Building it costs one
+    all-quiet trajectory, once per (code, delta, r).
+    """
+    frame = code_frame(params)
+    phases = signal_phases(params.n_qubits, frame.lattice, delta)
+    amps = make_logical(params, Label.PLUS).amps[frame.lattice]
+    p_code, before = [], [amps]
+    for _ in range(r):
+        evolved = _on_weights(params.n_qubits, frame.lattice, amps * phases)
+        syn, c0, c1, p_syn = project_syndrome(frame, evolved, 0.0)
+        if syn:
+            break
+        amps = (c0 * frame.cw_on_lattice[0] + c1 * frame.cw_on_lattice[1]) / math.sqrt(p_syn)
+        p_code.append(p_syn)
+        before.append(amps)
+    before = np.array(before)
+    before.flags.writeable = False
+    return tuple(p_code), before
+
+
 def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> TrajectoryRecord:
     """One exact trajectory with full Dicke-vector state tracking.
 
@@ -216,6 +247,18 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     QEC round on it: ``qec.project_syndrome`` against the current code's
     ``qec.code_frame``, as ``qec.qec_sense`` does, which equals
     ``apply_signal`` then ``SymState.inner`` bit for bit.
+
+    The rounds before the first deletion or syndrome 1 are quiet, and from
+    |+_L> they form one deterministic chain of states for a given code, delta
+    and r.  :func:`_quiet_chain` runs that chain once, with this loop's own
+    round, and caches P[syn 0] of each round and the state before it.  A
+    trajectory advances through its quiet prefix by comparing its uniforms
+    against p_0 (as ``_poisson_bucket`` computes it) and those P[syn 0],
+    adding zeta_0, its derivative and the count one round at a time, and the
+    loop then starts from the cached state.  The result is bit for bit what
+    the loop would give.  The chain is built on full Dicke vectors, not with
+    the batch's closed-form (1/2, 1/2) shortcut, so the reference stays an
+    oracle independent of the batch.
     """
     p = config.params
     tau, delta = config.tau, config.delta
@@ -230,12 +273,23 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     flag = invalid = False
     n_deleted = 0
 
+    # the quiet prefix: rounds with no deletion (u_del below p_0, as in
+    # _poisson_bucket) and syndrome 0, replayed from the cached chain
+    p_code, before = _quiet_chain(p, delta, config.r)
+    p0 = math.exp(-(config.n_del * n_cur * tau))
+    k = 0
+    while k < len(p_code) and uniforms[k][0] < p0 and uniforms[k][2] < p_code[k]:
+        counts[0, 0] += 1
+        Phi += z[0]
+        dPhi += dz[0]
+        k += 1
+
     frame = code_frame(p)
     lattice_phases = signal_phases(n_cur, frame.lattice, delta)
     # the state: amplitudes `amps` on the weights `support`, whose signal phases are `phases`
     support, phases = frame.lattice, lattice_phases
-    amps = make_logical(p, Label.PLUS).amps[support]
-    for u_del, u_sigma, u_syn in uniforms:
+    amps = before[k]
+    for u_del, u_sigma, u_syn in uniforms[k:]:
         lam = config.n_del * n_cur * tau
         t = _poisson_bucket(u_del, lam)
         if t >= 2:

@@ -17,6 +17,7 @@ from symsense.noise import (
     BranchList,
     DeletionOutcome,
     amplitude_damp,
+    damping_branch_count,
     delete,
     deletion_qfi,
     ad_qfi_bound,
@@ -372,3 +373,50 @@ def test_lgamma_table_is_built_once_and_read_only():
     assert table[2000] == math.lgamma(2001)
     with pytest.raises(ValueError):
         table[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# damping_branch_count: the kept damping branches, counted without forming them
+# ---------------------------------------------------------------------------
+
+
+def test_branch_count_equals_kept_branches_on_the_code():
+    # the `symsense ad --gamma-max 0.3 --steps 11` grid and a grid over [0, 1]
+    psi = CHANNEL_STATES["code N=2000"]
+    for gamma in sorted({*np.linspace(0.0, 0.3, 11).tolist(), *np.linspace(0.0, 1.0, 41).tolist()}):
+        assert damping_branch_count(psi, gamma) == len(amplitude_damp(psi, gamma)), gamma
+
+
+@pytest.mark.parametrize("N", [5, 60, 300, 1000])
+def test_branch_count_equals_kept_branches_on_random_states(N):
+    psi = SymState.random(N, np.random.default_rng([7, N]))
+    pruned = 0.0
+    for gamma in (0.0, 0.01, 0.1, 0.5, 0.9, 1.0):
+        outs = amplitude_damp(psi, gamma)
+        assert damping_branch_count(psi, gamma) == len(outs), gamma
+        pruned += outs.pruned_mass
+    if N >= 60:
+        assert pruned > 0.0  # the count had branches to drop
+
+
+def test_branch_count_forms_a_branch_at_the_threshold(monkeypatch):
+    # put PRUNE_EPS on each kept branch's exact np.vdot norm in turn: amplitude_damp
+    # now drops that branch, and its compact sum, a few ulps off that norm, cannot
+    # tell, so the branch must be formed and decided by the same norm
+    psi = CHANNEL_STATES["support with holes N=60"]
+    gamma = 0.5
+    norm = noise._formed_norm
+    formed = []
+    monkeypatch.setattr(noise, "_formed_norm", lambda *args: formed.append(1) or norm(*args))
+    for branch in amplitude_damp(psi, gamma):
+        monkeypatch.setattr(noise, "PRUNE_EPS", branch.weight)
+        want = len(amplitude_damp(psi, gamma))
+        formed.clear()
+        assert damping_branch_count(psi, gamma) == want, branch.damped
+        assert formed, branch.damped
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
+def test_branch_count_rejects_gamma_outside_unit_interval(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        damping_branch_count(CHANNEL_STATES["random N=7"], gamma)

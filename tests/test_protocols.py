@@ -743,6 +743,49 @@ def test_reference_matches_library_replay_bit_for_bit(config, n_traj, causes):
     assert all(seen[key] for key in ("deleted", "ok", *causes)), seen
 
 
+def _first_event_round(config: ProtocolConfig, index: int) -> int:
+    """The first round of trajectory ``index`` with a deletion or a syndrome other than 0."""
+    u = trajectory_rng(config.seed, index).random((config.r, 3))
+    p_code = np.array(protocols._quiet_chain(config.params, config.delta, config.r)[0])
+    p0 = math.exp(-(config.n_del * config.params.n_qubits * config.tau))
+    loud = (u[:, 0] >= p0) | (u[:, 2] >= p_code)
+    return int(loud.argmax()) if loud.any() else config.r
+
+
+def test_quiet_prefix_replay_matches_library_replay_bit_for_bit():
+    # the criterion-8 code at five times its deletion rate, up to three rows per case
+    config = criterion8_config(seed=9, rate=0.1)
+    picked = {"event in round 0": [], "all rounds quiet": [], "flagged after >= 2 deletions": []}
+    for idx in range(200):
+        rec = run_protocol1(config, trajectory_rng(config.seed, idx))
+        first = _first_event_round(config, idx)
+        cases = (first == 0, first == config.r, rec.flag and rec.n_deletions >= 2)
+        for rows, hit in zip(picked.values(), cases):
+            if hit and len(rows) < 3:
+                rows.append(idx)
+                want = _replay_protocol1(config, trajectory_rng(config.seed, idx))
+                assert _field_bits(rec) == _field_bits(want), idx
+    assert all(len(rows) == 3 for rows in picked.values()), picked
+
+
+def test_quiet_chain_is_read_only_and_keyed_by_the_signal():
+    config = criterion8_config(seed=3)
+    twin = dataclasses.replace(config, theta=2 * config.theta)
+    p_code, before = protocols._quiet_chain(config.params, config.delta, config.r)
+    assert len(p_code) == config.r and before.shape == (config.r + 1, config.params.n + 1)
+    assert isinstance(p_code, tuple) and not before.flags.writeable
+    with pytest.raises(ValueError):
+        before[0, 0] = 0.0
+    twin_p_code, twin_before = protocols._quiet_chain(twin.params, twin.delta, twin.r)
+    assert twin_p_code != p_code and not np.array_equal(twin_before[1:], before[1:])
+    # each config replays its own chain, whichever ran first
+    for cfg in (config, twin, config):
+        for idx in range(4):
+            rec = run_protocol1(cfg, trajectory_rng(cfg.seed, idx))
+            want = _replay_protocol1(cfg, trajectory_rng(cfg.seed, idx))
+            assert _field_bits(rec) == _field_bits(want), (cfg.theta, idx)
+
+
 def test_frame_phases_match_apply_signal_on_a_post_qec_state():
     config = criterion8_config(seed=3)
     p, delta = config.params, config.delta
@@ -760,12 +803,12 @@ def test_frame_phases_match_apply_signal_on_a_post_qec_state():
 
 
 def test_reference_and_batch_agree_at_the_criterion8_code():
-    # 64 seed-chosen trajectories of the first 4096
+    # the first 256 trajectories and 64 seed-chosen ones of the first 4096
     config = criterion8_config(seed=8)
     batch = run_protocol1_batch(config, 4096)
-    rows = np.sort(np.random.default_rng([config.seed, 3]).choice(4096, 64, replace=False))
-    assert not protocol1_mismatches(batch, rows)
-    assert (batch.n_deletions[rows] > 0).sum() >= 10
+    chosen = np.random.default_rng([config.seed, 3]).choice(4096, 64, replace=False)
+    assert not protocol1_mismatches(batch, np.union1d(np.arange(256), chosen))
+    assert (batch.n_deletions[chosen] > 0).sum() >= 10
 
 
 # ---------------------------------------------------------------------------
