@@ -4,7 +4,8 @@ This module owns every output file.  A command writes ``--out`` through a
 temporary file that replaces it only if the command succeeds, and ``main``
 then writes one ``<out>.manifest.json`` (command, config echo, seed, build,
 versions, wall time) so results are reproducible byte for byte from the
-manifest alone.  The Protocol-1 JSONL and summary-CSV exporters live here.
+manifest alone.  The Protocol-1 JSONL and summary-CSV exporters live here;
+the JSONL spells each distinct row of a span once, as json.dumps of its dict.
 
 Exit codes: 0 success (flagged/aborted simulations are data, not errors),
 1 internal assertion failure, 2 invalid configuration.
@@ -135,65 +136,13 @@ def _csv_writer(path: str | None, header: list):
 # ---------------------------------------------------------------------------
 
 
-_JSONL_ROW = (
-    '{"index": %d, %s, "Phi": %s, "dPhi_dtheta": %s, "final_amp_a": %s, '
-    '"fisher_information": %s, %s}\n'
-)
-# the two runs of integer fields in a row, each spelled once per distinct value
-_JSONL_HEAD = '"flag": %s, "invalid_regime": %s, "counts": [[%d, %d], [%d, %d]]'
-_JSONL_TAIL = '"n_deletions": %d, "final_shift": %d'
-_JSON_BOOL = ("false", "true")
-_KEY_LIMIT = 2**62  # mixed-radix keys stay below this, well inside int64
-
-
-def _json_floats(col: np.ndarray) -> list[str]:
-    """json.dumps spellings of a float column, each distinct bit pattern spelled once.
-
-    A Monte-Carlo column holds few distinct values (trajectories with the
-    same outcomes share them); keying on the bits keeps -0.0 apart from 0.0.
-    """
-    bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
-    spelled = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return spelled[where].tolist()
-
-
-def _row_keys(cols: list[np.ndarray]) -> np.ndarray:
-    """An int64 key per row of the integer columns ``cols``, equal exactly where the rows are.
-
-    The key is mixed-radix over each column's range.  A column whose range is
-    wider than the row count enters as its distinct-value codes, and the key
-    is compacted to its own distinct-value codes (< the row count) before a
-    radix product would pass 2^62, so it never overflows.
-    """
-    n_rows = cols[0].size
-    key = np.zeros(n_rows, dtype=np.int64)
-    size = 1  # the key lies in [0, size)
-    for col in cols:
-        col = col.astype(np.int64)
-        low = int(col.min())
-        radix = int(col.max()) - low + 1
-        if radix > n_rows:
-            values, col = np.unique(col, return_inverse=True)
-            low, radix = 0, values.size
-        if size * radix > _KEY_LIMIT:
-            values, key = np.unique(key, return_inverse=True)
-            size = values.size
-        key = key * radix + (col - low)
-        size *= radix
-    return key
-
-
-def _spelled_rows(cols: list[np.ndarray], spell) -> list[str]:
-    """spell(row) for each row of the integer columns ``cols``, each distinct row spelled once."""
-    _, first, where = np.unique(_row_keys(cols), return_index=True, return_inverse=True)
-    rows = zip(*(col[first].tolist() for col in cols))
-    spelled = np.array([spell(row) for row in rows], dtype=object)
-    return spelled[where].tolist()
-
-
-def _spell_head(row) -> str:
-    flag, invalid, *counts = row
-    return _JSONL_HEAD % (_JSON_BOOL[flag], _JSON_BOOL[invalid], *counts)
+# the protocol1 JSONL row after its index, in key order: {key: BatchResult field}
+_JSONL_FIELDS = {
+    "flag": "flag", "invalid_regime": "invalid", "counts": "counts", "Phi": "Phi",
+    "dPhi_dtheta": "dPhi_dtheta", "final_amp_a": "final_amp_a",
+    "fisher_information": "fisher_information", "n_deletions": "n_deletions",
+    "final_shift": "final_shift",
+}
 
 
 def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
@@ -201,9 +150,10 @@ def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
 
     ``spans`` is an iterable of consecutive spans, such as
     :func:`protocol1_spans`; each span's rows are written as it arrives, so
-    formatting overlaps the workers computing later spans.  Columns are
-    converted at most BATCH_SPAN rows at a time and poured into a fixed row
-    template.  An empty stream raises before ``path`` is opened; ``main``
+    formatting overlaps the workers computing later spans.  At most
+    BATCH_SPAN rows at a time, each distinct row is spelled once by
+    json.dumps and shared by the rows equal to it (:func:`_write_rows`).
+    An empty stream raises before ``path`` is opened; ``main``
     hands this a temporary path, so a run that fails later leaves no file
     either.  Returns the whole batch.
     """
@@ -223,25 +173,33 @@ def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
 def _write_rows(fh, batch: BatchResult, first: int) -> None:
     """Rows of ``batch``, numbered from ``first``.
 
-    Each chunk of at most BATCH_SPAN rows is spelled column group by column
-    group: the (flag, invalid_regime, counts) head and the (n_deletions,
-    final_shift) tail once per distinct value (:func:`_spelled_rows`), each
-    float column once per distinct bit pattern (:func:`_json_floats`).  A row
-    is then a 7-field template filled from the index and those spellings.
+    A chunk of at most BATCH_SPAN rows holds few distinct rows (trajectories
+    with the same outcomes share every field).  One lexsort over each row's 12
+    fields as int64, the floats by their bit patterns so that -0.0, NaN and
+    +-inf stay exact, finds them; each is spelled once as json.dumps of its row
+    dict, and a row is its index followed by that spelling.
     """
     for lo in range(0, batch.flag.size, BATCH_SPAN):
         sl = slice(lo, lo + BATCH_SPAN)
-        counts = batch.counts[sl].reshape(-1, 4)
-        cols = (
-            range(first + lo, first + lo + counts.shape[0]),
-            _spelled_rows([batch.flag[sl], batch.invalid[sl], *counts.T], _spell_head),
-            _json_floats(batch.Phi[sl]),
-            _json_floats(batch.dPhi_dtheta[sl]),
-            _json_floats(batch.final_amp_a[sl]),
-            _json_floats(batch.fisher_information[sl]),
-            _spelled_rows([batch.n_deletions[sl], batch.final_shift[sl]], _JSONL_TAIL.__mod__),
+        cols = {key: getattr(batch, name)[sl] for key, name in _JSONL_FIELDS.items()}
+        fields = np.column_stack(
+            [col.view(np.int64) if col.dtype.kind == "f" else col.reshape(col.shape[0], -1)
+             for col in cols.values()]
         )
-        fh.writelines(map(_JSONL_ROW.__mod__, zip(*cols)))
+        order = np.lexsort(fields.T)
+        ranked = fields[order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        distinct = order[starts]
+        spelled = np.array(
+            [json.dumps(dict(zip(cols, row)))[1:] + "\n"
+             for row in zip(*(col[distinct].tolist() for col in cols.values()))],
+            dtype=object,
+        )
+        where = np.empty_like(order)  # each row's place among the distinct rows
+        where[order] = np.cumsum(starts) - 1
+        index = range(first + lo, first + lo + order.size)
+        fh.writelines(map('{"index": %d, %s'.__mod__, zip(index, spelled[where].tolist())))
 
 
 def write_summary_csv(batch: BatchResult, path) -> None:

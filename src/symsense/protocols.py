@@ -87,6 +87,15 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_del < 0:
             raise ValueError(f"n_del must be >= 0, got {self.n_del!r}")
+        try:
+            scales_finite = math.isfinite(self.tau) and math.isfinite(self.delta)
+        except OverflowError:  # a float ** raises past the float range instead of giving inf
+            scales_finite = False
+        if not scales_finite:
+            raise ValueError(
+                f"tau = r^-q and delta = theta*tau must be finite, got r = {self.r}, "
+                f"q = {self.q!r}, theta = {self.theta!r}"
+            )
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             # a Philox key word is 64 bits; wider or negative seeds would be wrapped or rounded
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
@@ -794,7 +803,10 @@ def expected_fi_p1(
         total_p += prob_traj
     mean = mean / total_p if total_p > 0.0 else math.nan
 
-    base = r * r * g**6 * tau**6 * theta**4
+    try:
+        base = r * r * g**6 * tau**6 * theta**4
+    except OverflowError:  # reported, not used: past the float range the constants read inf
+        base = math.inf
     return {
         "mean_fi": mean,
         "sector_probability": total_p,
@@ -817,8 +829,15 @@ def run_protocol2(config: ProtocolConfig, n_traj: int = 2000) -> dict:
         raise ValueError(
             f"Protocol 2 repeats Protocol 1 r^(q-1) times: q must be >= 1, got {config.q}"
         )
+    try:
+        reps = float(config.r) ** (config.q - 1.0)
+    except OverflowError:  # a float ** raises past the float range instead of giving inf
+        reps = math.inf
+    if not math.isfinite(reps):
+        raise ValueError(
+            f"Protocol 2's r^(q-1) repetitions must be finite, got r = {config.r}, q = {config.q!r}"
+        )
     batch = run_protocol1_batch(config, n_traj)
-    reps = float(config.r) ** (config.q - 1.0)
     success, fi = float(batch.success.mean()), batch.mean_fi()
     return {"fi_p2": reps * success * fi, "repetitions": reps, "failure_rate": 1.0 - success,
             "mean_fi_p1": fi}

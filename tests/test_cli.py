@@ -159,6 +159,45 @@ def test_protocol2_rejects_q_below_one_before_running(capsys, monkeypatch):
     assert "q must be >= 1" in captured.err and captured.out == ""
 
 
+def test_protocol1_rejects_a_tau_past_the_float_range_before_running(capsys, monkeypatch):
+    def no_span(*args, **kwargs):
+        raise AssertionError("a span ran")
+
+    monkeypatch.setattr(protocols, "_run_batch_span", no_span)
+    # tau = 4^600 overflows a float
+    args = ["protocol1", "--g", "3", "--n", "3", "--r", "4", "--q=-600", "--theta", "0.1",
+            "--trials", "10"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tau = r^-q") and captured.out == ""
+
+
+def test_protocol2_rejects_repetitions_past_the_float_range_before_running(capsys, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("the Protocol-1 batch ran")
+
+    monkeypatch.setattr(protocols, "run_protocol1_batch", no_batch)
+    # r^(q-1) = 4^599 overflows a float; tau = 4^-600 underflows to 0, which is finite
+    args = ["protocol2", "--g", "3", "--n", "3", "--r", "4", "--q", "600", "--theta", "0.1",
+            "--trials", "10"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Protocol 2's r^(q-1)") and captured.out == ""
+
+
+def test_protocol1_keeps_its_file_when_the_r2_constants_pass_the_float_range(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    # theta^4 = 1e400 overflows a float
+    args = ["protocol1", "--g", "3", "--n", "3", "--r", "4", "--q", "1", "--theta", "1e100",
+            "--trials", "10", "--format", "json", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert len(out.read_text().splitlines()) == 10
+    assert (tmp_path / "t.jsonl.manifest.json").exists()
+    config = ProtocolConfig(GnuParams(3, 3, Fraction(1), 0), 4, 1.0, 1e100, 0.0)
+    ana = expected_fi_p1(config)
+    assert ana["r2_formula_stated"] == ana["r2_formula_quarter"] == float("inf")
+
+
 def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatch):
     cli._git_describe.cache_clear()
     calls = []

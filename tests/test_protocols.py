@@ -361,20 +361,27 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
     assert path.read_text() == _jsonl_reference(same)
 
 
-def test_row_keys_compact_before_the_radix_product_overflows():
-    # six columns of 2000 rows spanning [0, 2000) each: the raw mixed radix is 2000^6 > 2^63
-    rng = np.random.default_rng(5)
-    cols = [rng.integers(0, 2000, size=2000) for _ in range(6)]
-    for col in cols:
-        col[:2] = (0, 1999)
-        col[1000:1100] = col[1000]  # repeated rows, so equal keys must appear
-    # a constant column, and one whose range (2^64) does not fit an int64
-    cols += [np.full(2000, -7), np.array([-(2**63), 2**63 - 1] * 1000)]
-    key = cli._row_keys(cols)
-    assert key.dtype == np.int64 and key.min() >= 0
-    want = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)[1].ravel()
-    # equal keys exactly where the rows are equal
-    assert np.array_equal(np.unique(key, return_inverse=True)[1].ravel(), want)
+def test_jsonl_keeps_apart_rows_that_differ_in_one_field(tmp_path):
+    # one row, then copies of it that each differ from it in one field: every flag and
+    # count, and each float by one ulp and by its sign
+    base = run_protocol1_batch(small_config(seed=8), 1)
+    changes = [("flag", ~base.flag), ("invalid", ~base.invalid),
+               ("n_deletions", base.n_deletions + 1), ("final_shift", base.final_shift - 1)]
+    for k in range(4):
+        counts = base.counts.copy()
+        counts.reshape(-1)[k] += 1
+        changes.append(("counts", counts))
+    for name in ("Phi", "dPhi_dtheta", "final_amp_a", "fisher_information"):
+        col = getattr(base, name)
+        assert col[0] != 0.0
+        changes += [(name, np.nextafter(col, np.inf)), (name, -col)]
+    rows = [base] + [dataclasses.replace(base, **{name: value}) for name, value in changes]
+    batch = BatchResult.concatenate(rows, base.config)
+    path = tmp_path / "traj.jsonl"
+    write_trajectories_jsonl([batch], path)
+    text = path.read_text()
+    assert text == _jsonl_reference(batch)
+    assert len({line.split(", ", 1)[1] for line in text.splitlines()}) == len(rows)
 
 
 def test_jsonl_rejects_an_empty_span_stream_and_leaves_no_file(tmp_path):
