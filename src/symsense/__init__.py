@@ -10,50 +10,43 @@ The package is organised in layers:
 * :mod:`symsense.protocols` -- Monte-Carlo simulation of the sensing protocols and baselines.
 * :mod:`symsense.optimizer` -- the (alpha, gamma) protocol-parameter linear program.
 * :mod:`symsense.fullspace` -- small-N full-Hilbert-space certification layer.
+
+Importing the package loads none of them.  Each name of ``__all__`` is
+imported from its layer on first use, and the commands of :mod:`symsense.cli`
+import the Protocol-1 and LP layers only when they run them, so
+``symsense verify`` never imports either.
 """
 
-from symsense.symcore import SymState, apply_signal, jz_moments
-from symsense.codes import GnuParams, make_logical, code_projector_overlap
-from symsense.noise import delete, amplitude_damp, deletion_qfi, ad_qfi_bound
-from symsense.metrology import qfi_pure, sld, fi_code_basis, fi_phase_readout
-from symsense.qec import (
-    modulo_meas,
-    modulo_branches,
-    deletion_qec,
-    qec_sense,
-    phase_formulas,
-    teleport_decode,
-)
-from symsense.optimizer import LPInstance, solve_lp, p2_exponent
-from symsense.protocols import ProtocolConfig, run_protocol1, expected_fi_p1
+import importlib
 
-__all__ = [
-    "SymState",
-    "apply_signal",
-    "jz_moments",
-    "GnuParams",
-    "make_logical",
-    "code_projector_overlap",
-    "delete",
-    "amplitude_damp",
-    "deletion_qfi",
-    "ad_qfi_bound",
-    "qfi_pure",
-    "sld",
-    "fi_code_basis",
-    "fi_phase_readout",
-    "modulo_meas",
-    "modulo_branches",
-    "deletion_qec",
-    "qec_sense",
-    "phase_formulas",
-    "teleport_decode",
-    "LPInstance",
-    "solve_lp",
-    "p2_exponent",
-    "ProtocolConfig",
-    "run_protocol1",
-    "expected_fi_p1",
-]
+# every re-exported name and the layer it comes from, in the order of __all__
+_HOMES = {
+    **dict.fromkeys(("SymState", "apply_signal", "jz_moments"), "symcore"),
+    **dict.fromkeys(("GnuParams", "make_logical", "code_projector_overlap"), "codes"),
+    **dict.fromkeys(("delete", "amplitude_damp", "deletion_qfi", "ad_qfi_bound"), "noise"),
+    **dict.fromkeys(("qfi_pure", "sld", "fi_code_basis", "fi_phase_readout"), "metrology"),
+    **dict.fromkeys(
+        ("modulo_meas", "modulo_branches", "deletion_qec", "qec_sense", "phase_formulas",
+         "teleport_decode"),
+        "qec",
+    ),
+    **dict.fromkeys(("LPInstance", "solve_lp", "p2_exponent"), "optimizer"),
+    **dict.fromkeys(("ProtocolConfig", "run_protocol1", "expected_fi_p1"), "protocols"),
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A name of ``__all__``, imported from its layer on first use (PEP 562)."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

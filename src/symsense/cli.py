@@ -7,6 +7,13 @@ versions, wall time) so results are reproducible byte for byte from the
 manifest alone.  The Protocol-1 JSONL and summary-CSV exporters live here;
 the JSONL spells each distinct row of a span once, as json.dumps of its dict.
 
+The Dicke-block layers are imported here, at the top.  The other layers are
+imported on first use by the code that runs them: :mod:`symsense.protocols` by
+the Protocol-1 commands and exporters, :mod:`symsense.optimizer` by polytope
+and fqec-scan, :mod:`symsense.verify` by verify.  So ``verify`` never imports
+the Protocol-1 or LP layers, and only a pooled Protocol-1 run loads the
+process pool.
+
 Exit codes: 0 success (flagged/aborted simulations are data, not errors),
 1 internal assertion failure, 2 invalid configuration.
 """
@@ -20,12 +27,10 @@ import functools
 import itertools
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -33,33 +38,18 @@ from symsense import __version__
 from symsense.codes import GnuParams, Label, make_logical
 from symsense.metrology import fi_code_basis, qfi_pure, sld
 from symsense.noise import ad_qfi_bound, damping_branch_count, delete, deletion_qfi
-from symsense.optimizer import (
-    LPInstance,
-    closed_form_optimum,
-    feasible_vertices,
-    p2_exponent,
-    solve_lp,
-    write_fqec_vs_c_csv,
-    write_polytope_csv,
-)
-from symsense.protocols import (
-    BATCH_SPAN,
-    BatchResult,
-    ProtocolConfig,
-    expected_fi_p1,
-    parse_threads,
-    protocol1_spans,
-    run_protocol1_batch,
-    run_protocol2,
-    run_protocol3,
-)
 from symsense.qec import deletion_qec
 from symsense.symcore import as_fraction, jz_moments
+
+if TYPE_CHECKING:
+    from symsense.protocols import BatchResult, ProtocolConfig
 
 
 @functools.cache
 def _git_describe() -> str:
     """The checkout's ``git describe``, asked once per process."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -102,6 +92,8 @@ def _replaced(path: str):
 def _write_manifest(args, path: str, t0: float) -> None:
     """Write ``<path>.manifest.json``, with the Python, numpy and BLAS versions
     and, for the Monte-Carlo commands, the worker count."""
+    import platform
+
     echo = {
         k: v for k, v in vars(args).items() if isinstance(v, (int, float, str, bool, type(None)))
     }
@@ -117,6 +109,8 @@ def _write_manifest(args, path: str, t0: float) -> None:
         "blas": _blas_build(),
     }
     if hasattr(args, "trials"):
+        from symsense.protocols import parse_threads
+
         manifest["workers"] = parse_threads(os.environ.get("SYMSENSE_THREADS"))
     with _replaced(path + ".manifest.json") as tmp, open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -157,6 +151,8 @@ def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
     hands this a temporary path, so a run that fails later leaves no file
     either.  Returns the whole batch.
     """
+    from symsense.protocols import BatchResult
+
     spans = iter(spans)
     first = next(spans, None)
     if first is None:
@@ -179,6 +175,8 @@ def _write_rows(fh, batch: BatchResult, first: int) -> None:
     +-inf stay exact, finds them; each is spelled once as json.dumps of its row
     dict, and a row is its index followed by that spelling.
     """
+    from symsense.protocols import BATCH_SPAN
+
     for lo in range(0, batch.flag.size, BATCH_SPAN):
         sl = slice(lo, lo + BATCH_SPAN)
         cols = {key: getattr(batch, name)[sl] for key, name in _JSONL_FIELDS.items()}
@@ -304,6 +302,8 @@ def cmd_qec_delete(args) -> int:
 
 
 def _protocol_config(args) -> ProtocolConfig:
+    from symsense.protocols import ProtocolConfig
+
     params = _params_from_args(args)
     return ProtocolConfig(params, args.r, args.q, args.theta, args.ndel, seed=args.seed)
 
@@ -311,6 +311,8 @@ def _protocol_config(args) -> ProtocolConfig:
 def cmd_protocol1(args, out=None) -> int:
     if args.format == "json" and not out:
         raise ValueError("--format json writes every trajectory to --out, and no --out was given")
+    from symsense.protocols import expected_fi_p1, protocol1_spans, run_protocol1_batch
+
     config = _protocol_config(args)
     if args.format == "json":
         # rows are written span by span while the workers compute later spans
@@ -337,6 +339,8 @@ def cmd_protocol1(args, out=None) -> int:
 
 
 def cmd_protocol2(args) -> int:
+    from symsense.protocols import run_protocol2
+
     config = _protocol_config(args)
     res = run_protocol2(config, n_traj=args.trials)
     for key, val in res.items():
@@ -345,6 +349,8 @@ def cmd_protocol2(args) -> int:
 
 
 def cmd_protocol3(args) -> int:
+    from symsense.protocols import run_protocol3
+
     cs = run_protocol3(args.c1, args.k, args.q, args.e1, args.e2)
     for j, c in enumerate(cs, start=1):
         print(f"c_{j} = {c} ({float(c):.6f})")
@@ -352,6 +358,15 @@ def cmd_protocol3(args) -> int:
 
 
 def cmd_polytope(args, out=None) -> int:
+    from symsense.optimizer import (
+        LPInstance,
+        closed_form_optimum,
+        feasible_vertices,
+        p2_exponent,
+        solve_lp,
+        write_polytope_csv,
+    )
+
     inst = LPInstance(args.c, args.q, args.eta, args.e1, args.e2)  # fields parsed by as_fraction
     sol = solve_lp(inst)
     if sol is None:
@@ -373,6 +388,8 @@ def cmd_polytope(args, out=None) -> int:
 
 
 def cmd_fqec_scan(args, out) -> int:
+    from symsense.optimizer import write_fqec_vs_c_csv
+
     qs = [float(x) for x in args.q_list.split(",")]
     write_fqec_vs_c_csv(out, qs=qs, e1=args.e1, e2=args.e2)
     print(f"wrote {args.out}")

@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -466,6 +465,9 @@ def _mapped_spans(workers: int, span_args) -> Iterator[BatchResult]:
     if workers == 1:
         yield from map(_run_batch_span, *span_args)
         return
+    # imported where the pool starts, so that serial runs never load the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield from pool.map(_run_batch_span, *span_args)
@@ -725,6 +727,13 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
     return classes
 
 
+def _log_probability(prob: float) -> float:
+    """log(prob), or -inf for a probability that is zero or not finite (such
+    as a no-deletion class whose probability underflows), so that a trajectory
+    with a round of that class gets no mass."""
+    return math.log(prob) if 0.0 < prob < math.inf else -math.inf
+
+
 def expected_fi_p1(
     config: ProtocolConfig,
     include_nodel_syn1: bool = True,
@@ -749,8 +758,9 @@ def expected_fi_p1(
     per trajectory for the same reason one order higher: trajectories with two
     shift-balanced syn = 1 deletions recover a near-unit readout prefactor and
     an FI ~ (2 dphi_11/dtheta)^2, at a per-trajectory probability ~ 1e-8.
-    Trajectories below probability 1e-18 are skipped; if none is left,
-    ``mean_fi`` is nan and ``sector_probability`` is 0.
+    A class whose probability is zero or not finite gives its trajectories
+    no mass, and trajectories below probability 1e-18 are skipped; if none is
+    left, ``mean_fi`` is nan and ``sector_probability`` is 0.
 
     For reference the dictionary also reports two r^2-scaling constants, n = 3
     statements reported at every n: ``r2_formula_stated`` is the published
@@ -778,17 +788,18 @@ def expected_fi_p1(
         if max_total_syn1 is not None and counts[0] + counts[2] + counts[4] > max_total_syn1:
             continue  # rare classes are (nodel-syn1, del0-syn0, del0-syn1, del1-syn0, del1-syn1)
         m_base = r - m
-        log_p = log_fact[r] - log_fact[m_base] + m_base * math.log(classes[0][0])
+        log_p = log_fact[r] - log_fact[m_base]
+        if m_base:
+            log_p += m_base * _log_probability(classes[0][0])
         Phi = m_base * classes[0][2]
         dPhi = m_base * classes[0][3]
         mod_u = 1.0
         for cnt, (prob, mod, phi, dphi) in zip(counts, rare):
             if cnt == 0:
                 continue
-            if prob <= 0.0:
-                log_p = -math.inf
+            log_p += cnt * _log_probability(prob) - log_fact[cnt]
+            if log_p == -math.inf:
                 break
-            log_p += cnt * math.log(prob) - log_fact[cnt]
             Phi += cnt * phi
             dPhi += cnt * dphi
             mod_u *= mod**cnt

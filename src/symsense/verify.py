@@ -20,7 +20,9 @@ and damping oracles failing on a broken channel.
 
 ``protocol1_mismatches`` is the one comparison of the Protocol-1 batch with
 its exact reference trajectory, which the n = 3 tests of test_protocols.py
-call and the ``verify`` command does not run.  It is no oracle at n >= 5: there
+call and the ``verify`` command does not run.  It is the one reader of
+:mod:`symsense.protocols` here and imports it when called, so ``verify`` never
+loads the Protocol-1 layer.  It is no oracle at n >= 5: there
 the reference's lgamma deletion ratios (error ~1e-13 at N = 200) move the tiny
 Phi's FI by ~1e-6, so those tests replay rows at 50 digits instead.
 """
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +54,11 @@ from symsense.fullspace import (
 )
 from symsense.metrology import qfi_pure
 from symsense.noise import amplitude_damp, delete, deletion_qfi
-from symsense.protocols import BatchResult, run_protocol1, trajectory_rng
 from symsense.qec import pflag_closed_form, qec_sense_probabilities
 from symsense.symcore import SymState, apply_signal, binom
+
+if TYPE_CHECKING:
+    from symsense.protocols import BatchResult
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,6 +239,8 @@ def protocol1_mismatches(batch: BatchResult, indices) -> list[str]:
     aborted rows included.  One line per mismatch names the trajectory, the
     field, the batch's value and the reference's.
     """
+    from symsense.protocols import run_protocol1, trajectory_rng
+
     config = batch.config
     found = []
     for index in map(int, indices):

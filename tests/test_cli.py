@@ -1,6 +1,7 @@
 """Command-line front end: parsing, outputs, manifests, determinism."""
 
 import ast
+import concurrent.futures
 import csv
 import json
 import platform
@@ -198,6 +199,18 @@ def test_protocol1_keeps_its_file_when_the_r2_constants_pass_the_float_range(tmp
     assert ana["r2_formula_stated"] == ana["r2_formula_quarter"] == float("inf")
 
 
+def test_protocol1_keeps_its_file_when_no_round_is_quiet(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    # a deletion per round is certain, so the no-deletion class probability is 0; 20 rounds
+    # need more rare rounds than the leading order enumerates, so no trajectory is left
+    args = ["protocol1", "--g", "3", "--n", "3", "--r", "20", "--q", "1", "--theta", "0.1",
+            "--ndel", "1e300", "--trials", "10", "--format", "json", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert len(out.read_text().splitlines()) == 10
+    assert (tmp_path / "t.jsonl.manifest.json").exists()
+    assert "analytic mean_fi (leading order, all sectors): nan\n" in capsys.readouterr().out
+
+
 def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatch):
     cli._git_describe.cache_clear()
     calls = []
@@ -303,6 +316,28 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "eigenvalues" in proc.stdout
+
+
+def test_verify_never_imports_the_protocol1_or_lp_layers():
+    # what the commands import on first use; `symsense verify` needs none of it
+    lazy = ("symsense.protocols", "symsense.optimizer", "concurrent.futures.process",
+            "multiprocessing")
+    script = (
+        "import json, sys\n"
+        "import symsense.cli\n"
+        f"lazy = {lazy!r}\n"
+        "after_import = [m for m in lazy if m in sys.modules]\n"
+        "code = symsense.cli.main(['verify'])\n"
+        "after_verify = [m for m in lazy if m in sys.modules]\n"
+        "import symsense.protocols\n"  # the pool machinery waits for a pool
+        "print(json.dumps([code, after_import, after_verify, sorted(set(lazy) - set(sys.modules))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == "10/10 checks passed"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        0, [], [], ["concurrent.futures.process", "multiprocessing", "symsense.optimizer"]
+    ]
 
 
 def test_package_runs_as_a_module(tmp_path):
@@ -496,7 +531,7 @@ def test_protocol1_one_span_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(protocols, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.delenv("SYMSENSE_THREADS", raising=False)
     out = tmp_path / "traj.jsonl"
     assert run_cli(PROTOCOL1_SMALL + ["--out", str(out)]) == 0

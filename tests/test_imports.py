@@ -1,8 +1,10 @@
-"""Static checks on the source tree and the demos: every top-level import is
-used, every private top-level name of the package is read, and every name the
-package exports exists."""
+"""Static checks on the source tree and the demos: every import is used (a
+top-level one by its module, one inside a function by that function), every
+private top-level name of the package is read, and every name the package
+exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,16 +22,45 @@ MODULES = sorted(
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's top-level imports that the module never reads."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+    return _unread([(tree, tree.body)])
+
+
+def unused_function_imports(source: str) -> list[str]:
+    """Names bound by an import inside a function that the function never reads."""
+    functions = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return _unread([(fn, _own_imports(fn)) for fn in functions])
+
+
+def _own_imports(fn):
+    """The import statements of ``fn``'s body, outside the functions and classes it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread(scopes) -> list[str]:
+    """For each (scope node, import statements) pair, the names the imports bind
+    that the scope never reads, in line order."""
+    unread = []
+    for scope, imports in scopes:
+        bound = {}
+        for node in imports:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(line, name) for name, line in bound.items() if name not in read]
+    return [f"{name} (line {line})" for line, name in sorted(unread)]
 
 
 def test_unused_imports_are_found():
@@ -37,9 +68,33 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
+def test_unused_imports_inside_functions_are_found():
+    source = (
+        "import json\n"
+        "def f():\n"
+        "    import os, sys\n"
+        "    from math import pi\n"
+        "    def g():\n"
+        "        from math import tau\n"
+        "        return sys.argv\n"
+        "    return g\n"
+        "def h():\n"
+        "    if True:\n"
+        "        import csv\n"
+        "    return json, pi\n"
+    )
+    # f's os and pi are read by neither f nor g; h's csv is not read by h
+    assert unused_function_imports(source) == ["os (line 3)", "pi (line 4)", "tau (line 6)", "csv (line 11)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_top_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_inside_a_function_is_read(path):
+    assert unused_function_imports(path.read_text()) == []
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
@@ -85,3 +140,13 @@ def test_every_private_top_level_name_is_read():
 
 def test_every_exported_name_is_an_attribute_of_the_package():
     assert [name for name in symsense.__all__ if not hasattr(symsense, name)] == []
+
+
+def test_the_package_imports_each_exported_name_from_its_layer_on_first_use():
+    for name in symsense.__all__:
+        home = importlib.import_module(f"symsense.{symsense._HOMES[name]}")
+        assert getattr(symsense, name) is getattr(home, name), name
+        assert name in dir(symsense)
+    assert "__version__" in dir(symsense)
+    with pytest.raises(AttributeError, match="no attribute 'not_exported'"):
+        symsense.not_exported

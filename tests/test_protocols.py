@@ -1,5 +1,6 @@
 """Protocol Monte-Carlo: reference vs batch agreement, bookkeeping invariants, baselines."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsense import cli, protocols
+from symsense import protocols
 from symsense.cli import write_summary_csv, write_trajectories_jsonl
 from symsense.codes import GnuParams, Label, code_fits, logical_pair, make_logical
 from symsense.metrology import fi_phase_readout
@@ -335,7 +336,7 @@ def test_jsonl_matches_per_row_json_dumps(tmp_path, monkeypatch):
         col[j : j + len(specials)] = specials
         col[30:] = col[0]  # repeated values share one spelling
     batch.flag[::3] = True
-    monkeypatch.setattr(cli, "BATCH_SPAN", 7)  # several chunks
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 7)  # several chunks
     path = tmp_path / "traj.jsonl"
     write_trajectories_jsonl([batch], path)
     assert path.read_text() == _jsonl_reference(batch)
@@ -419,7 +420,7 @@ def test_one_usable_cpu_runs_serially(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(protocols, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(protocols, "BATCH_SPAN", 64)  # several spans
     assert run_protocol1_batch(small_config(seed=5, r=4), 300).flag.size == 300
 
