@@ -13,14 +13,17 @@ binomial sqrt-ratios folded in, returned with their analytic theta-derivatives
 and the deleted state's norm weights.  The phase increment is arg(X_1/X_0) and
 its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
 ``zeta``, ``zeta_derivative`` and ``pflag_closed_form`` of :mod:`symsense.qec`
-take their place.  Two implementations are provided:
+take their place.  :func:`round_law` is the one home of these rules: from rows
+at (N, s, |a|^2, |b|^2) it gives every outcome's probability, factors and
+phase increment, and the batch and :func:`expected_fi_p1` read it.  Two
+implementations are provided:
 
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
   one trajectory at a time, the signal applied on the state's known support
   only and the QEC round of ``qec.qec_sense``; Phi uses the shared formulas.
   Its quiet rounds before the first event replay one cached chain of states.
-* :func:`run_protocol1_batch` -- vectorized lattice twin: BATCH_SPAN
-  trajectories advance in lock-step, each as its logical weights
+* :func:`run_protocol1_batch` -- vectorized lattice twin: the trajectories
+  of a span advance in lock-step, each as its logical weights
   (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
   from a Philox stream keyed by (seed, trajectory index), so the two paths
   replay each other; the batch resets one Philox per span to each key.  A
@@ -62,7 +65,8 @@ from symsense.noise import delete
 from symsense.qec import code_frame, pflag_closed_form, project_syndrome, zeta, zeta_derivative
 from symsense.symcore import SymState, signal_phases
 
-BATCH_SPAN = 16384  # trajectories per batch span, serial and pooled runs alike
+BATCH_SPAN = 16384  # trajectories per batch span at r <= 32, serial and pooled runs alike
+SPAN_ROUNDS = 32 * BATCH_SPAN  # trajectory-rounds per span, 24 bytes of uniforms each
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,9 @@ class ProtocolConfig:
             raise ValueError(f"the sensing protocol needs an odd n >= 3, got n = {self.params.n}")
         if self.r < 1:
             raise ValueError("need at least one round")
+        if self.r > SPAN_ROUNDS:
+            raise ValueError(f"r must be <= {SPAN_ROUNDS}, the rounds one batch span holds, "
+                             f"got r = {self.r}")
         for name in ("q", "theta", "n_del"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -139,7 +146,7 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-round lattice sums (shared by every Protocol-1 path)
+# per-round lattice sums and the round law
 # ---------------------------------------------------------------------------
 
 class LatticeSums(NamedTuple):
@@ -188,6 +195,42 @@ def one_deletion_ratios(g: int, n: int, n_qubits, s, sigma, delta, tau) -> Latti
 def _phase_step(x0, x1, dx0, dx1):
     """arg(x1 / x0) and its theta-derivative Im(dx1/x1 - dx0/x0)."""
     return np.angle(x1 / x0), (dx1 / x1 - dx0 / x0).imag
+
+
+def _syndrome_split(mod2, fac, norm):
+    """(P_code, P_q) = |a|^2 |X_0|^2 + |b|^2 |X_1|^2 per pair (E, D), then over the norm."""
+    P = mod2[0] * fac[0::2] + mod2[1] * fac[1::2]
+    return P, P / norm
+
+
+class RoundLaw(NamedTuple):
+    """A round's outcomes per row, on the axis o: 0 without a deletion, 1 + sigma with one."""
+
+    lam: np.ndarray  # Poisson mean: t = 0, 1 with e^-lam, lam e^-lam; t >= 2 aborts
+    norm: np.ndarray  # (3, rows): 1, then P[sigma | t = 1] = |a|^2 A_sigma + |b|^2 B_sigma
+    fac: np.ndarray  # (4, 3, rows): |X|^2 of E_0, E_1 (codespace) and D_0, D_1 (q-space)
+    p_syn: np.ndarray  # (2, 3, rows): P[syn | o]; the leak is the rest
+    inc: np.ndarray  # (2, 3, rows): the phase increment at (syn, o)
+    dinc: np.ndarray  # (2, 3, rows): its theta-derivative
+
+
+def round_law(config: ProtocolConfig, n_cur, s_cur, mod2) -> RoundLaw:
+    """The round from integer arrays of rows on the (N, s) = (``n_cur``, ``s_cur``) code
+    with logical weights ``mod2`` = (|a|^2, |b|^2): the one home of the round's rules."""
+    p = config.params
+    tau, delta = config.tau, config.delta
+    X, dX, A, B = one_deletion_ratios(p.g, p.n, n_cur, s_cur, np.array([[0], [1]]), delta, tau)
+    every_row = np.ones((1, *A.shape[1:]))
+    p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * p.g * delta)
+    # no deletion: |E_0| = |E_1|, |D_0| = |D_1| at odd n (k -> n - k swaps the lattice halves)
+    nodel = ([p_code0, p_code0, p_q0, p_q0], [zeta(p, delta, j) for j in (0, 1)],
+             [tau * zeta_derivative(p, delta, j) for j in (0, 1)])
+    deleted = (X.real**2 + X.imag**2, *_phase_step(X[0::2], X[1::2], dX[0::2], dX[1::2]))
+    fac, inc, dinc = (np.concatenate([np.multiply.outer(x0, every_row), x1], axis=1)
+                      for x0, x1 in zip(nodel, deleted))
+    norm = np.concatenate([every_row, mod2[0] * A + mod2[1] * B])
+    return RoundLaw(config.n_del * n_cur * tau, norm, fac, _syndrome_split(mod2, fac, norm)[1],
+                    inc, dinc)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +489,20 @@ def protocol1_spans(config: ProtocolConfig, n_traj: int) -> Iterator[BatchResult
 
     ``n_traj`` and SYMSENSE_THREADS are checked here, before any span runs or
     any worker starts; the returned iterator does the work.  Each span holds
-    BATCH_SPAN trajectories (the last one fewer).  With more than one worker
-    and more than one span, the spans run on a process pool and arrive in
-    order as they finish; otherwise they run one after another in this
-    process.  Randomness is keyed per trajectory index, so every worker
-    count gives the same spans bit for bit.
+    BATCH_SPAN trajectories, or at r > 32 as many as SPAN_ROUNDS rounds
+    allow, so that its uniforms stay within 24 * SPAN_ROUNDS bytes (the last
+    span holds fewer).  With more than one worker and more than one span,
+    the spans run on a process pool and arrive in order as they finish;
+    otherwise they run one after another in this process.  Randomness is
+    keyed per trajectory index, so every worker count gives the same spans
+    bit for bit.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     workers = parse_threads(os.environ.get("SYMSENSE_THREADS"))
-    los = range(0, n_traj, BATCH_SPAN)
-    span_args = ([config] * len(los), los, [min(lo + BATCH_SPAN, n_traj) for lo in los])
+    rows = min(BATCH_SPAN, SPAN_ROUNDS // config.r)
+    los = range(0, n_traj, rows)
+    span_args = ([config] * len(los), los, [min(lo + rows, n_traj) for lo in los])
     return _mapped_spans(min(workers, len(los)), span_args)
 
 
@@ -520,11 +566,9 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     """Trajectories [lo, hi) in lock-step over the logical weights (|a|^2, |b|^2) of each row.
 
     A round maps (a, b) -> (a X_0, b X_1) / sqrt(P) with the factors of its
-    outcome: the closed-form no-deletion ones, or the lattice sums of
-    :func:`one_deletion_ratios` on rows with a deletion.  Every probability
-    is |a|^2 |X_0|^2 + |b|^2 |X_1|^2 over the deleted norm |a|^2 A + |b|^2 B,
-    so the phases of a and b never feed back and only their squared moduli
-    are carried; Phi is the sum of the analytic increments.
+    outcome from :func:`round_law`, whose probabilities depend on a and b
+    only through |a|^2 and |b|^2: only those are carried, and Phi is the sum
+    of the analytic increments.
 
     A row's rounds before its first event are quiet: no deletion (u_del below
     p_0 at the starting N) and syndrome 0 (u_syn below p_code at Delta).  A
@@ -543,26 +587,20 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     n_traj = hi - lo
     r = config.r
     p = config.params
-    g, N0, s0 = p.g, p.n_qubits, p.s
-    tau, delta = config.tau, config.delta
+    N0 = p.n_qubits
     U = _span_uniforms(config.seed, lo, hi, r)
+    mod2 = np.full((2, n_traj), 0.5)  # |a|^2, |b|^2
+    n_cur = np.full(n_traj, N0, dtype=np.int64)
+    s_cur = np.full(n_traj, p.s, dtype=np.int64)
 
-    # phase increments of a round by outcome 2 t + syn (t = 1 rows are
-    # overwritten with their one-deletion phases); outcome 4 is an aborted row
-    z = [zeta(p, delta, j) for j in (0, 1)]
-    dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
-    z_inc = np.array([*z, *z, 0.0])
-    z_dinc = np.array([*dz, *dz, 0.0])
-    p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * g * delta)
-    # |X|^2 without deletion: |E_0| = |E_1| and |D_0| = |D_1| at every odd n, as k -> n - k
-    # swaps the lattice halves, keeps c_k, negates q_k and conjugates the phases up to a factor
-    fac_nodel = np.array([[p_code0], [p_code0], [p_q0], [p_q0]])
-    both_sigmas = np.array([[0], [1]])
+    # the start state's law holds for quiet rounds and rounds without a deletion; increments by
+    # outcome 2 t + syn (t = 1 rows take their one-deletion phases), outcome 4 an aborted row
+    start = round_law(config, n_cur[:1], s_cur[:1], mod2[:, :1])
+    z_inc, z_dinc = (np.r_[x[:, 0, 0], x[:, 0, 0], 0.0] for x in (start.inc, start.dinc))
 
     # --- quiet rounds: each row's first event round, the rows sorted by it.
     # p_0 at N0 is computed as the round loop computes it, so the two agree
-    p0_start = np.exp(-(config.n_del * np.full(1, N0, dtype=np.int64) * tau))
-    loud = (U[:, :, 0] >= p0_start) | (U[:, :, 2] >= p_code0)
+    loud = (U[:, :, 0] >= np.exp(-start.lam)) | (U[:, :, 2] >= start.p_syn[0, 0])
     first = np.where(loud.any(axis=1), loud.argmax(axis=1), r)
     order = np.argsort(first, kind="stable")
     first = first[order]
@@ -570,11 +608,8 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     U = U[order[: joined[-1]]]  # rows that never join read no uniforms
     # Phi after f quiet rounds: +0.0 then f sequential additions, as in the loop
     # (starting from +0.0 keeps a -0.0 zeta_0 from signing the sum)
-    quiet_Phi, quiet_dPhi = (np.cumsum(np.r_[0.0, np.full(r, x)]) for x in (z[0], dz[0]))
+    quiet_Phi, quiet_dPhi = (np.cumsum(np.r_[0.0, np.full(r, x[0])]) for x in (z_inc, z_dinc))
 
-    mod2 = np.full((2, n_traj), 0.5)  # |a|^2, |b|^2
-    n_cur = np.full(n_traj, N0, dtype=np.int64)
-    s_cur = np.full(n_traj, s0, dtype=np.int64)
     alive = np.ones(n_traj, dtype=bool)
     flag = np.zeros(n_traj, dtype=bool)
     invalid = np.zeros(n_traj, dtype=bool)
@@ -593,7 +628,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         alive_k, flag_k, invalid_k = alive[:k], flag[:k], invalid[:k]
         n_k, s_k, mod2_k = n_cur[:k], s_cur[:k], mod2[:, :k]
         u_del, u_sigma, u_syn = U[:k, i, 0], U[:k, i, 1], U[:k, i, 2]
-        lam = config.n_del * n_k * tau
+        lam = config.n_del * n_k * config.tau
         p0 = np.exp(-lam)
         t2 = alive_k & (u_del >= p0 * (1.0 + lam))
         t1 = alive_k & (u_del >= p0) & ~t2
@@ -603,19 +638,16 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         alive_k &= ~(t2 | low)
         t1 &= ~low
 
-        # --- |X|^2 of this round's outcome and the deleted norm; the sigma = 1
-        # weights A, B give that branch's probability
-        fac = np.repeat(fac_nodel, k, axis=1)
+        # --- |X|^2 of this round's outcome and the deleted norm
+        fac = np.repeat(start.fac[:, 0], k, axis=1)
         norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            both = one_deletion_ratios(g, p.n, n_k[drow], s_k[drow], both_sigmas, delta, tau)
-            ma, mb = mod2_k[:, drow]
-            sigma = (u_sigma[drow] < ma * both.A[1] + mb * both.B[1]).astype(np.int64)
+            law = round_law(config, n_k[drow], s_k[drow], mod2_k[:, drow])
+            sigma = (u_sigma[drow] < law.norm[2]).astype(np.int64)
             cols = np.arange(drow.size)
-            X, dX = both.X[:, sigma, cols], both.dX[:, sigma, cols]
-            fac[:, drow] = X.real**2 + X.imag**2
-            norm[drow] = ma * both.A[sigma, cols] + mb * both.B[sigma, cols]
+            fac[:, drow] = law.fac[:, 1 + sigma, cols]
+            norm[drow] = law.norm[1 + sigma, cols]
             n_k[drow] -= 1
             s_k[drow] -= sigma
             unfit = drow[~code_fits(p, n_k[drow], s_k[drow])]
@@ -623,18 +655,14 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
             alive_k[unfit] = t1[unfit] = False
 
         # --- QEC projections
-        P_code = mod2_k[0] * fac[0] + mod2_k[1] * fac[1]
-        P_q = mod2_k[0] * fac[2] + mod2_k[1] * fac[3]
-        p_code = P_code / norm
-        syn0 = u_syn < p_code
-        syn1 = (~syn0) & (u_syn < p_code + P_q / norm)
+        P, p_syn = _syndrome_split(mod2_k, fac, norm)
+        syn0 = u_syn < p_syn[0]
+        syn1 = (~syn0) & (u_syn < p_syn[0] + p_syn[1])
         failed = alive_k & ~(syn0 | syn1)
         flag_k |= failed
         alive_k &= ~failed
         t1 &= ~failed
-        P_syn = np.where(syn0, P_code, np.where(syn1, P_q, 1.0))
-        mod2_k[0] *= np.where(syn0, fac[0], fac[2]) / P_syn
-        mod2_k[1] *= np.where(syn0, fac[1], fac[3]) / P_syn
+        mod2_k *= np.where(syn0, fac[:2], fac[2:]) / np.where(syn0, P[0], np.where(syn1, P[1], 1.0))
 
         # --- bookkeeping: counts, Phi, dPhi
         outcome = np.where(alive_k, 2 * t1 + syn1, 4)
@@ -645,10 +673,8 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         if drow.size and t1[drow].any():
             done = np.nonzero(t1[drow])[0]
             rows = drow[done]
-            j = 2 * syn1[rows]
-            inc[rows], dinc[rows] = _phase_step(
-                X[j, done], X[j + 1, done], dX[j, done], dX[j + 1, done]
-            )
+            at = (syn1[rows].astype(np.int64), 1 + sigma[done], done)
+            inc[rows], dinc[rows] = law.inc[at], law.dinc[at]
         Phi[:k] += inc
         dPhi[:k] += dinc
 
@@ -687,44 +713,21 @@ RARE_COUNT_CAPS = (1, 6, 2, 6, 2)
 def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, float]]:
     """Per-round outcome classes as (probability, |u|, phase, dphase/dtheta).
 
-    Six classes at leading order (per-round quantities frozen at the initial
-    N, s; the O(1/N) drift over a trajectory is beyond leading order):
-
-    * no deletion, syn 0/1 -- phases zeta_0 / zeta_1, |u| = 1 exactly;
-    * one deletion with shift sigma in {0, 1}, syn 0/1 -- phases and amplitude
-      ratios from the lattice sums of :func:`one_deletion_ratios` at the
-      initial (N, s).  The deleted state's epsilon-component gives syn = 1 a
-      per-round probability of order g^2 n / N^2 here (vastly larger than the
-      no-deletion q-space weight), which is what makes these rare rounds
-      dominate E[F].
-
-    Probabilities are conditioned on not flagging (the flag remainder is
-    dropped and the class weights renormalized by the caller).
+    Six classes, (no deletion, shift 0, shift 1) with syn 0 before syn 1, from
+    :func:`round_law` at the initial N, s and a = b, conditioned on t <= 1; the
+    O(1/N) drift over a trajectory is beyond leading order.  The deleted
+    rounds' syn = 1 (order g^2 n / N^2) is what dominates E[F].
     """
     p = config.params
-    g, n, N, s = p.g, p.n, p.n_qubits, p.s
-    tau, delta = config.tau, config.delta
-    lam = config.n_del * N * tau
-    p_del = lam / (1.0 + lam)
-
-    p_code0, p_q0, _ = pflag_closed_form(n, 0.5 * g * delta)
-    classes = [
-        ((1.0 - p_del) * p_nodel, 1.0, zeta(p, delta, j), tau * zeta_derivative(p, delta, j))
-        for j, p_nodel in enumerate((p_code0, p_q0))
+    law = round_law(config, np.array([p.n_qubits]), np.array([p.s]), np.full((2, 1), 0.5))
+    lam = float(law.lam[0])
+    weight = np.array([1.0, lam, lam]) / (1.0 + lam) * law.norm[:, 0]  # P[t, sigma | t <= 1]
+    u = np.sqrt(law.fac[1::2, 1:, 0] / law.fac[0::2, 1:, 0])
+    return [
+        (float(weight[o] * law.p_syn[syn, o, 0]), float(u[syn, o - 1]) if o else 1.0,
+         float(law.inc[syn, o, 0]), float(law.dinc[syn, o, 0]))
+        for o in range(3) for syn in (0, 1)
     ]
-
-    # sigma on axis 0; logical amplitudes a = b = 1/sqrt(2)
-    X, dX, A, B = one_deletion_ratios(g, n, N, s, np.array([0, 1]), delta, tau)
-    prob_sigma1 = 0.5 * (A[1] + B[1])
-    for sigma in (0, 1):
-        p_sig = p_del * (prob_sigma1 if sigma else 1.0 - prob_sigma1)
-        norm = A[sigma] + B[sigma]
-        for j in (0, 2):  # the E pair (syn = 0), then the D pair (syn = 1)
-            x0, x1 = X[j, sigma], X[j + 1, sigma]
-            p_syn = (abs(x0) ** 2 + abs(x1) ** 2) / norm
-            phi, dphi = _phase_step(x0, x1, dX[j, sigma], dX[j + 1, sigma])
-            classes.append((p_sig * p_syn, abs(x1 / x0), float(phi), float(dphi)))
-    return classes
 
 
 def _log_probability(prob: float) -> float:
@@ -742,9 +745,10 @@ def expected_fi_p1(
     """Leading-order analytic E[F] for Protocol 1, plus the published constants.
 
     Enumerates trajectories by their per-round outcome counts over the six
-    classes of :func:`_round_classes` (all but the dominant no-deletion syn=0
-    class are rare, so the enumeration is truncated at ``RARE_COUNT_CAPS``), folds
-    the plus/minus readout prefactor exactly, and averages.  Everything uses
+    classes of :func:`_round_classes`, read from :func:`round_law` at the
+    initial code and a = b (all but the dominant no-deletion syn=0 class are
+    rare, so the enumeration is truncated at ``RARE_COUNT_CAPS``), folds the
+    plus/minus readout prefactor exactly, and averages.  Everything uses
     the exact zeta / sandwich-ratio functions of the code's n; only at n = 3
     do they give the direct-expansion cubic zeta_0 ~ -(g Delta)^3 / 4.
 
@@ -821,10 +825,8 @@ def expected_fi_p1(
     return {
         "mean_fi": mean,
         "sector_probability": total_p,
-        "del_syn1_round_prob": classes[3][0] + classes[5][0],
         "r2_formula_stated": (37.0 / 64.0) * base,
         "r2_formula_quarter": (9.0 / 16.0) * base,
-        "p_zero_deletions": (classes[0][0] + classes[1][0]) ** r,
     }
 
 

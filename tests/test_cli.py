@@ -18,6 +18,7 @@ from symsense import cli, protocols
 from symsense.cli import main
 from symsense.codes import GnuParams
 from symsense.protocols import ProtocolConfig, expected_fi_p1
+from symsense.verify import protocol1_mismatches
 from test_protocols import _jsonl_reference, _usable_cpus
 
 
@@ -396,6 +397,49 @@ def test_protocol1_streamed_jsonl_is_the_same_for_every_worker_count(tmp_path, c
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"traj-{t}.jsonl{ext}" for t in (None, "1", "2") for ext in ("", ".manifest.json")
     )
+
+
+def test_protocol1_rejects_more_rounds_than_a_span_holds_before_any_work(capsys, monkeypatch):
+    def no_span(*args, **kwargs):
+        raise AssertionError("a span ran")
+
+    monkeypatch.setattr(protocols, "_run_batch_span", no_span)
+    monkeypatch.setenv("SYMSENSE_THREADS", "1")
+    # one span of 16384 rows would ask for 366 GiB of uniforms at this r
+    args = ["protocol1", "--g", "3", "--n", "3", "--r", "1000000", "--q", "1", "--theta", "0.1",
+            "--trials", "20000"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "r must be <= 524288" in captured.err and captured.out == ""
+    assert protocols.SPAN_ROUNDS == 32 * protocols.BATCH_SPAN == 524288
+
+
+def test_protocol1_spans_at_large_r_keep_the_rows(tmp_path, capsys, monkeypatch):
+    # at r = 200 a span holds 2621 rows, so 6000 trials run as three spans
+    args = ["protocol1", "--g", "8", "--n", "3", "--u", "22/3", "--s", "12", "--r", "200",
+            "--q", "1.2", "--theta", "0.5", "--ndel", "0.01", "--trials", "6000", "--seed", "4",
+            "--format", "json"]
+    run_span = protocols._run_batch_span
+    spans = []
+    monkeypatch.setattr(protocols, "_run_batch_span",
+                        lambda config, lo, hi: spans.append((lo, hi)) or run_span(config, lo, hi))
+    monkeypatch.setenv("SYMSENSE_THREADS", "1")
+    assert run_cli(args + ["--out", str(tmp_path / "serial.jsonl")]) == 0
+    assert spans == [(0, 2621), (2621, 5242), (5242, 6000)]
+    monkeypatch.setattr(protocols, "_run_batch_span", run_span)
+    monkeypatch.setenv("SYMSENSE_THREADS", "2")
+    assert run_cli(args + ["--out", str(tmp_path / "pooled.jsonl")]) == 0
+    serial = (tmp_path / "serial.jsonl").read_bytes()
+    assert serial == (tmp_path / "pooled.jsonl").read_bytes()
+
+    config = ProtocolConfig(GnuParams(8, 3, Fraction(22, 3), 12), 200, 1.2, 0.5, 0.01, seed=4)
+    batch = protocols.run_protocol1_batch(config, 6000)
+    assert serial.decode() == _jsonl_reference(batch)
+    assert batch.flag.any() and batch.counts[:, :, 1].any() and (batch.n_deletions > 1).any()
+    # rows on both sides of each span boundary, flagged rows and rows with deletions
+    picked = np.r_[2616:2626, 5237:5247, np.nonzero(batch.flag)[0][:5],
+                   np.nonzero(batch.n_deletions > 1)[0][:10]]
+    assert not protocol1_mismatches(batch, picked)
 
 
 def test_protocol1_failed_run_leaves_no_files(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Static checks on the source tree and the demos: every import is used (a
 top-level one by its module, one inside a function by that function), every
-private top-level name of the package is read, and every name the package
-exports exists."""
+private top-level name of the package is read, every name the package
+exports exists, and the Protocol-1 round's rules are read in one place."""
 
 import ast
 import importlib
@@ -136,6 +136,54 @@ def test_unread_private_names_are_found():
 def test_every_private_top_level_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def readers(source: str, names) -> dict[str, list[str]]:
+    """For each of ``names``, the functions of ``source`` that read it (call it or
+    pass it on), by qualified name such as ``Class.method``, sorted; a read outside
+    any function is ``<module>``."""
+    found = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in found:
+                found[child.id].add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return {name: sorted(scopes) for name, scopes in found.items()}
+
+
+def test_readers_are_found():
+    source = (
+        "from m import f, g\n"
+        "x = g(1)\n"
+        "def a():\n"
+        "    return f(2)\n"
+        "class K:\n"
+        "    def b(self):\n"
+        "        def c():\n"
+        "            return map(f, [])\n"
+        "        return c\n"
+    )
+    assert readers(source, ("f", "g", "h")) == {"f": ["K.b.c", "a"], "g": ["<module>"], "h": []}
+
+
+# the closed forms and lattice sums of a Protocol-1 round, and who may read them:
+# the round law, the full-vector reference that checks it, and the abort bound
+ROUND_RULES = ("pflag_closed_form", "zeta", "zeta_derivative", "one_deletion_ratios", "_phase_step")
+ROUND_RULE_READERS = {"round_law", "run_protocol1", "ProtocolConfig.failure_bound"}
+
+
+def test_the_round_rules_are_read_only_by_the_round_law_and_the_reference():
+    found = readers((ROOT / "src/symsense/protocols.py").read_text(), ROUND_RULES)
+    assert {name: sorted(set(scopes) - ROUND_RULE_READERS) for name, scopes in found.items()} == {
+        name: [] for name in ROUND_RULES
+    }
+    assert all("round_law" in found[name] for name in ROUND_RULES)
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():

@@ -27,7 +27,14 @@ from symsense.protocols import (
     run_protocol3,
     trajectory_rng,
 )
-from symsense.qec import code_frame, pflag_closed_form, q_vectors, zeta, zeta_derivative
+from symsense.qec import (
+    code_frame,
+    pflag_closed_form,
+    project_syndrome,
+    q_vectors,
+    zeta,
+    zeta_derivative,
+)
 from symsense.symcore import SymState, apply_signal, signal_phases
 from symsense.verify import protocol1_mismatches
 
@@ -469,8 +476,6 @@ def test_expected_fi_is_nan_when_no_sector_survives():
     base = 32**2 * 8**6 * cfg.tau**6 * 0.01**4
     assert res["r2_formula_stated"] == (37.0 / 64.0) * base
     assert res["r2_formula_quarter"] == (9.0 / 16.0) * base
-    assert 0.0 <= res["p_zero_deletions"] < 1e-18
-    assert math.isfinite(res["del_syn1_round_prob"])
 
 
 def test_protocol2_single_repetition_at_q1():
@@ -817,6 +822,85 @@ def test_reference_and_batch_agree_at_the_criterion8_code():
     chosen = np.random.default_rng([config.seed, 3]).choice(4096, 64, replace=False)
     assert not protocol1_mismatches(batch, np.union1d(np.arange(256), chosen))
     assert (batch.n_deletions[chosen] > 0).sum() >= 10
+
+
+# ---------------------------------------------------------------------------
+# the round law
+# ---------------------------------------------------------------------------
+
+
+def _deleted_leak(config: ProtocolConfig, n_cur, s_cur, mod2, sigma) -> np.ndarray:
+    """Per row, the weight that the signal-evolved once-deleted state a|0_L> + b|1_L>
+    (|a|^2, |b|^2 = mod2, a and b real) keeps outside the span of each lattice half's
+    codeword and q-vector, projected through a QR basis of the two."""
+    g, n = config.params.g, config.params.n
+    k = np.arange(n + 1)
+    c = np.sqrt([math.comb(n, j) / 2 ** (n - 1) for j in k])
+    q = c * (n / 2 - k)
+    leak = np.zeros(len(n_cur))
+    for row, (N, s) in enumerate(zip(n_cur, s_cur)):
+        w = g * k + s
+        keep = w / N if sigma else (N - w) / N
+        amps = np.sqrt(mod2[k % 2, row] * keep) * c * np.exp(-1j * config.delta * (N / 2 - w))
+        amps /= np.linalg.norm(amps)
+        for half in (k % 2 == 0, k % 2 == 1):
+            basis = np.linalg.qr(np.stack([c[half], q[half]], axis=1))[0]
+            inside = np.linalg.norm(basis.T @ amps[half]) ** 2
+            leak[row] += np.linalg.norm(amps[half]) ** 2 - inside
+    return leak
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_round_law_outcomes_sum_to_one(n):
+    g = 8
+    config = ProtocolConfig(GnuParams(g, n, Fraction(5), 0), r=4, q=1.0, theta=0.2, n_del=1e-3)
+    rng = np.random.default_rng([n, 26])
+    n_cur = rng.integers(g * n + 1, 2001, size=40)
+    s_cur = np.array([rng.integers(0, N - g * n + 1) for N in n_cur])
+    assert code_fits(config.params, n_cur, s_cur).all()
+    ma = rng.uniform(0.0, 1.0, size=40)
+    mod2 = np.array([ma, 1.0 - ma])
+    law = protocols.round_law(config, n_cur, s_cur, mod2)
+
+    # Poisson buckets t = 0, 1 and the remainder t >= 2, as a series
+    lam = config.n_del * n_cur * config.tau
+    assert np.array_equal(law.lam, lam)
+    p_t = [np.exp(-lam), lam * np.exp(-lam)]
+    p_more = np.array([math.fsum(math.exp(-x) * x**t / math.factorial(t) for t in range(2, 40))
+                       for x in lam])
+    # the leak: pflag_closed_form's flag weight without a deletion, else the lattice residual
+    leak = [np.full(40, pflag_closed_form(n, 0.5 * g * config.delta)[2]),
+            *(_deleted_leak(config, n_cur, s_cur, mod2, sigma) for sigma in (0, 1))]
+    assert all((x >= -1e-15).all() for x in (law.norm, law.p_syn, *leak))
+    given_t = [law.p_syn[0, o] + law.p_syn[1, o] + leak[o] for o in range(3)]
+    total = p_t[0] * given_t[0] + p_t[1] * (law.norm[1] * given_t[1] + law.norm[2] * given_t[2])
+    assert np.abs(total + p_more - 1.0).max() <= 1e-12
+    # the deleted norms are the shift probabilities: they sum to one on their own
+    assert np.array_equal(law.norm[0], np.ones(40))
+    assert np.abs(law.norm[1] + law.norm[2] - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("config", [criterion8_config(seed=3), small_config()], ids=["N2000", "N200"])
+def test_round_law_matches_delete_and_project_syndrome(config):
+    # from |+_L>: the shift weights of noise.delete, then qec.project_syndrome on the
+    # signal-evolved branch against the shifted code's frame; without a deletion, the
+    # same round on |+_L> itself
+    p, delta = config.params, config.delta
+    law = protocols.round_law(config, np.array([p.n_qubits]), np.array([p.s]), np.full((2, 1), 0.5))
+    plus = make_logical(p, Label.PLUS)
+    branches = [(plus, 1.0, p)]
+    for sigma in (0, 1):
+        out = next(o for o in delete(plus, 1) if o.shift == sigma)
+        branches.append((out.state, out.weight, p.with_shift(p.s - sigma, p.n_qubits - 1)))
+    for o, (state, weight, code) in enumerate(branches):
+        assert abs(law.norm[o, 0] - weight) <= 1e-10 * weight, o
+        frame = code_frame(code)
+        amps = apply_signal(state, delta).amps
+        p_code = project_syndrome(frame, amps, 0.0)[3]
+        syn, _, _, p_q = project_syndrome(frame, amps, p_code)
+        assert syn == 1
+        for got, want in zip(law.p_syn[:, o, 0], (p_code, p_q)):
+            assert abs(got - want) <= 1e-10 * want, o
 
 
 # ---------------------------------------------------------------------------
