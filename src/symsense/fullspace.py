@@ -8,9 +8,9 @@ of the sequential angular-momentum measurement are prefixes of the index.
 
 Paulis are applied to 2^N vectors as (x|z) bit masks (Aaronson & Gottesman,
 PRA 70, 052328 (2004)) by ``pauli_apply``, in O(2^N) per vector; the dense
-``pauli_op`` matrix is kept as the reference the bit-mask form is tested
-against.  An operator is passed as its Pauli expansion, a sequence of
-(coefficient, positions, kinds) terms in the labels of ``enumerate_paulis``.
+Pauli matrices it is tested against live in ``tests/test_fullspace.py``.  An
+operator is passed as its Pauli expansion, a sequence of (coefficient,
+positions, kinds) terms in the labels of ``enumerate_paulis``.
 
 ``general_qec_smallN`` computes in Schur coefficients (Bacon, Chuang &
 Harrow, PRL 97, 170502 (2006)).  By Schur-Weyl duality the qubit
@@ -21,8 +21,8 @@ spin j.  The recovery rows lie in single path blocks and the remainder of
 the recovery is block diagonal, so the fidelity comes from (2j+1)-sized
 matrices.  The caller's Kraus operators are Pauli expansions, applied to
 the codewords term by term, so no 2^N x 2^N operator is formed besides the
-basis.  The dense ``symmetrize_channel`` stays as the reference the twirl is
-tested against.
+basis.  The dense symmetrizing channel the twirl is tested against, like the
+other dense references, lives in ``tests/test_fullspace.py``.
 
 Two-row Young diagrams (r1, r2) label the Schur-Weyl blocks of N qubits;
 standard tableaux of a diagram are in bijection with the admissible
@@ -89,41 +89,15 @@ def embed_sym(state: SymState) -> DenseState:
     return DenseState(N, amps[_weights(N)])
 
 
-def project_sym(dense: DenseState) -> SymState:
-    """Overlap of a dense state with each Dicke state (no normalization)."""
-    N = dense.n_qubits
-    amps = np.zeros(N + 1, dtype=complex)
-    np.add.at(amps, _weights(N), dense.vec)  # in index order, as a loop would add
-    return SymState(N, amps / np.sqrt([binom(N, w) for w in range(N + 1)]))
-
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_op(N: int, positions: tuple[int, ...], kinds: tuple[str, ...]) -> np.ndarray:
-    """Dense N-qubit Pauli with the given letters at 1-based positions."""
-    ops = ["I"] * N
-    for pos, kind in zip(positions, kinds):
-        ops[pos - 1] = kind
-    out = np.array([[1.0 + 0j]])
-    for name in ops:
-        out = np.kron(out, _PAULI[name])
-    return out
-
-
 def pauli_apply(
     N: int, positions: tuple[int, ...], kinds: tuple[str, ...], vecs: np.ndarray
 ) -> np.ndarray:
-    """``pauli_op(N, positions, kinds) @ v`` for each vector v, without the matrix.
+    """P v for the N-qubit Pauli P of the label and each vector v, without P.
 
     With x (z) the bit mask of the X or Y (Z or Y) letters, Y = iXZ gives
     (P v)[i] = i^{#Y} (-1)^{popcount((i xor x) and z)} v[i xor x].  ``vecs``
-    is one 2^N vector or a stack of them with the basis index last.
+    is one 2^N vector or a stack of them with the basis index last.  The
+    dense P it is tested against is built in ``tests/test_fullspace.py``.
     """
     x, z, n_y = _pauli_masks(N, positions, kinds)
     src = np.arange(2**N) ^ x
@@ -155,16 +129,6 @@ def enumerate_paulis(N: int, max_weight: int):
         for positions in itertools.combinations(range(1, N + 1), w):
             for kinds in itertools.product("XYZ", repeat=w):
                 yield positions, kinds
-
-
-def j2_dense(N: int, k: int) -> np.ndarray:
-    """Total angular momentum squared of the first k qubits, on all N."""
-    out = 0.75 * k * np.eye(2**N, dtype=complex)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for kind in "XYZ":
-                out += 0.5 * pauli_op(N, (i, j), (kind, kind))
-    return out
 
 
 def signal_phases_dense(N: int, theta: float) -> np.ndarray:
@@ -408,33 +372,6 @@ def sequential_j2_measure(
     path = blk.j_path_doubled  # label k + 1 sits in row 1 where the path steps up
     row1 = tuple(k + 1 for k in range(N) if path[k] > (path[k - 1] if k else 0))
     return StandardTableau(N, row1, path), DenseState(N, post)
-
-
-# ---------------------------------------------------------------------------
-# symmetrizing channel
-# ---------------------------------------------------------------------------
-
-
-def symmetrize_channel(rho: np.ndarray, N: int) -> np.ndarray:
-    """Average over all qubit permutations: rho -> (1/N!) sum_sigma P rho P^dag.
-
-    Evaluated by the coset recursion (average over S_k built from the S_{k-1}
-    average and k transpositions), so the cost is O(N^2) conjugations instead
-    of N! terms.  Conjugating by the transposition of qubits i and k swaps
-    their row axes and their column axes of rho viewed as a (2,)*2N tensor.
-    This dense form is the reference for the per-spin path average that
-    ``general_qec_smallN`` applies in Schur coordinates.
-    """
-    out = np.array(rho, dtype=complex).reshape((2,) * (2 * N))
-    for k in range(2, N + 1):
-        acc = out.copy()  # i = k term (identity)
-        for i in range(1, k):
-            axes = list(range(2 * N))
-            axes[i - 1], axes[k - 1] = k - 1, i - 1
-            axes[N + i - 1], axes[N + k - 1] = N + k - 1, N + i - 1
-            acc += out.transpose(axes)
-        out = acc / k
-    return out.reshape(2**N, 2**N)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,12 @@ def delete(state: SymState, t: int) -> list[DeletionOutcome]:
 
     Branch a (a = 0..t) keeps amplitude
     ``a_w * sqrt(C(N-t, w-a) / C(N, w))`` at the new weight w - a; the branch
-    probabilities C(t,a) <psi_a|psi_a> sum to one.  Branches below the pruning
-    threshold are dropped and their mass is reported on the surviving ones'
-    ``weight`` total (diagnosed by the caller via the sum).  Where C(t, a)
-    overflows a float (from t = 1030 on) or <psi_a|psi_a> is not a normal
-    float, the branch takes C(t, a) C(N-t, w-a) / C(N, w) per weight as one
-    correctly rounded ratio of exact integers.
+    probabilities C(t,a) <psi_a|psi_a> sum to one.  Branches at or below the
+    pruning threshold are dropped and their mass is added to the returned
+    ``BranchList.pruned_mass``, so the kept weights plus it sum to one.
+    Where C(t, a) overflows a float (from t = 1030 on) or <psi_a|psi_a> is
+    not a normal float, the branch takes C(t, a) C(N-t, w-a) / C(N, w) per
+    weight as one correctly rounded ratio of exact integers.
     """
     N = state.n_qubits
     if not 1 <= t <= N:

@@ -144,12 +144,6 @@ def p2_exponent(inst: LPInstance) -> Fraction:
     return gamma * (inst.q - 1) + inst.objective(alpha, gamma)
 
 
-def p2_exponent_display(inst: LPInstance) -> Fraction:
-    """The same exponent via the published display, kept as a cross-check."""
-    c, q, e1, e2 = inst.c, inst.q, inst.e1, inst.e2
-    return (4 * c * (q + 2) - 5 * e1 * (q + 1) - 2 * (e2 - 1) * (2 * q - 1)) / (4 * q + 3)
-
-
 # ---------------------------------------------------------------------------
 # data emitters (figure reproduction as CSV, not pixels)
 # ---------------------------------------------------------------------------

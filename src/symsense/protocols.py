@@ -427,6 +427,8 @@ class BatchResult:
         return int(self.counts[:, 0, 1].sum())
 
     def failure_rate(self) -> float:
+        """The flagged share of the rows only: unlike ``run_protocol2``'s
+        ``failure_rate``, which counts every abort, it leaves out invalid rows."""
         return float(np.mean(self.flag))
 
     def mean_fi(self) -> float:

@@ -180,16 +180,6 @@ def binom_exp_sum(n: int, s: int, y: float, parity: str) -> complex:
     return complex(total)
 
 
-def binom_exp_sum_direct(n: int, s: int, y: float, parity: str) -> complex:
-    """Direct summation oracle for :func:`binom_exp_sum` (same prefactor)."""
-    rem = {"even": 0, "odd": 1}[parity]
-    total = 0.0 + 0.0j
-    for k in range(rem, n + 1, 2):
-        ks = k**s if k > 0 else (1 if s == 0 else 0)
-        total += binom(n, k) * ks * np.exp(1j * k * y)
-    return complex(2.0 ** (1 - n) * total)
-
-
 def as_fraction(x) -> Fraction:
     """Parse u-like inputs ('7/3', 2, 1.5, Fraction) into an exact Fraction.
 
@@ -239,12 +229,14 @@ def signal_phases(n_qubits: int, weights: np.ndarray, delta: float) -> np.ndarra
 def jz_moments(state: SymState) -> tuple[float, float, float]:
     """First and second weight moments and the variance of a normalized state.
 
-    Returns ``(m1, m2, variance)`` with ``m_j = sum_w |a_w|^2 w^j``.  Because
-    the Jz eigenvalue is an affine function of w, this variance equals the
-    variance of Jz itself.
+    Returns ``(m1, m2, variance)`` with ``m_j = sum_w |a_w|^2 w^j`` and the
+    variance as the centred moment ``sum_w |a_w|^2 (w - m1)^2``, which
+    m2 - m1^2 would lose to cancellation once N^2 dwarfs it.  Because the Jz
+    eigenvalue is an affine function of w, this variance equals the variance
+    of Jz itself.
     """
     p = np.abs(state.amps) ** 2
     w = state.weights.astype(float)
     m1 = float(p @ w)
     m2 = float(p @ w**2)
-    return m1, m2, max(m2 - m1 * m1, 0.0)
+    return m1, m2, float(p @ (w - m1) ** 2)

@@ -17,20 +17,77 @@ from symsense.fullspace import (
     enumerate_syt,
     general_qec_smallN,
     insert_zeros,
-    j2_dense,
     kl_check,
     partial_trace_first,
     pauli_apply,
-    pauli_op,
-    project_sym,
     schur_blocks,
     sequential_j2_measure,
-    symmetrize_channel,
 )
-from symsense.fullspace import _path_twirl, _schur_coeffs, _schur_coordinates
+from symsense.fullspace import _path_twirl, _schur_coeffs, _schur_coordinates, _weights
 from symsense.noise import delete
-from symsense.symcore import SymState
+from symsense.symcore import SymState, binom
 from symsense.verify import _ad_kraus_brute, check_kl_gnu, general_qec_report
+
+
+def project_sym(dense):
+    """Reference inverse of embed_sym: the overlap of a dense state with each
+    Dicke state (no normalization)."""
+    N = dense.n_qubits
+    amps = np.zeros(N + 1, dtype=complex)
+    np.add.at(amps, _weights(N), dense.vec)  # in index order, as a loop would add
+    return SymState(N, amps / np.sqrt([binom(N, w) for w in range(N + 1)]))
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_op(N, positions, kinds):
+    """Reference for pauli_apply: the dense N-qubit Pauli with the given
+    letters at 1-based positions."""
+    ops = ["I"] * N
+    for pos, kind in zip(positions, kinds):
+        ops[pos - 1] = kind
+    out = np.array([[1.0 + 0j]])
+    for name in ops:
+        out = np.kron(out, _PAULI[name])
+    return out
+
+
+def j2_dense(N, k):
+    """Reference for the sequential measurement: the total angular momentum
+    squared of the first k qubits, on all N."""
+    out = 0.75 * k * np.eye(2**N, dtype=complex)
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for kind in "XYZ":
+                out += 0.5 * pauli_op(N, (i, j), (kind, kind))
+    return out
+
+
+def symmetrize_channel(rho, N):
+    """Reference for the per-spin path average of general_qec_smallN: the mean
+    over all qubit permutations, rho -> (1/N!) sum_sigma P rho P^dag.
+
+    Evaluated by the coset recursion (average over S_k built from the S_{k-1}
+    average and k transpositions), so the cost is O(N^2) conjugations instead
+    of N! terms.  Conjugating by the transposition of qubits i and k swaps
+    their row axes and their column axes of rho viewed as a (2,)*2N tensor.
+    """
+    out = np.array(rho, dtype=complex).reshape((2,) * (2 * N))
+    for k in range(2, N + 1):
+        acc = out.copy()  # i = k term (identity)
+        for i in range(1, k):
+            axes = list(range(2 * N))
+            axes[i - 1], axes[k - 1] = k - 1, i - 1
+            axes[N + i - 1], axes[N + k - 1] = N + k - 1, N + i - 1
+            acc += out.transpose(axes)
+        out = acc / k
+    return out.reshape(2**N, 2**N)
 
 
 def test_embed_round_trip():

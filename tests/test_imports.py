@@ -1,7 +1,8 @@
 """Static checks on the source tree and the demos: every import is used (a
 top-level one by its module, one inside a function by that function), every
-private top-level name of the package is read, every name the package
-exports exists, and the Protocol-1 round's rules are read in one place."""
+private top-level name of the package is read, every public one is read by
+what runs, every name the package exports exists, and the Protocol-1 round's
+rules are read in one place."""
 
 import ast
 import importlib
@@ -97,16 +98,20 @@ def test_every_import_inside_a_function_is_read(path):
     assert unused_function_imports(path.read_text()) == []
 
 
+def _loads(node) -> set[str]:
+    """The names and attributes that ``node`` and its children read."""
+    return {
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+    }
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private names (one leading underscore) that a module of ``sources`` binds at
     its top level by a def, class or assignment, and that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    read = set().union(*map(_loads, trees.values()))
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -136,6 +141,54 @@ def test_unread_private_names_are_found():
 def test_every_private_top_level_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(package: dict[str, str], others) -> list[str]:
+    """Public functions and classes that a module of ``package`` defines at its
+    top level and that no other top-level statement of the package and no
+    source of ``others`` reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    outside = set().union(*(_loads(ast.parse(source)) for source in others))
+    statements = [(node, _loads(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in loads for other, loads in statements if other is not node)
+    ]
+
+
+def test_unread_public_names_are_found():
+    package = {
+        "a": "def f(): return f()\ndef g(): pass\nclass K: pass\ndef h(): return b.k\n",
+        "b": "def k(): pass\nx = a.g\ndef _p(): pass\n",
+    }
+    # f is read only inside itself and K and h not at all; b reads k and g, and _p is private
+    assert unread_public_names(package, []) == ["a: f (line 1)", "a: K (line 3)", "a: h (line 4)"]
+    assert unread_public_names(package, ["print(h, K())"]) == ["a: f (line 1)"]
+
+
+# public names that no command, check, demo or benchmark reads, and why they stay
+KEPT_UNREAD = {
+    "binom_parity_sum": "the paper's closed form of the parity-split binomial power sums",
+    "binom_exp_sum": "the paper's closed form of the phase-weighted binomial sums",
+    "bound_checkers": "the paper's single-deletion perturbation and Taylor bounds",
+    "phi11_ratio": "the paper's single-deletion phase constant, which criterion 7 states",
+    "protocol1_mismatches": "verify's one Protocol-1 reference-vs-batch comparison",
+}
+
+
+def test_every_public_top_level_name_is_read_by_what_runs():
+    # a reference only the tests read belongs in the tests
+    package = {path.name: path.read_text() for path in PACKAGE}
+    others = [path.read_text() for path in [*ROOT.glob("demos/*.py"), *ROOT.glob("bench/**/*.py")]]
+    unread = {entry.split()[1]: entry for entry in unread_public_names(package, others)}
+    exempt = {*symsense.__all__, *KEPT_UNREAD}
+    assert [entry for name, entry in unread.items() if name not in exempt] == []
+    assert sorted(KEPT_UNREAD) == sorted(set(unread) - set(symsense.__all__))  # no stale entry
 
 
 def readers(source: str, names) -> dict[str, list[str]]:

@@ -22,6 +22,17 @@ def test_qfi_of_plus_probe_sweep():
         assert abs(got - g * g * n) <= 1e-10 * g * g * n
 
 
+@pytest.mark.parametrize(
+    "g, n, u, s",
+    [(40, 3, Fraction(53, 6), 940), (100, 3, Fraction(10), 3000), (178, 3, Fraction(187), 49000)],
+)
+def test_qfi_of_plus_probe_at_large_n_is_g2n_to_rounding(g, n, u, s):
+    # N = 2000, 6000 and 148858: the variance as m2 - m1^2 loses 2e-13 to
+    # 4e-11 of g^2 n to cancellation; the centred moment keeps it to rounding
+    got = qfi_pure(make_logical(GnuParams(g, n, u, s), Label.PLUS))
+    assert abs(got - g * g * n) <= 1e-15 * g * g * n
+
+
 def test_qfi_dicke_and_ghz():
     assert qfi_pure(SymState.from_weight(10, 3)) == 0.0
     N = 64

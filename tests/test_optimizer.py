@@ -11,7 +11,6 @@ from symsense.optimizer import (
     closed_form_optimum,
     is_feasible,
     p2_exponent,
-    p2_exponent_display,
     polytope_membership,
     solve_lp,
     write_fqec_vs_c_csv,
@@ -96,6 +95,12 @@ def test_infeasible_instance_reported():
 def test_p2_exponent_values():
     assert p2_exponent(LPInstance(Fraction(1, 2), Fraction(3, 2), 1, 0, 0)) == Fraction(11, 9)
     assert p2_exponent(LPInstance(0, Fraction(3, 2), 1, 0, 0)) == Fraction(4, 9)
+
+
+def p2_exponent_display(inst):
+    """Reference for p2_exponent: the exponent via the published display."""
+    c, q, e1, e2 = inst.c, inst.q, inst.e1, inst.e2
+    return (4 * c * (q + 2) - 5 * e1 * (q + 1) - 2 * (e2 - 1) * (2 * q - 1)) / (4 * q + 3)
 
 
 def test_p2_exponent_display_identity():

@@ -12,7 +12,6 @@ from symsense.symcore import (
     apply_signal,
     binom,
     binom_exp_sum,
-    binom_exp_sum_direct,
     binom_parity_sum,
     falling_factorial,
     jz_moments,
@@ -181,6 +180,16 @@ def test_binom_exp_sum_s0_closed_form():
 def test_binom_exp_sum_trivial_y0():
     for n in (1, 2, 7):
         assert abs(binom_exp_sum(n, 0, 0.0, "even") - 1.0) < 1e-14
+
+
+def binom_exp_sum_direct(n, s, y, parity):
+    """Direct summation reference for binom_exp_sum (same prefactor)."""
+    rem = {"even": 0, "odd": 1}[parity]
+    total = 0.0 + 0.0j
+    for k in range(rem, n + 1, 2):
+        ks = k**s if k > 0 else (1 if s == 0 else 0)
+        total += binom(n, k) * ks * np.exp(1j * k * y)
+    return complex(2.0 ** (1 - n) * total)
 
 
 def test_binom_exp_sum_example_direct():
