@@ -92,6 +92,15 @@ def lattice_profile(n: int) -> np.ndarray:
     return profile
 
 
+@lru_cache(maxsize=None)
+def plus_weights(n: int) -> np.ndarray:
+    """2^-n C(n, k) for k = 0..n: |+_L>'s weights on the lattice of every code with this n,
+    rounded once (``lattice_profile(n)**2 / 2`` rounds twice).  Shared, read-only."""
+    weights = np.array([2.0**-n * binom(n, k) for k in range(n + 1)])
+    weights.flags.writeable = False
+    return weights
+
+
 def make_logical(params: GnuParams, label: Label | str) -> SymState:
     """Construct a logical codeword of the shifted gnu code.
 

@@ -11,14 +11,14 @@ negligible (weight <= PRUNE_EPS).
 
 Both channels work on the state's support (its non-zero weights), so a call
 costs O(t |support|) (deletion) or O(N |support|) (damping) arithmetic.
-Deletion evaluates each branch's binomial factors in one vectorized step and
-writes one zero-filled output vector per branch.  Damping evaluates p_w(x)
-for a block of branches in one step, in blocks of a bounded number of
-(branch, weight) pairs, and forms only the branches with a non-zero p_w(x),
+Deletion scales each branch by ``symcore.deletion_ratios``, exact-integer
+ratios, and writes one zero-filled output vector per branch.  Damping
+evaluates p_w(x) for a block of branches in one step, in blocks of a bounded
+number of (branch, weight) pairs, and forms only the branches with a non-zero p_w(x),
 each in one reused zero-filled vector for its norm.  A codeword has n + 1
 support weights, so damping the N = 2000 code state never visits all
-N^2 / 2 (branch, weight) pairs.  The branch amplitudes are bit-identical to
-evaluating each weight through ``log_binom`` / ``sqrt_binom_ratio`` and
+N^2 / 2 (branch, weight) pairs.  The damping amplitudes are bit-identical to
+evaluating each weight's log C(w, x) as an lgamma difference and taking
 ``math.exp`` (``np.exp`` is 1 ulp off on some arguments, so it is not used).
 
 ``damping_branch_count`` counts the branches ``amplitude_damp`` keeps without
@@ -37,16 +37,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from symsense.codes import GnuParams
-from symsense.symcore import SymState, sqrt_binom_ratio, binom
+from symsense.codes import GnuParams, plus_weights
+from symsense.symcore import SymState, deletion_ratios
 
 PRUNE_EPS = 1e-15
 # (branch, weight) pairs amplitude_damp evaluates per vectorized step
 _AD_CHUNK_PAIRS = 1 << 14
 # ulps per term by which damping_branch_count widens its band around PRUNE_EPS
 _NORM_ULPS = 4
-# the largest integer that converts to a float without OverflowError
-_FLOAT_INT_MAX = int(sys.float_info.max)
 
 
 class BranchList(list):
@@ -78,51 +76,28 @@ class ADOutcome:
 def delete(state: SymState, t: int) -> list[DeletionOutcome]:
     """Trace out t unknown qubits of a normalized symmetric state.
 
-    Branch a (a = 0..t) keeps amplitude
-    ``a_w * sqrt(C(N-t, w-a) / C(N, w))`` at the new weight w - a; the branch
-    probabilities C(t,a) <psi_a|psi_a> sum to one.  Branches at or below the
-    pruning threshold are dropped and their mass is added to the returned
+    Branch a (a = 0..t) keeps amplitude ``a_w * sqrt(C(t,a) C(N-t, w-a) / C(N, w))``
+    at the new weight w - a (:func:`~symsense.symcore.deletion_ratios`), and its
+    weight is that vector's squared norm.  Branches at or below the pruning
+    threshold are dropped and their mass is added to the returned
     ``BranchList.pruned_mass``, so the kept weights plus it sum to one.
-    Where C(t, a) overflows a float (from t = 1030 on) or <psi_a|psi_a> is
-    not a normal float, the branch takes C(t, a) C(N-t, w-a) / C(N, w) per
-    weight as one correctly rounded ratio of exact integers.
     """
     N = state.n_qubits
     if not 1 <= t <= N:
         raise ValueError(f"deletion count t={t} outside 1..{N}")
     M = N - t
     support = np.flatnonzero(state.amps)
-    lg = _lgamma_table(N)
-    # log C(N, w) on the support, in log_binom's operation order
-    log_den = lg[N] - lg[support] - lg[N - support]
     outcomes = BranchList()
-    exact_rows = None  # C(M, k) and C(N, w) as exact integers, built on first need
     for a in range(t + 1):
         lo, hi = np.searchsorted(support, (a, M + a + 1))
         w = support[lo:hi]
-        k = w - a
-        log_num = lg[M] - lg[k] - lg[M - k]
-        ratio = np.fromiter(map(math.exp, (0.5 * (log_num - log_den[lo:hi])).tolist()), float)
         amps = np.zeros(M + 1, dtype=complex)
-        amps[k] = state.amps[w] * ratio
-        nsq = float(np.vdot(amps, amps).real)
-        c = binom(t, a)
-        if nsq >= sys.float_info.min and c <= _FLOAT_INT_MAX:
-            weight = c * nsq
-        else:
-            # C(t, a) overflows a float or <psi_a|psi_a> is not a normal
-            # float: fold C(t, a) into each amplitude as the exact rational
-            # C(t, a) C(M, w - a) / C(N, w), correctly rounded
-            if exact_rows is None:
-                exact_rows = _binom_row(M), _binom_row(N)
-            row_m, row_n = exact_rows
-            scale = [c * row_m[kk] / row_n[ww] for kk, ww in zip(k.tolist(), w.tolist())]
-            amps[k] = state.amps[w] * np.sqrt(scale)
-            nsq = weight = float(np.vdot(amps, amps).real)
+        amps[w - a] = state.amps[w] * np.sqrt(deletion_ratios(N, t, a, w))
+        weight = float(np.vdot(amps, amps).real)
         if weight <= PRUNE_EPS:
             outcomes.pruned_mass += weight
             continue
-        outcomes.append(DeletionOutcome(a, weight, SymState(M, amps / math.sqrt(nsq))))
+        outcomes.append(DeletionOutcome(a, weight, SymState(M, amps / math.sqrt(weight))))
     return outcomes
 
 
@@ -260,20 +235,13 @@ def _damping_probs(n_qubits: int, w: np.ndarray, x: np.ndarray, gamma_ad: float)
     return np.fromiter(map(math.exp, log_p.ravel().tolist()), float, d.size).reshape(d.shape)
 
 
-def _binom_row(n: int) -> list[int]:
-    """C(n, k) for k = 0..n as exact integers, by C(n, k+1) = C(n, k) (n-k) / (k+1)."""
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
 @lru_cache(maxsize=16)
 def _lgamma_table(n: int) -> np.ndarray:
-    """``lgamma(k + 1)`` for k = 0..n, by math.lgamma (the values log_binom uses).
+    """``lgamma(k + 1)`` for k = 0..n, by math.lgamma: the log C(w, x) of the
+    damping law :func:`_damping_probs`, whose gamma powers are floats anyway.
 
-    Built once per n and shared read-only: a Protocol-1 reference trajectory
-    deletes from the same few qubit counts round after round.
+    Built once per n and shared read-only: ``symsense ad`` damps the same code
+    at every gamma of its grid.
     """
     table = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     table.setflags(write=False)
@@ -285,7 +253,8 @@ def deletion_qfi(params: GnuParams, t: int) -> float:
 
     Valid for g, n >= t+1, where the branches are supported on distinct
     weights modulo g and the QFI is the convex combination
-    ``4 sum_a C(t,a) n_a v_a`` of per-branch variances.
+    ``4 sum_a n_a v_a`` of the branch weights n_a (C(t, a) included) and
+    the branches' centred weight variances v_a, as in ``jz_moments``.
     """
     if t == 0:
         return float(params.g**2 * params.n)
@@ -293,26 +262,17 @@ def deletion_qfi(params: GnuParams, t: int) -> float:
         raise ValueError(
             f"branch orthogonality needs g, n >= t+1; got g={params.g}, n={params.n}, t={t}"
         )
-    N = params.n_qubits
-    M = N - t
-    n = params.n
+    w = params.weight_lattice()
     total = 0.0
     for a in range(t + 1):
-        # subnormalized branch of |+_L>: amplitude 2^{-n/2} sqrt(C(n,k)) * ratio
-        probs = np.zeros(n + 1)
-        wts = np.zeros(n + 1)
-        for k in range(n + 1):
-            w = params.s + params.g * k
-            r = sqrt_binom_ratio(M, w - a, N, w)
-            probs[k] = 2.0**-n * binom(n, k) * r * r
-            wts[k] = w - a
-        na = probs.sum()
+        # subnormalized branch a of |+_L> on the lattice, before its shift to w - a
+        probs = plus_weights(params.n) * deletion_ratios(params.n_qubits, t, a, w)
+        na = float(probs.sum())
         if na <= 0.0:
             continue
         p = probs / na
-        m1 = float(p @ wts)
-        va = float(p @ wts**2) - m1 * m1
-        total += binom(t, a) * na * va
+        m1 = float(p @ w)
+        total += na * float(p @ (w - m1) ** 2)
     return 4.0 * total
 
 
@@ -336,7 +296,7 @@ def ad_qfi_bound(params: GnuParams, gamma_ad: float) -> float:
     if gamma_ad == 0.0:
         return float(params.g**2 * params.n)
     g, n, s, N = params.g, params.n, params.s, params.n_qubits
-    coef = np.array([2.0**-n * binom(n, k) for k in range(n + 1)])
+    coef = plus_weights(n)
     total = 0.0
     # no lattice weight lies above s + g n, so later branches are empty
     for k0 in range(n + 1):

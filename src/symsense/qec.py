@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from symsense.codes import CODEWORD_CACHE, GnuParams, code_fits, lattice_profile, logical_pair
-from symsense.symcore import SymState, apply_signal, sqrt_binom_ratio, binom
+from symsense.symcore import SymState, apply_signal, binom, deletion_ratios
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,11 @@ def project_syndrome(frame: CodeFrame, amps: np.ndarray, u: float):
 def deleted_codewords(params: GnuParams, sigma: int, t: int = 1) -> tuple[SymState, SymState]:
     """Exact (subnormalized) t-deletion branch images |0'_sigma>, |1'_sigma>.
 
-    Amplitude at weight g k + s - sigma is the codeword amplitude times
-    ``sqrt(C(N-t, gk+s-sigma) / C(N, gk+s))``; these are the states the
-    perturbation bounds compare against the ideal shift-(s - sigma) codewords.
+    Amplitude at weight g k + s - sigma is the codeword amplitude times the root
+    of ``deletion_ratios``, C(t, sigma) C(N-t, gk+s-sigma) / C(N, gk+s); these are
+    the states the perturbation bounds compare against the ideal shift-(s - sigma)
+    codewords.  C(t, sigma) is 1 at t = 1, where ``phase_formulas`` reads them,
+    and ``deletion_qec`` normalises them.
     """
     if sigma < 0 or sigma > t:
         raise ValueError("deletion shift sigma must be in 0..t")
@@ -171,17 +173,13 @@ def deleted_codewords(params: GnuParams, sigma: int, t: int = 1) -> tuple[SymSta
         raise ValueError("shift too small: s >= sigma required")
     N = params.n_qubits
     M = N - t
-    profile = lattice_profile(params.n)
-    out = []
-    for parity in (0, 1):
-        amps = np.zeros(M + 1, dtype=complex)
-        for k in range(parity, params.n + 1, 2):
-            w = params.s + params.g * k
-            if w - sigma > M:
-                continue  # branch amplitude is exactly zero (C(M, >M) = 0)
-            amps[w - sigma] = profile[k] * sqrt_binom_ratio(M, w - sigma, N, w)
-        out.append(SymState(M, amps))
-    return out[0], out[1]
+    w = params.weight_lattice()
+    w = w[w - sigma <= M]  # above M the branch amplitude is exactly zero
+    amps = lattice_profile(params.n)[: w.size] * np.sqrt(deletion_ratios(N, t, sigma, w))
+    cw = np.zeros((2, M + 1), dtype=complex)
+    for parity in (0, 1):  # even k: |0'_sigma>, odd k: |1'_sigma>
+        cw[parity, w[parity::2] - sigma] = amps[parity::2]
+    return SymState(M, cw[0]), SymState(M, cw[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ operator Jz acts diagonally with eigenvalue ``N/2 - w``.  We never store the
 magnetic quantum number ``m = w - N/2`` directly, to keep signs in one place.
 
 Combinatorics are exact (Python integers) up to the sizes the toolkit needs;
-large binomial *ratios* are evaluated in log space to avoid overflow.
+a binomial *ratio* is one correctly rounded division of exact integers.
 """
 
 from __future__ import annotations
@@ -99,26 +99,12 @@ class SymState:
 binom = math.comb
 
 
-def log_binom(n: int, k: int) -> float:
-    """log C(n, k) via log-gamma; -inf outside the Pascal triangle."""
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def sqrt_binom_ratio(n_top: int, k_top: int, n_bot: int, k_bot: int) -> float:
-    """sqrt( C(n_top, k_top) / C(n_bot, k_bot) ), evaluated in log space.
-
-    Used for the deletion/damping branch amplitudes, where both binomials can
-    overflow floats long before their ratio does.
-    """
-    if k_top < 0 or k_top > n_top:
-        return 0.0
-    num = log_binom(n_top, k_top)
-    den = log_binom(n_bot, k_bot)
-    if den == -math.inf:
-        raise ValueError("denominator binomial is zero")
-    return math.exp(0.5 * (num - den))
+def deletion_ratios(n_qubits: int, t: int, a: int, weights: np.ndarray) -> np.ndarray:
+    """C(t,a) C(N-t, w-a) / C(N, w): the share of each of ``weights`` that t deletions move
+    to w - a, as the equal C(w,a) C(N-w, t-a) / C(N, t), one true division of exact integers
+    per weight: correctly rounded, never above 1, and (N-w)/N and w/N at t = 1."""
+    den = binom(n_qubits, t)
+    return np.array([binom(w, a) * binom(n_qubits - w, t - a) / den for w in weights.tolist()])
 
 
 def falling_factorial(k: int, j: int) -> int:

@@ -19,12 +19,12 @@ test_noise.py::test_shared_oracles_catch_a_broken_channel shows the deletion
 and damping oracles failing on a broken channel.
 
 ``protocol1_mismatches`` is the one comparison of the Protocol-1 batch with
-its exact reference trajectory, which the n = 3 tests of test_protocols.py
-call and the ``verify`` command does not run.  It is the one reader of
+its exact reference trajectory, which the tests of test_protocols.py call and
+the ``verify`` command does not run.  It is the one reader of
 :mod:`symsense.protocols` here and imports it when called, so ``verify`` never
-loads the Protocol-1 layer.  It is no oracle at n >= 5: there
-the reference's lgamma deletion ratios (error ~1e-13 at N = 200) move the tiny
-Phi's FI by ~1e-6, so those tests replay rows at 50 digits instead.
+loads the Protocol-1 layer.  It is an oracle at every odd n: both paths delete
+by the correctly rounded (N - w)/N and w/N, so the tiny Phi of n >= 5 gets
+the same FI on both, and the tests also replay those rows at 50 digits.
 """
 
 from __future__ import annotations

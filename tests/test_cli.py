@@ -69,6 +69,15 @@ def test_delete_and_ad_commands(tmp_path):
     assert len(out2.read_text().splitlines()) == 7
 
 
+def test_delete_writes_the_exact_one_deletion_weights(tmp_path):
+    # the criterion-8 code (N = 2000) splits its plus state evenly under one deletion
+    out = tmp_path / "del.csv"
+    args = ["delete", "--g", "40", "--n", "3", "--u", "53/6", "--s", "940", "--t", "1"]
+    assert run_cli([*args, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["shift"], row["weight"]) for row in rows] == [("0", "0.5"), ("1", "0.5")]
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [("ad", "--gamma-max", "1.5"), ("ad", "--gamma-max", "nan"), ("ad", "--gamma-max", "-0.1"),

@@ -14,6 +14,7 @@ from symsense.codes import (
     lattice_profile,
     logical_pair,
     make_logical,
+    plus_weights,
 )
 from symsense.qec import code_frame, jz_apply
 from symsense.symcore import SymState, apply_signal, jz_moments
@@ -119,6 +120,17 @@ def test_lattice_profile_is_the_codewords_on_the_lattice(n):
     for parity, on_lattice in enumerate(frame.cw_on_lattice):
         assert on_lattice[parity::2].real.tobytes() == profile[parity::2].tobytes()
         assert not on_lattice[1 - parity :: 2].any() and not on_lattice.imag.any()
+
+
+def test_plus_weights_are_the_exact_binomial_shares_rounded_once():
+    assert plus_weights(7) is plus_weights(7) and not plus_weights(7).flags.writeable
+    squared_profile = 0
+    for n in range(1, 60):
+        weights = plus_weights(n)
+        assert weights.tolist() == [float(Fraction(math.comb(n, k), 2**n)) for k in range(n + 1)]
+        squared_profile += int(np.count_nonzero(weights != lattice_profile(n) ** 2 / 2))
+    # the profile's square root, squared, is a second rounding
+    assert squared_profile == 1100
 
 
 def test_jz_sandwich_identities():

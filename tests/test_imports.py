@@ -2,7 +2,7 @@
 top-level one by its module, one inside a function by that function), every
 private top-level name of the package is read, every public one is read by
 what runs, every name the package exports exists, and the Protocol-1 round's
-rules are read in one place."""
+rules and the noise layer's lgamma table are each read in one place."""
 
 import ast
 import importlib
@@ -237,6 +237,12 @@ def test_the_round_rules_are_read_only_by_the_round_law_and_the_reference():
         name: [] for name in ROUND_RULES
     }
     assert all("round_law" in found[name] for name in ROUND_RULES)
+
+
+def test_the_lgamma_table_is_read_only_by_the_damping_law():
+    # deletions take exact integer ratios; only damping's float gamma powers need lgamma
+    found = readers((ROOT / "src/symsense/noise.py").read_text(), ("_lgamma_table",))
+    assert found == {"_lgamma_table": ["_damping_probs"]}
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():

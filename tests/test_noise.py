@@ -23,7 +23,7 @@ from symsense.noise import (
     ad_qfi_bound,
     _lgamma_table,
 )
-from symsense.symcore import SymState, binom, jz_moments, log_binom, sqrt_binom_ratio
+from symsense.symcore import SymState, binom, jz_moments
 from symsense.verify import damping_distance, deletion_distance
 
 
@@ -136,6 +136,32 @@ def test_deletion_qfi_compositional_oracle():
         assert abs(got - want) < 1e-9 * max(1.0, want)
 
 
+def _deletion_qfi_exact(params, t):
+    """deletion_qfi's branch formula in exact rationals, rounded once at the end;
+    C(N-t, w-a) / C(N, w) is w_(a) (N-w)_(t-a) / N_(t) in falling factorials."""
+    N, n = params.n_qubits, params.n
+    lattice = [params.s + params.g * k for k in range(n + 1)]
+    total = Fraction(0)
+    for a in range(t + 1):
+        probs = [Fraction(binom(n, k) * binom(t, a) * math.perm(w, a) * math.perm(N - w, t - a),
+                          2**n * math.perm(N, t))
+                 for k, w in enumerate(lattice)]
+        na = sum(probs)
+        m1 = sum(p * w for p, w in zip(probs, lattice)) / na
+        total += sum(p * (w - m1) ** 2 for p, w in zip(probs, lattice))
+    return float(4 * total)
+
+
+@pytest.mark.parametrize(
+    "params", [GnuParams(40, 3, Fraction(53, 6), 940), GnuParams(178, 3, Fraction(187), 49000)],
+    ids=["N2000", "N148858"],
+)
+def test_deletion_qfi_matches_exact_rationals(params):
+    for t in (1, 2):
+        want = _deletion_qfi_exact(params, t)
+        assert abs(deletion_qfi(params, t) - want) <= 1e-14 * want, t
+
+
 def test_deletion_qfi_monotonicity_report():
     # monotonicity in t is plausible but not guaranteed; report, never hide
     violations = []
@@ -183,7 +209,9 @@ def test_channel_probability_conservation():
 
 
 def _delete_loop(state, t):
-    """Per-weight deletion channel: every (branch, weight) pair in Python."""
+    """Per-weight deletion channel: every (branch, weight) pair in Python, each
+    amplitude scaled by the root of C(t,a) C(N-t, w-a) / C(N, w), written as the
+    hypergeometric C(w, a) C(N-w, t-a) / C(N, t) and divided as exact integers."""
     N = state.n_qubits
     M = N - t
     outcomes = BranchList()
@@ -191,14 +219,19 @@ def _delete_loop(state, t):
         amps = np.zeros(M + 1, dtype=complex)
         for w in range(a, M + a + 1):
             if state.amps[w] != 0:
-                amps[w - a] = state.amps[w] * sqrt_binom_ratio(M, w - a, N, w)
-        nsq = float(np.vdot(amps, amps).real)
-        weight = binom(t, a) * nsq
+                ratio = binom(w, a) * binom(N - w, t - a) / binom(N, t)
+                amps[w - a] = state.amps[w] * math.sqrt(ratio)
+        weight = float(np.vdot(amps, amps).real)
         if weight <= PRUNE_EPS:
             outcomes.pruned_mass += weight
             continue
-        outcomes.append(DeletionOutcome(a, weight, SymState(M, amps / math.sqrt(nsq))))
+        outcomes.append(DeletionOutcome(a, weight, SymState(M, amps / math.sqrt(weight))))
     return outcomes
+
+
+def log_binom(n, k):
+    """log C(n, k) as an lgamma difference, the damping law's reference."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _amplitude_damp_loop(state, gamma_ad):

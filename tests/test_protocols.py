@@ -1101,9 +1101,9 @@ def _mp_replay(config: ProtocolConfig, index: int, mp) -> dict:
     deletion keeps sqrt((N - w)/N) (sigma = 0) or sqrt(w/N) (sigma = 1) of each
     amplitude; the signal multiplies weight w by exp(-i delta (N/2 - w)); the
     QEC round projects onto the codewords and onto the q-vectors, built here
-    from the codewords' J_z displacement.  The float reference is no oracle at
-    n >= 5: its lgamma deletion ratios are ~1e-13 off at N = 200, which moves
-    the FI of a tiny Phi by ~1e-6.
+    from the codewords' J_z displacement.  It checks the batch apart from the
+    float reference, which ``protocol1_mismatches`` compares it with: at n >= 5
+    Phi is tiny, and a deletion ratio ~1e-13 off would move its FI by ~1e-6.
     """
     p = config.params
     g, n = p.g, p.n
@@ -1205,3 +1205,12 @@ def test_batch_matches_a_50_digit_replay_at_odd_n_above_3(config, seen):
         assert not _mp_replay_mismatches(batch, range(60), mp)
     rows = dict(deleted=batch.n_deletions > 0, ok=batch.success, flag=batch.flag)
     assert all(rows[key].any() for key in seen)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_reference_is_an_oracle_at_odd_n_above_3(n):
+    # both paths delete by the correctly rounded (N - w)/N and w/N, so the tiny
+    # Phi of n >= 5 gives the same FI on both
+    batch = run_protocol1_batch(small_config(n=n, n_del=3e-3), 400)
+    assert (batch.n_deletions > 0).any()
+    assert not protocol1_mismatches(batch, range(400))

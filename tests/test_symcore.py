@@ -13,10 +13,9 @@ from symsense.symcore import (
     binom,
     binom_exp_sum,
     binom_parity_sum,
+    deletion_ratios,
     falling_factorial,
     jz_moments,
-    log_binom,
-    sqrt_binom_ratio,
     stirling2,
 )
 
@@ -138,11 +137,26 @@ def test_stirling_and_falling_factorial():
 
 def test_binom_exact_large():
     assert binom(4096, 2048) == math.comb(4096, 2048)
-    # log-space ratio agrees with the exact one
-    exact = math.sqrt(math.comb(200, 80) / math.comb(210, 85))
-    assert abs(sqrt_binom_ratio(200, 80, 210, 85) - exact) < 1e-12 * exact
-    assert sqrt_binom_ratio(10, 11, 10, 5) == 0.0
-    assert log_binom(10, -1) == -math.inf
+
+
+@pytest.mark.parametrize("N", [200, 2000])
+def test_one_deletion_ratios_are_the_correctly_rounded_shares(N):
+    weights = np.arange(N + 1)
+    keep, lose = deletion_ratios(N, 1, 0, weights), deletion_ratios(N, 1, 1, weights)
+    assert keep.tolist() == [float(Fraction(N - w, N)) for w in range(N + 1)]
+    assert lose.tolist() == [float(Fraction(w, N)) for w in range(N + 1)]
+
+
+def test_deletion_ratios_are_the_correctly_rounded_binomial_ratios():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        N = int(rng.integers(4, 5000))
+        t = int(rng.integers(2, 5))
+        w = rng.integers(0, N + 1, size=6)
+        for a in range(t + 1):
+            want = [float(Fraction(binom(t, a) * binom(N - t, int(x) - a), binom(N, int(x))))
+                    if 0 <= x - a <= N - t else 0.0 for x in w]
+            assert deletion_ratios(N, t, a, w).tolist() == want, (N, t, a)
 
 
 def test_binom_parity_sum_examples():
