@@ -167,37 +167,31 @@ def write_trajectories_jsonl(spans: Iterable[BatchResult], path) -> BatchResult:
 
 
 def _write_rows(fh, batch: BatchResult, first: int) -> None:
-    """Rows of ``batch``, numbered from ``first``.
+    """Rows of ``batch``, numbered from ``first``, in one write per chunk of BATCH_SPAN rows.
 
-    A chunk of at most BATCH_SPAN rows holds few distinct rows (trajectories
-    with the same outcomes share every field).  One lexsort over each row's 12
-    fields as int64, the floats by their bit patterns so that -0.0, NaN and
-    +-inf stay exact, finds them; each is spelled once as json.dumps of its row
-    dict, and a row is its index followed by that spelling.
+    A chunk holds few distinct rows (trajectories with the same outcomes
+    share every field).  A row's key is the bytes of its 12 fields as int64,
+    the floats by their bit patterns so that -0.0, NaN and +-inf stay exact;
+    one np.unique over a chunk's keys finds its distinct rows.  Each is
+    spelled once as json.dumps of its row dict, and a row is its index
+    followed by that spelling.
     """
     from symsense.protocols import BATCH_SPAN
 
     for lo in range(0, batch.flag.size, BATCH_SPAN):
         sl = slice(lo, lo + BATCH_SPAN)
         cols = {key: getattr(batch, name)[sl] for key, name in _JSONL_FIELDS.items()}
-        fields = np.column_stack(
+        words = np.column_stack(
             [col.view(np.int64) if col.dtype.kind == "f" else col.reshape(col.shape[0], -1)
              for col in cols.values()]
         )
-        order = np.lexsort(fields.T)
-        ranked = fields[order]
-        starts = np.ones(order.size, dtype=bool)
-        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        distinct = order[starts]
-        spelled = np.array(
-            [json.dumps(dict(zip(cols, row)))[1:] + "\n"
-             for row in zip(*(col[distinct].tolist() for col in cols.values()))],
-            dtype=object,
-        )
-        where = np.empty_like(order)  # each row's place among the distinct rows
-        where[order] = np.cumsum(starts) - 1
-        index = range(first + lo, first + lo + order.size)
-        fh.writelines(map('{"index": %d, %s'.__mod__, zip(index, spelled[where].tolist())))
+        _, at, where = np.unique(words.view(f"V{8 * words.shape[1]}").ravel(),
+                                 return_index=True, return_inverse=True)
+        spelled = [json.dumps(dict(zip(cols, row)))[1:] + "\n"
+                   for row in zip(*(col[at].tolist() for col in cols.values()))]
+        index = range(first + lo, first + lo + where.size)
+        lines = zip(index, map(spelled.__getitem__, where.tolist()))
+        fh.write("".join(map('{"index": %d, %s'.__mod__, lines)))
 
 
 def write_summary_csv(batch: BatchResult, path) -> None:

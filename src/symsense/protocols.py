@@ -13,14 +13,14 @@ binomial sqrt-ratios folded in, returned with their analytic theta-derivatives
 and the deleted state's norm weights.  The phase increment is arg(X_1/X_0) and
 its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
 ``zeta``, ``zeta_derivative`` and ``pflag_closed_form`` of :mod:`symsense.qec`
-take their place.  :func:`round_law` is the one home of these rules: from rows
-at (N, s, |a|^2, |b|^2) it gives every outcome's probability, factors and
-phase increment, and the batch and :func:`expected_fi_p1` read it.  Two
-implementations are provided:
+take their place.  :func:`round_law` is the one home of these rules, cached
+per code (N, s); the batch, :func:`expected_fi_p1` and the reference's phase
+increments read it, each splitting shift and syndrome by its (|a|^2, |b|^2).
+Two implementations are provided:
 
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
   one trajectory at a time, the signal applied on the state's known support
-  only and the QEC round of ``qec.qec_sense``; Phi uses the shared formulas.
+  only and the QEC round of ``qec.qec_sense``; Phi sums the law's increments.
   Its quiet rounds before the first event replay one cached chain of states.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: the trajectories
   of a span advance in lock-step, each as its logical weights
@@ -204,33 +204,33 @@ def _syndrome_split(mod2, fac, norm):
 
 
 class RoundLaw(NamedTuple):
-    """A round's outcomes per row, on the axis o: 0 without a deletion, 1 + sigma with one."""
+    """One code's round, on the outcome axis o: 0 without a deletion, 1 + sigma with one."""
 
-    lam: np.ndarray  # Poisson mean: t = 0, 1 with e^-lam, lam e^-lam; t >= 2 aborts
-    norm: np.ndarray  # (3, rows): 1, then P[sigma | t = 1] = |a|^2 A_sigma + |b|^2 B_sigma
-    fac: np.ndarray  # (4, 3, rows): |X|^2 of E_0, E_1 (codespace) and D_0, D_1 (q-space)
-    p_syn: np.ndarray  # (2, 3, rows): P[syn | o]; the leak is the rest
-    inc: np.ndarray  # (2, 3, rows): the phase increment at (syn, o)
-    dinc: np.ndarray  # (2, 3, rows): its theta-derivative
+    lam: float  # Poisson mean: t = 0, 1 with e^-lam, lam e^-lam; t >= 2 aborts
+    A: np.ndarray  # (2,) by sigma, even k: P[sigma | t = 1] = |a|^2 A_sigma + |b|^2 B_sigma
+    B: np.ndarray  # (2,) by sigma, odd k
+    fac: np.ndarray  # (4, 3): |X|^2 of E_0, E_1 (codespace) and D_0, D_1 (q-space)
+    inc: np.ndarray  # (2, 3): the phase increment at (syn, o)
+    dinc: np.ndarray  # (2, 3): its theta-derivative
 
 
-def round_law(config: ProtocolConfig, n_cur, s_cur, mod2) -> RoundLaw:
-    """The round from integer arrays of rows on the (N, s) = (``n_cur``, ``s_cur``) code
-    with logical weights ``mod2`` = (|a|^2, |b|^2): the one home of the round's rules."""
+@lru_cache(maxsize=4096)
+def round_law(config: ProtocolConfig, n_qubits: int, s: int) -> RoundLaw:
+    """The round on the (N, s) = (``n_qubits``, ``s``) code, cached with read-only
+    arrays: the one home of the round's rules."""
     p = config.params
     tau, delta = config.tau, config.delta
-    X, dX, A, B = one_deletion_ratios(p.g, p.n, n_cur, s_cur, np.array([[0], [1]]), delta, tau)
-    every_row = np.ones((1, *A.shape[1:]))
+    X, dX, A, B = one_deletion_ratios(p.g, p.n, n_qubits, s, np.array([0, 1]), delta, tau)
     p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * p.g * delta)
     # no deletion: |E_0| = |E_1|, |D_0| = |D_1| at odd n (k -> n - k swaps the lattice halves)
     nodel = ([p_code0, p_code0, p_q0, p_q0], [zeta(p, delta, j) for j in (0, 1)],
              [tau * zeta_derivative(p, delta, j) for j in (0, 1)])
     deleted = (X.real**2 + X.imag**2, *_phase_step(X[0::2], X[1::2], dX[0::2], dX[1::2]))
-    fac, inc, dinc = (np.concatenate([np.multiply.outer(x0, every_row), x1], axis=1)
-                      for x0, x1 in zip(nodel, deleted))
-    norm = np.concatenate([every_row, mod2[0] * A + mod2[1] * B])
-    return RoundLaw(config.n_del * n_cur * tau, norm, fac, _syndrome_split(mod2, fac, norm)[1],
-                    inc, dinc)
+    law = RoundLaw(config.n_del * n_qubits * tau, A, B,
+                   *(np.c_[x0, x1] for x0, x1 in zip(nodel, deleted)))
+    for x in law[1:]:
+        x.flags.writeable = False
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +289,8 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
 
     The state is evolved exactly (deletion branch, signal, projective QEC).
     The per-round phase increments and their theta-derivatives at the
-    realized outcomes are analytic: ``zeta`` and ``zeta_derivative`` without
-    a deletion, the lattice sums of :func:`one_deletion_ratios` with one.
+    realized outcomes are analytic, read from :func:`round_law` of the code
+    the round starts on, as is the round's Poisson mean.
 
     The state is kept on a known support: the code lattice after a QEC
     round, the branch's non-zero weights after a deletion.  A round writes
@@ -305,16 +305,14 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     round, and caches P[syn 0] of each round and the state before it.  A
     trajectory advances through its quiet prefix by comparing its uniforms
     against p_0 (as ``_poisson_bucket`` computes it) and those P[syn 0],
-    adding zeta_0, its derivative and the count one round at a time, and the
-    loop then starts from the cached state.  The result is bit for bit what
-    the loop would give.  The chain is built on full Dicke vectors, not with
-    the batch's closed-form (1/2, 1/2) shortcut, so the reference stays an
-    oracle independent of the batch.
+    adding the law's zeta_0, its derivative and the count one round at a
+    time, and the loop then starts from the cached state.  The result is bit
+    for bit what the loop would give.  The chain is built on full Dicke
+    vectors, not with the batch's closed-form (1/2, 1/2) shortcut, so the
+    reference stays an oracle independent of the batch.
     """
     p = config.params
-    tau, delta = config.tau, config.delta
-    z = [zeta(p, delta, j) for j in (0, 1)]
-    dz = [tau * zeta_derivative(p, delta, j) for j in (0, 1)]
+    delta = config.delta
     uniforms = rng.random((config.r, 3)).tolist()
 
     N0 = n_cur = p.n_qubits
@@ -326,13 +324,14 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
 
     # the quiet prefix: rounds with no deletion (u_del below p_0, as in
     # _poisson_bucket) and syndrome 0, replayed from the cached chain
+    law = round_law(config, n_cur, s_cur)  # the current code's round
     p_code, before = _quiet_chain(p, delta, config.r)
-    p0 = math.exp(-(config.n_del * n_cur * tau))
+    p0 = math.exp(-law.lam)
     k = 0
     while k < len(p_code) and uniforms[k][0] < p0 and uniforms[k][2] < p_code[k]:
         counts[0, 0] += 1
-        Phi += z[0]
-        dPhi += dz[0]
+        Phi += float(law.inc[0, 0])
+        dPhi += float(law.dinc[0, 0])
         k += 1
 
     frame = code_frame(p)
@@ -341,14 +340,14 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     support, phases = frame.lattice, lattice_phases
     amps = before[k]
     for u_del, u_sigma, u_syn in uniforms[k:]:
-        lam = config.n_del * n_cur * tau
-        t = _poisson_bucket(u_del, lam)
+        t = _poisson_bucket(u_del, law.lam)
         if t >= 2:
             flag = True
             break
         if n_cur - t < N0 / 2:
             invalid = True
             break
+        step = law  # the round's increments are those of the code it starts on
         sigma = 0
         if t == 1:
             outs = delete(SymState(n_cur, _on_weights(n_cur, support, amps)), 1)
@@ -356,11 +355,11 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
             sigma = 1 if u_sigma < p_sigma1 else 0
             branch = next(o for o in outs if o.shift == sigma).state.amps
             n_deleted += 1
-            pre_n, pre_s = n_cur, s_cur
             n_cur, s_cur = n_cur - 1, s_cur - sigma
             if not code_fits(p, n_cur, s_cur):
                 invalid = True
                 break
+            law = round_law(config, n_cur, s_cur)
             frame = code_frame(p.with_shift(s_cur, n_cur))
             lattice_phases = signal_phases(n_cur, frame.lattice, delta)
             support = np.flatnonzero(branch)
@@ -373,16 +372,8 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
         support, phases = frame.lattice, lattice_phases
         amps = (c0 * frame.cw_on_lattice[0] + c1 * frame.cw_on_lattice[1]) / math.sqrt(p_syn)
         counts[t, syn] += 1
-
-        # analytic phase increment and its theta-derivative at this outcome
-        if t == 0:
-            Phi += z[syn]
-            dPhi += dz[syn]
-        else:
-            X, dX = one_deletion_ratios(p.g, p.n, pre_n, pre_s, sigma, delta, tau)[:2]
-            inc, dinc = _phase_step(X[2 * syn], X[2 * syn + 1], dX[2 * syn], dX[2 * syn + 1])
-            Phi += float(inc)
-            dPhi += float(dinc)
+        Phi += float(step.inc[syn, t + sigma])
+        dPhi += float(step.dinc[syn, t + sigma])
 
     if flag or invalid:
         return TrajectoryRecord(
@@ -595,14 +586,14 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     n_cur = np.full(n_traj, N0, dtype=np.int64)
     s_cur = np.full(n_traj, p.s, dtype=np.int64)
 
-    # the start state's law holds for quiet rounds and rounds without a deletion; increments by
+    # the start code's law holds for quiet rounds and rounds without a deletion; increments by
     # outcome 2 t + syn (t = 1 rows take their one-deletion phases), outcome 4 an aborted row
-    start = round_law(config, n_cur[:1], s_cur[:1], mod2[:, :1])
-    z_inc, z_dinc = (np.r_[x[:, 0, 0], x[:, 0, 0], 0.0] for x in (start.inc, start.dinc))
+    start = round_law(config, N0, p.s)
+    z_inc, z_dinc = (np.r_[x[:, 0], x[:, 0], 0.0] for x in (start.inc, start.dinc))
 
     # --- quiet rounds: each row's first event round, the rows sorted by it.
-    # p_0 at N0 is computed as the round loop computes it, so the two agree
-    loud = (U[:, :, 0] >= np.exp(-start.lam)) | (U[:, :, 2] >= start.p_syn[0, 0])
+    # p_0 at N0 as the round loop computes it, so the two agree; at a = b, P[syn 0] is p_code
+    loud = (U[:, :, 0] >= np.exp(-start.lam)) | (U[:, :, 2] >= start.fac[0, 0])
     first = np.where(loud.any(axis=1), loud.argmax(axis=1), r)
     order = np.argsort(first, kind="stable")
     first = first[order]
@@ -640,16 +631,19 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         alive_k &= ~(t2 | low)
         t1 &= ~low
 
-        # --- |X|^2 of this round's outcome and the deleted norm
-        fac = np.repeat(start.fac[:, 0], k, axis=1)
+        # --- |X|^2 of this round's outcome and the deleted norm, by the deleting rows' codes
+        fac = np.repeat(start.fac[:, :1], k, axis=1)
         norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            law = round_law(config, n_k[drow], s_k[drow], mod2_k[:, drow])
-            sigma = (u_sigma[drow] < law.norm[2]).astype(np.int64)
+            codes, which = np.unique(n_k[drow] * (N0 + 1) + s_k[drow], return_inverse=True)
+            laws = [round_law(config, *divmod(int(code), N0 + 1))[1:] for code in codes]
+            A, B, law_fac, law_inc, law_dinc = (np.stack(x)[which] for x in zip(*laws))
+            ma, mb = mod2_k[:, drow]
+            sigma = (u_sigma[drow] < ma * A[:, 1] + mb * B[:, 1]).astype(np.int64)
             cols = np.arange(drow.size)
-            fac[:, drow] = law.fac[:, 1 + sigma, cols]
-            norm[drow] = law.norm[1 + sigma, cols]
+            fac[:, drow] = law_fac[cols, :, 1 + sigma].T
+            norm[drow] = ma * A[cols, sigma] + mb * B[cols, sigma]
             n_k[drow] -= 1
             s_k[drow] -= sigma
             unfit = drow[~code_fits(p, n_k[drow], s_k[drow])]
@@ -675,8 +669,8 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         if drow.size and t1[drow].any():
             done = np.nonzero(t1[drow])[0]
             rows = drow[done]
-            at = (syn1[rows].astype(np.int64), 1 + sigma[done], done)
-            inc[rows], dinc[rows] = law.inc[at], law.dinc[at]
+            at = (done, syn1[rows].astype(np.int64), 1 + sigma[done])
+            inc[rows], dinc[rows] = law_inc[at], law_dinc[at]
         Phi[:k] += inc
         dPhi[:k] += dinc
 
@@ -721,13 +715,14 @@ def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, fl
     rounds' syn = 1 (order g^2 n / N^2) is what dominates E[F].
     """
     p = config.params
-    law = round_law(config, np.array([p.n_qubits]), np.array([p.s]), np.full((2, 1), 0.5))
-    lam = float(law.lam[0])
-    weight = np.array([1.0, lam, lam]) / (1.0 + lam) * law.norm[:, 0]  # P[t, sigma | t <= 1]
-    u = np.sqrt(law.fac[1::2, 1:, 0] / law.fac[0::2, 1:, 0])
+    law = round_law(config, p.n_qubits, p.s)
+    norm = np.r_[1.0, 0.5 * law.A + 0.5 * law.B]
+    p_syn = _syndrome_split((0.5, 0.5), law.fac, norm)[1]
+    weight = np.array([1.0, law.lam, law.lam]) / (1.0 + law.lam) * norm  # P[t, sigma | t <= 1]
+    u = np.sqrt(law.fac[1::2, 1:] / law.fac[0::2, 1:])
     return [
-        (float(weight[o] * law.p_syn[syn, o, 0]), float(u[syn, o - 1]) if o else 1.0,
-         float(law.inc[syn, o, 0]), float(law.dinc[syn, o, 0]))
+        (float(weight[o] * p_syn[syn, o]), float(u[syn, o - 1]) if o else 1.0,
+         float(law.inc[syn, o]), float(law.dinc[syn, o]))
         for o in range(3) for syn in (0, 1)
     ]
 

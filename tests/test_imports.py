@@ -225,13 +225,13 @@ def test_readers_are_found():
     assert readers(source, ("f", "g", "h")) == {"f": ["K.b.c", "a"], "g": ["<module>"], "h": []}
 
 
-# the closed forms and lattice sums of a Protocol-1 round, and who may read them:
-# the round law, the full-vector reference that checks it, and the abort bound
+# the closed forms and lattice sums of a Protocol-1 round, and who may read them: the
+# round law (which the full-vector reference reads for its phases) and the abort bound
 ROUND_RULES = ("pflag_closed_form", "zeta", "zeta_derivative", "one_deletion_ratios", "_phase_step")
-ROUND_RULE_READERS = {"round_law", "run_protocol1", "ProtocolConfig.failure_bound"}
+ROUND_RULE_READERS = {"round_law", "ProtocolConfig.failure_bound"}
 
 
-def test_the_round_rules_are_read_only_by_the_round_law_and_the_reference():
+def test_the_round_rules_are_read_only_by_the_round_law():
     found = readers((ROOT / "src/symsense/protocols.py").read_text(), ROUND_RULES)
     assert {name: sorted(set(scopes) - ROUND_RULE_READERS) for name, scopes in found.items()} == {
         name: [] for name in ROUND_RULES

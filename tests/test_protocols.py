@@ -860,47 +860,95 @@ def test_round_law_outcomes_sum_to_one(n):
     assert code_fits(config.params, n_cur, s_cur).all()
     ma = rng.uniform(0.0, 1.0, size=40)
     mod2 = np.array([ma, 1.0 - ma])
-    law = protocols.round_law(config, n_cur, s_cur, mod2)
+    laws = [protocols.round_law(config, int(N), int(s)) for N, s in zip(n_cur, s_cur)]
+    # the caller's share of the round: the deleted norms at each row's weights, and the
+    # syndrome split over them
+    A, B = (np.array([getattr(law, name) for law in laws]).T for name in "AB")
+    norm = np.concatenate([np.ones((1, 40)), mod2[0] * A + mod2[1] * B])
+    p_syn = protocols._syndrome_split(mod2, np.stack([law.fac for law in laws], axis=-1), norm)[1]
 
     # Poisson buckets t = 0, 1 and the remainder t >= 2, as a series
     lam = config.n_del * n_cur * config.tau
-    assert np.array_equal(law.lam, lam)
+    assert np.array_equal([law.lam for law in laws], lam)
     p_t = [np.exp(-lam), lam * np.exp(-lam)]
     p_more = np.array([math.fsum(math.exp(-x) * x**t / math.factorial(t) for t in range(2, 40))
                        for x in lam])
     # the leak: pflag_closed_form's flag weight without a deletion, else the lattice residual
     leak = [np.full(40, pflag_closed_form(n, 0.5 * g * config.delta)[2]),
             *(_deleted_leak(config, n_cur, s_cur, mod2, sigma) for sigma in (0, 1))]
-    assert all((x >= -1e-15).all() for x in (law.norm, law.p_syn, *leak))
-    given_t = [law.p_syn[0, o] + law.p_syn[1, o] + leak[o] for o in range(3)]
-    total = p_t[0] * given_t[0] + p_t[1] * (law.norm[1] * given_t[1] + law.norm[2] * given_t[2])
+    assert all((x >= -1e-15).all() for x in (norm, p_syn, *leak))
+    given_t = [p_syn[0, o] + p_syn[1, o] + leak[o] for o in range(3)]
+    total = p_t[0] * given_t[0] + p_t[1] * (norm[1] * given_t[1] + norm[2] * given_t[2])
     assert np.abs(total + p_more - 1.0).max() <= 1e-12
     # the deleted norms are the shift probabilities: they sum to one on their own
-    assert np.array_equal(law.norm[0], np.ones(40))
-    assert np.abs(law.norm[1] + law.norm[2] - 1.0).max() <= 1e-14
+    assert np.array_equal(norm[0], np.ones(40))
+    assert np.abs(norm[1] + norm[2] - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("config", [criterion8_config(seed=3), small_config()], ids=["N2000", "N200"])
 def test_round_law_matches_delete_and_project_syndrome(config):
     # from |+_L>: the shift weights of noise.delete, then qec.project_syndrome on the
     # signal-evolved branch against the shifted code's frame; without a deletion, the
-    # same round on |+_L> itself
+    # same round on |+_L> itself.  The increments: zeta and tau zeta' without a deletion,
+    # and with one the phases that phase_formulas takes from full-vector overlaps
+    from symsense.qec import phase_formulas
+
     p, delta = config.params, config.delta
-    law = protocols.round_law(config, np.array([p.n_qubits]), np.array([p.s]), np.full((2, 1), 0.5))
+    law = protocols.round_law(config, p.n_qubits, p.s)
+    norm = np.r_[1.0, 0.5 * law.A + 0.5 * law.B]  # |a|^2 = |b|^2 = 1/2
+    p_syn = protocols._syndrome_split((0.5, 0.5), law.fac, norm)[1]
     plus = make_logical(p, Label.PLUS)
     branches = [(plus, 1.0, p)]
     for sigma in (0, 1):
         out = next(o for o in delete(plus, 1) if o.shift == sigma)
         branches.append((out.state, out.weight, p.with_shift(p.s - sigma, p.n_qubits - 1)))
     for o, (state, weight, code) in enumerate(branches):
-        assert abs(law.norm[o, 0] - weight) <= 1e-10 * weight, o
+        assert abs(norm[o] - weight) <= 1e-10 * weight, o
         frame = code_frame(code)
         amps = apply_signal(state, delta).amps
         p_code = project_syndrome(frame, amps, 0.0)[3]
         syn, _, _, p_q = project_syndrome(frame, amps, p_code)
         assert syn == 1
-        for got, want in zip(law.p_syn[:, o, 0], (p_code, p_q)):
+        for got, want in zip(p_syn[:, o], (p_code, p_q)):
             assert abs(got - want) <= 1e-10 * want, o
+    # on the start code and on the code one deletion of shift 1 leaves
+    for code in (p, p.with_shift(p.s - 1, p.n_qubits - 1)):
+        law = protocols.round_law(config, code.n_qubits, code.s)
+        assert np.array_equal(law.inc[:, 0], [zeta(code, delta, j) for j in (0, 1)])
+        assert np.array_equal(law.dinc[:, 0],
+                              [config.tau * zeta_derivative(code, delta, j) for j in (0, 1)])
+        for sigma in (0, 1):
+            pf = phase_formulas(code, delta, sigma)
+            assert abs(law.inc[0, 1 + sigma] - pf.phi10) <= 1e-12, (code, sigma)
+            assert abs(law.inc[1, 1 + sigma] - pf.phi11) <= 1e-12, (code, sigma)
+
+
+def test_round_law_is_evaluated_once_per_code_with_read_only_arrays(monkeypatch):
+    # a serial batch of two spans and 200 reference trajectories share one law per (N, s)
+    config = criterion8_config(seed=3)
+    N0, s0 = config.params.n_qubits, config.params.s
+    evaluated = []
+    ratios = protocols.one_deletion_ratios
+
+    def counted(g, n, n_qubits, s, *rest):
+        evaluated.extend(zip(np.ravel(n_qubits).tolist(), np.ravel(s).tolist()))
+        return ratios(g, n, n_qubits, s, *rest)
+
+    monkeypatch.setattr(protocols, "one_deletion_ratios", counted)
+    monkeypatch.setenv("SYMSENSE_THREADS", "1")
+    protocols.round_law.cache_clear()
+    batch = run_protocol1_batch(config, 2 * protocols.BATCH_SPAN)
+    records = [run_protocol1(config, trajectory_rng(config.seed, i)) for i in range(200)]
+    assert (batch.n_deletions >= 2).any() and any(rec.n_deletions for rec in records)
+    assert len(evaluated) == len(set(evaluated))
+    ends = {(N0 - rec.n_deletions, rec.final_shift) for rec in records
+            if not (rec.flag or rec.invalid_regime)}
+    assert {(N0, s0)} | ends <= set(evaluated)
+
+    law = protocols.round_law(config, N0, s0)
+    assert not any(x.flags.writeable for x in law[1:])
+    with pytest.raises(ValueError, match="read-only"):
+        law.fac[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
