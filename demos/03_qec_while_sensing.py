@@ -4,8 +4,9 @@ The projective round distinguishes the codespace (syn = 0, phase zeta_0) from
 the Jz-displaced q-space (syn = 1, phase zeta_1); a deletion in the round makes
 the phases the arguments of the exact sandwich ratios u_syn.  The script prints
 the per-round phase menu, runs single trajectories, and finishes with a batch
-whose empirical mean Fisher information is compared to the analytic
-leading-order expectation.
+whose empirical mean Fisher information is compared to the exact analytic
+expectation over the same sector (at most one syndrome-1 round, none without
+a deletion).
 
 The body runs only under ``__main__``: the batch runs on a process pool, and
 the spawn and forkserver start methods import this module again in every
@@ -67,7 +68,7 @@ def main() -> None:
     ana = expected_fi_p1(cfg, include_nodel_syn1=False, max_total_syn1=1)
     print(f"\n100k trajectories: mean F = {summary['mean_FI']:.4g} "
           f"(se {summary['se_FI']:.2g}), failure rate {summary['p_flag_emp']:.4f}")
-    print(f"analytic leading order (same sector): {ana['mean_fi']:.4g} -> "
+    print(f"analytic, exact (same sector): {ana['mean_fi']:.4g} -> "
           f"ratio {summary['mean_FI'] / ana['mean_fi']:.3f}")
 
     # --- the cubic-coefficient arbitration ----------------------------------

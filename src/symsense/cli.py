@@ -318,10 +318,10 @@ def cmd_protocol1(args, out=None) -> int:
         print(f"{key}: {val}")
     ana_full = expected_fi_p1(config)
     ana_res = expected_fi_p1(config, include_nodel_syn1=False, max_total_syn1=1)["mean_fi"]
-    print(f"analytic mean_fi (leading order, all sectors): {ana_full['mean_fi']:.6g}")
-    # in full: the mass the leading order leaves out can be below 1e-6
+    print(f"analytic mean_fi (exact, all sectors): {ana_full['mean_fi']:.6g}")
+    # in full: 1 - P[ok] can be below 1e-6, which six digits would not show
     sector_p = ana_full["sector_probability"]
-    print(f"analytic sector_probability (leading order, all sectors): {sector_p}")
+    print(f"analytic sector_probability (exact, all sectors): {sector_p}")
     print(
         f"analytic mean_fi (<=1 syn1 round, no nodel-syn1 -- the sector a run "
         f"of this size can resolve): {ana_res:.6g}"

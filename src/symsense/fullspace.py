@@ -92,17 +92,22 @@ def embed_sym(state: SymState) -> DenseState:
 def pauli_apply(
     N: int, positions: tuple[int, ...], kinds: tuple[str, ...], vecs: np.ndarray
 ) -> np.ndarray:
-    """P v for the N-qubit Pauli P of the label and each vector v, without P.
+    """P v, as complex, for the N-qubit Pauli P of the label and each vector v of ``vecs``
+    (one 2^N vector or a stack of them with the basis index last), without P.  The dense
+    P it is tested against is built in ``tests/test_fullspace.py``."""
+    vecs = np.asarray(vecs)
+    masks = np.array([_pauli_masks(N, positions, kinds)])
+    return _pauli_images(N, masks, vecs.reshape(-1, 2**N))[0].reshape(vecs.shape)
 
-    With x (z) the bit mask of the X or Y (Z or Y) letters, Y = iXZ gives
-    (P v)[i] = i^{#Y} (-1)^{popcount((i xor x) and z)} v[i xor x].  ``vecs``
-    is one 2^N vector or a stack of them with the basis index last.  The
-    dense P it is tested against is built in ``tests/test_fullspace.py``.
-    """
-    x, z, n_y = _pauli_masks(N, positions, kinds)
+
+def _pauli_images(N: int, masks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """images[p, j] = P_p v_j for the Paulis whose (x, z, #Y) are the rows of ``masks``
+    and the rows v_j of ``vecs``.  With x (z) the bit mask of the X or Y (Z or Y) letters,
+    Y = iXZ gives (P v)[i] = i^{#Y} (-1)^{popcount((i xor x) and z)} v[i xor x]."""
+    x, z, n_y = np.asarray(masks).T[:, :, None]
     src = np.arange(2**N) ^ x
-    phase = (1, 1j, -1, -1j)[n_y % 4] * (1 - 2 * (_weights(N)[src & z] & 1))
-    return phase * np.asarray(vecs)[..., src]
+    phase = np.array((1, 1j, -1, -1j))[n_y % 4] * (1 - 2 * (_weights(N)[src & z] & 1))
+    return phase[:, None, :] * vecs[np.arange(len(vecs))[:, None], src[:, None, :]]
 
 
 def _pauli_masks(
@@ -394,16 +399,11 @@ def kl_check(code_states: list[DenseState], t: int) -> dict:
     vecs = np.array([cs.vec for cs in code_states])
     M = len(vecs)
     labels = list(enumerate_paulis(N, 2 * t))
-    x, z, n_y = np.array([_pauli_masks(N, *label) for label in labels]).T
-    y_phase = np.array((1, 1j, -1, -1j))[n_y % 4, None]
+    masks = np.array([_pauli_masks(N, *label) for label in labels])
     worst = 0.0
     worst_label = None
-    # pauli_apply for KL_CHUNK labels at a time: images[p, j] = E_p|j>
     for lo in range(0, len(labels), KL_CHUNK):
-        part = slice(lo, lo + KL_CHUNK)
-        src = np.arange(2**N) ^ x[part, None]
-        phase = y_phase[part] * (1 - 2 * (_weights(N)[src & z[part, None]] & 1))
-        images = phase[:, None, :] * vecs[np.arange(M)[:, None], src[:, None, :]]
+        images = _pauli_images(N, masks[lo : lo + KL_CHUNK], vecs)  # images[p, j] = E_p|j>
         overlaps = vecs.conj() @ images.transpose(0, 2, 1)  # <i|E_p|j>
         c = np.trace(overlaps, axis1=1, axis2=2) / M
         devs = np.max(np.abs(overlaps - c[:, None, None] * np.eye(M)), axis=(1, 2))
@@ -470,10 +470,8 @@ def general_qec_smallN(
     # to the codewords; coefficient axis last, block blk owns the
     # blk.vectors.shape[0] coefficients from its start
     code_c = _schur_coeffs(basis, vecs)
-    err_c = _schur_coeffs(
-        basis,
-        np.array([pauli_apply(N, pos, kinds, vecs) for pos, kinds in enumerate_paulis(N, max_weight)]),
-    )
+    masks = np.array([_pauli_masks(N, *label) for label in enumerate_paulis(N, max_weight)])
+    err_c = _schur_coeffs(basis, _pauli_images(N, masks, vecs))
     # channel(|x_L><y_L|) = sum_K (K|x_L>)(K|y_L>)^dag; twirl[j2][x, y] is its
     # symmetrized block on each path of spin j2 / 2
     kraus_c = _schur_coeffs(

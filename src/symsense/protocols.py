@@ -49,12 +49,11 @@ after one that leaves a code which no longer fits (N - s < g n, or s < 0).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -83,6 +82,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.params.n < 3 or self.params.n % 2 == 0:
             raise ValueError(f"the sensing protocol needs an odd n >= 3, got n = {self.params.n}")
+        if self.params.n_qubits >= 2**63:
+            raise ValueError("N = g n u + s must be below 2^63, the batch's int64 range")
         if self.r < 1:
             raise ValueError("need at least one round")
         if self.r > SPAN_ROUNDS:
@@ -214,10 +215,19 @@ class RoundLaw(NamedTuple):
     dinc: np.ndarray  # (2, 3): its theta-derivative
 
 
-@lru_cache(maxsize=4096)
+def _cached_without_seed(law):
+    """``law`` cached on its configuration with the seed set to 0: no law reads the seed,
+    so every seed of one configuration shares each code's law."""
+    cached = lru_cache(maxsize=4096)(law)
+    seedless = wraps(law)(lambda config, *code: cached(replace(config, seed=0), *code))
+    seedless.cache_info, seedless.cache_clear = cached.cache_info, cached.cache_clear
+    return seedless
+
+
+@_cached_without_seed
 def round_law(config: ProtocolConfig, n_qubits: int, s: int) -> RoundLaw:
-    """The round on the (N, s) = (``n_qubits``, ``s``) code, cached with read-only
-    arrays: the one home of the round's rules."""
+    """The round on the (N, s) = (``n_qubits``, ``s``) code, cached per configuration
+    without its seed, with read-only arrays: the one home of the round's rules."""
     p = config.params
     tau, delta = config.tau, config.delta
     X, dX, A, B = one_deletion_ratios(p.g, p.n, n_qubits, s, np.array([0, 1]), delta, tau)
@@ -413,8 +423,10 @@ class BatchResult:
         return ~(self.flag | self.invalid)
 
     def nodel_syn1_rounds(self) -> int:
-        """Rounds with syn = 1 and no deletion (the analytically dominant but
-        practically unsampleable sector; see expected_fi_p1)."""
+        """Rounds with syn = 1 and no deletion: rare (~1e-6 per trajectory at
+        protocol scales) but each carries a large FI, so a run of affordable
+        size does not resolve their share of E[F]; ``expected_fi_p1(...,
+        include_nodel_syn1=False)`` leaves them out on the analytic side."""
         return int(self.counts[:, 0, 1].sum())
 
     def failure_rate(self) -> float:
@@ -636,8 +648,11 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            codes, which = np.unique(n_k[drow] * (N0 + 1) + s_k[drow], return_inverse=True)
-            laws = [round_law(config, *divmod(int(code), N0 + 1))[1:] for code in codes]
+            # each row's code keyed by what it has lost, below (r + 1)^2, so it cannot overflow
+            lost = (N0 - n_k[drow]) * (r + 1) + p.s - s_k[drow]
+            codes, which = np.unique(lost, return_inverse=True)
+            laws = [round_law(config, N0 - code // (r + 1), p.s - code % (r + 1))[1:]
+                    for code in codes.tolist()]
             A, B, law_fac, law_inc, law_dinc = (np.stack(x)[which] for x in zip(*laws))
             ma, mb = mod2_k[:, drow]
             sigma = (u_sigma[drow] < ma * A[:, 1] + mb * B[:, 1]).astype(np.int64)
@@ -698,40 +713,21 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# analytic leading-order expectation
+# exact expectation over the deletion sequences
 # ---------------------------------------------------------------------------
 
-# most rounds of each rare class a trajectory is enumerated with, in the order
-# (nodel-syn1, del0-syn0, del0-syn1, del1-syn0, del1-syn1)
-RARE_COUNT_CAPS = (1, 6, 2, 6, 2)
+MAX_DELETION_ROUNDS = 6  # deletion rounds per trajectory that expected_fi_p1 enumerates
+GRID_CELLS = 1 << 17  # (sequence, k) cells that expected_fi_p1 evaluates at a time
+LOG_TINY = math.log(np.finfo(float).tiny)  # least log share of the top k-weight a k keeps
 
 
-def _round_classes(config: ProtocolConfig) -> list[tuple[float, float, float, float]]:
-    """Per-round outcome classes as (probability, |u|, phase, dphase/dtheta).
-
-    Six classes, (no deletion, shift 0, shift 1) with syn 0 before syn 1, from
-    :func:`round_law` at the initial N, s and a = b, conditioned on t <= 1; the
-    O(1/N) drift over a trajectory is beyond leading order.  The deleted
-    rounds' syn = 1 (order g^2 n / N^2) is what dominates E[F].
-    """
-    p = config.params
-    law = round_law(config, p.n_qubits, p.s)
-    norm = np.r_[1.0, 0.5 * law.A + 0.5 * law.B]
-    p_syn = _syndrome_split((0.5, 0.5), law.fac, norm)[1]
-    weight = np.array([1.0, law.lam, law.lam]) / (1.0 + law.lam) * norm  # P[t, sigma | t <= 1]
-    u = np.sqrt(law.fac[1::2, 1:] / law.fac[0::2, 1:])
-    return [
-        (float(weight[o] * p_syn[syn, o]), float(u[syn, o - 1]) if o else 1.0,
-         float(law.inc[syn, o]), float(law.dinc[syn, o]))
-        for o in range(3) for syn in (0, 1)
-    ]
-
-
-def _log_probability(prob: float) -> float:
-    """log(prob), or -inf for a probability that is zero or not finite (such
-    as a no-deletion class whose probability underflows), so that a trajectory
-    with a round of that class gets no mass."""
-    return math.log(prob) if 0.0 < prob < math.inf else -math.inf
+def _log_gaps(M: int, D: int, eps: float) -> float:
+    """log of the sum, over the ways M quiet rounds fall into the D + 1 gaps around D
+    deletions, of q^m, q = e^-eps and m the deletions still to come summed over the quiet
+    rounds: the Gaussian binomial [M + D, D]_q = prod_{i=1..D} (1 - q^(M+i)) / (1 - q^i),
+    which is C(M + D, D) at eps = 0."""
+    return sum(math.log(math.expm1(-(M + i) * eps) / math.expm1(-i * eps)) if eps
+               else math.log1p(M / i) for i in range(1, D + 1))
 
 
 def expected_fi_p1(
@@ -739,89 +735,94 @@ def expected_fi_p1(
     include_nodel_syn1: bool = True,
     max_total_syn1: int | None = None,
 ) -> dict:
-    """Leading-order analytic E[F] for Protocol 1, plus the published constants.
+    """Exact E[F | ok] and P[ok] of Protocol 1 by enumeration, plus the published constants.
 
-    Enumerates trajectories by their per-round outcome counts over the six
-    classes of :func:`_round_classes`, read from :func:`round_law` at the
-    initial code and a = b (all but the dominant no-deletion syn=0 class are
-    rare, so the enumeration is truncated at ``RARE_COUNT_CAPS``), folds the
-    plus/minus readout prefactor exactly, and averages.  Everything uses
-    the exact zeta / sandwich-ratio functions of the code's n; only at n = 3
-    do they give the direct-expansion cubic zeta_0 ~ -(g Delta)^3 / 4.
+    ``mean_fi`` and ``sector_probability`` are the batch's estimands E[F | ok] and P[ok]
+    over the trajectories with at most MAX_DELETION_ROUNDS deletion rounds (nan and 0 if
+    none survives).  A round without a deletion leaves (|a|^2, |b|^2) unchanged, adds the
+    start code's zeta_syn and has syndrome probabilities that depend on neither the state
+    nor the code, so only the deletion rounds are enumerated, each as its outcome
+    (sigma, syn) from :func:`round_law` of the sequence's own code, under the batch's
+    weights and invalid-regime rules.  The M = r - D quiet rounds fold into one factor:
+    one after d deletions has probability e^-lam(N0 - d), lam(N) = eps N, so their spread
+    sums to e^(-lam(N0 - D) M) [M + D, D] (:func:`_log_gaps`), and the k of them with
+    syn = 1 weigh C(M, k) p_code^(M-k) p_q^k: k below LOG_TINY of the largest weight are
+    dropped, and the (sequence, k) grid is summed GRID_CELLS cells at a time.
 
-    ``include_nodel_syn1=False`` drops the no-deletion syn = 1 sector: its
-    per-trajectory probability is ~ r n (g theta tau)^2 / 4 (around 1e-6 at
-    protocol scales) but each hit carries an enormous FI, so no affordable
-    Monte-Carlo run resolves it; excluding it on both sides makes the
-    analytic-vs-empirical comparison meaningful (the batch result reports the
-    corresponding event count so the exclusion can be asserted).
-    ``max_total_syn1`` truncates the enumeration at that many syn = 1 rounds
-    per trajectory for the same reason one order higher: trajectories with two
-    shift-balanced syn = 1 deletions recover a near-unit readout prefactor and
-    an FI ~ (2 dphi_11/dtheta)^2, at a per-trajectory probability ~ 1e-8.
-    A class whose probability is zero or not finite gives its trajectories
-    no mass, and trajectories below probability 1e-18 are skipped; if none is
-    left, ``mean_fi`` is nan and ``sector_probability`` is 0.
+    ``include_nodel_syn1=False`` drops the trajectories with a no-deletion syn = 1 round,
+    ~ r n (g theta tau)^2 / 4 of them (around 1e-6 at protocol scales) with an enormous
+    FI each, which no affordable Monte-Carlo run resolves (the batch counts them).
+    ``max_total_syn1`` keeps those with at most that many syn = 1 rounds, for the same
+    reason one order higher: two shift-balanced syn = 1 deletions give an FI ~
+    (2 dphi_11/dtheta)^2 at ~ 1e-8 per trajectory.
 
-    For reference the dictionary also reports two r^2-scaling constants, n = 3
-    statements reported at every n: ``r2_formula_stated`` is the published
-    37/64 r^2 g^6 tau^6 theta^4, ``r2_formula_quarter`` the (r dzeta0/dtheta)^2 =
-    (9/16) r^2 g^6 tau^6 theta^4 that the -1/4 cubic implies for the syn=0 sector.
+    The two r^2-scaling constants are n = 3 statements reported at every n:
+    ``r2_formula_stated`` is the published 37/64 r^2 g^6 tau^6 theta^4,
+    ``r2_formula_quarter`` the (r dzeta0/dtheta)^2 = (9/16) r^2 g^6 tau^6 theta^4 that
+    the -1/4 cubic implies for the syn=0 sector.
     """
     p = config.params
-    g = p.g
-    r = config.r
-    tau, theta = config.tau, config.theta
-    classes = _round_classes(config)
-    if not include_nodel_syn1:
-        classes = [classes[0], (0.0,) + classes[1][1:]] + classes[2:]
-    rare = classes[1:]
+    r, N0, s0, tau = config.r, p.n_qubits, p.s, config.tau
+    start = round_law(config, N0, s0)
+    p_code, p_q = float(start.fac[0, 0]), float(start.fac[2, 0])
+    z_inc, z_dinc = start.inc[:, 0], start.dinc[:, 0]  # no deletion, by syn
+    eps = config.n_del * tau  # lam(N) = eps N
+    limit = math.inf if max_total_syn1 is None else max_total_syn1
+    k_max = min(r if include_nodel_syn1 and p_q > 0.0 else 0, limit)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(r + 1)])
 
-    log_fact = [math.lgamma(i + 1) for i in range(r + 1)]
+    # the deletion sequences so far: probability, (|a|^2, |b|^2), Phi, dPhi, syn = 1
+    # rounds and shift lost; outcome o = 2 sigma + syn
+    prob, mod2, Phi, dPhi = np.ones(1), np.full((1, 2), 0.5), np.zeros(1), np.zeros(1)
+    syn1 = lost = np.zeros(1, dtype=np.int64)
+    sigma, syn = np.divmod(np.arange(4), 2)
+    weight = weighted_fi = 0.0
+    cap = min(r, MAX_DELETION_ROUNDS)
+    for D in range(cap + 1):
+        codes, at = np.unique(lost, return_inverse=True)
+        laws = [round_law(config, N0 - D, s0 - int(c)) for c in codes]
+        lam, M = laws[0].lam, r - D
 
-    mean = 0.0
-    total_p = 0.0
-    ranges = [range(min(cap, r) + 1) for cap in RARE_COUNT_CAPS]
-    for counts in itertools.product(*ranges):
-        m = sum(counts)
-        if m > r:
-            continue
-        if max_total_syn1 is not None and counts[0] + counts[2] + counts[4] > max_total_syn1:
-            continue  # rare classes are (nodel-syn1, del0-syn0, del0-syn1, del1-syn0, del1-syn1)
-        m_base = r - m
-        log_p = log_fact[r] - log_fact[m_base]
-        if m_base:
-            log_p += m_base * _log_probability(classes[0][0])
-        Phi = m_base * classes[0][2]
-        dPhi = m_base * classes[0][3]
-        mod_u = 1.0
-        for cnt, (prob, mod, phi, dphi) in zip(counts, rare):
-            if cnt == 0:
-                continue
-            log_p += cnt * _log_probability(prob) - log_fact[cnt]
-            if log_p == -math.inf:
-                break
-            Phi += cnt * phi
-            dPhi += cnt * dphi
-            mod_u *= mod**cnt
-        if log_p == -math.inf:
-            continue
-        prob_traj = math.exp(log_p)
-        if prob_traj < 1e-18:
-            continue
-        phi_amp = math.atan(mod_u)  # tan(phi) = |b/a| Prod|u| with a = b initially
-        fi = float(fi_phase_readout(phi_amp, Phi, dPhi))
-        mean += prob_traj * fi
-        total_p += prob_traj
-    mean = mean / total_p if total_p > 0.0 else math.nan
+        # the M quiet rounds: their spread, then k of them with syn = 1, for every sequence
+        ks = np.arange(min(M, k_max) + 1)
+        log_k = (log_fact[M] - log_fact[ks] - log_fact[M - ks] + (M - ks) * math.log(p_code)
+                 + (ks * math.log(p_q) if k_max > 0 else 0.0))
+        keep = log_k >= log_k.max(initial=-math.inf) + LOG_TINY
+        ks, log_k = ks[keep], log_k[keep] - M * lam + _log_gaps(M, D, eps)
+        phi_amp = np.arctan2(np.sqrt(mod2[:, 1]), np.sqrt(mod2[:, 0]))[:, None]
+        step = max(1, GRID_CELLS // prob.size)
+        for lo in range(0, ks.size, step):
+            k = ks[lo : lo + step]
+            w = prob[:, None] * np.exp(log_k[lo : lo + step]) * (syn1[:, None] + k <= limit)
+            fi = fi_phase_readout(phi_amp, Phi[:, None] + ((M - k) * z_inc[0] + k * z_inc[1]),
+                                  dPhi[:, None] + ((M - k) * z_dinc[0] + k * z_dinc[1]))
+            weight += float(w.sum())
+            weighted_fi += float((w * fi).sum())
+
+        # one more deletion round, unless it would leave fewer than half the qubits
+        if D == cap or N0 - D - 1 < N0 / 2:
+            break
+        fac, inc, dinc = (np.stack(x)[at] for x in zip(*(law[3:] for law in laws)))
+        pair = fac[:, 2 * syn + [[0], [1]], 1 + sigma]  # (sequence, |X_0|^2 or |X_1|^2, o)
+        P = mod2[:, :1] * pair[:, 0] + mod2[:, 1:] * pair[:, 1]
+        child_prob = (prob * (lam * math.exp(-lam)))[:, None] * P
+        child_lost, child_syn1 = lost[:, None] + sigma, syn1[:, None] + syn
+        fits = code_fits(p, N0 - D - 1, s0 - child_lost)
+        src, o = np.nonzero((child_prob > 0.0) & fits & (child_syn1 <= limit))
+        prob, lost, syn1 = child_prob[src, o], child_lost[src, o], child_syn1[src, o]
+        mod2 = mod2[src] * pair[src, :, o] / P[src, o, None]
+        Phi = Phi[src] + inc[src, syn[o], 1 + sigma[o]]
+        dPhi = dPhi[src] + dinc[src, syn[o], 1 + sigma[o]]
+        if not prob.size:
+            break
 
     try:
-        base = r * r * g**6 * tau**6 * theta**4
+        base = r * r * p.g**6 * tau**6 * config.theta**4
     except OverflowError:  # reported, not used: past the float range the constants read inf
         base = math.inf
     return {
-        "mean_fi": mean,
-        "sector_probability": total_p,
+        "mean_fi": weighted_fi / weight if weight > 0.0 else math.nan,
+        "sector_probability": weight,
         "r2_formula_stated": (37.0 / 64.0) * base,
         "r2_formula_quarter": (9.0 / 16.0) * base,
     }

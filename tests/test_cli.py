@@ -137,10 +137,10 @@ def test_protocol1_prints_the_sector_probability_after_the_full_analytic_mean(ca
             "--q", "1.2", "--theta", "0.005", "--ndel", "0.002", "--trials", "20", "--seed", "3"]
     assert run_cli(args) == 0
     lines = capsys.readouterr().out.splitlines()
-    full = lines.index(next(line for line in lines if line.startswith("analytic mean_fi (leading")))
+    full = lines.index(next(line for line in lines if line.startswith("analytic mean_fi (exact")))
     config = ProtocolConfig(GnuParams(8, 3, Fraction(22, 3), 12), 6, 1.2, 0.005, 0.002, seed=3)
     want = expected_fi_p1(config)["sector_probability"]
-    assert lines[full + 1] == f"analytic sector_probability (leading order, all sectors): {want}"
+    assert lines[full + 1] == f"analytic sector_probability (exact, all sectors): {want}"
     assert lines[full + 2].startswith("analytic mean_fi (<=1 syn1 round")
 
 
@@ -151,9 +151,9 @@ def test_protocol1_keeps_its_file_when_no_analytic_sector_survives(tmp_path, cap
             "--format", "json", "--out", str(out)]
     assert run_cli(args) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "analytic mean_fi (leading order, all sectors): nan" in lines
+    assert "analytic mean_fi (exact, all sectors): nan" in lines
     assert "mean_FI: nan" in lines and "se_FI: nan" in lines
-    assert "analytic sector_probability (leading order, all sectors): 0.0" in lines
+    assert "analytic sector_probability (exact, all sectors): 0.0" in lines
     assert len(out.read_text().splitlines()) == 5
     assert (tmp_path / "traj.jsonl.manifest.json").exists()
 
@@ -181,6 +181,14 @@ def test_protocol1_rejects_a_tau_past_the_float_range_before_running(capsys, mon
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: tau = r^-q") and captured.out == ""
+
+
+def test_protocol1_rejects_a_code_past_int64_before_running(capsys):
+    args = ["protocol1", "--g", "3", "--n", "3", "--u", "1e308", "--r", "4", "--q", "1",
+            "--theta", "0.1", "--trials", "3"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert "error: N = g n u + s must be below 2^63" in captured.err and captured.out == ""
 
 
 def test_protocol2_rejects_repetitions_past_the_float_range_before_running(capsys, monkeypatch):
@@ -211,14 +219,14 @@ def test_protocol1_keeps_its_file_when_the_r2_constants_pass_the_float_range(tmp
 
 def test_protocol1_keeps_its_file_when_no_round_is_quiet(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
-    # a deletion per round is certain, so the no-deletion class probability is 0; 20 rounds
-    # need more rare rounds than the leading order enumerates, so no trajectory is left
+    # two or more deletions per round are certain, so no round is quiet and no trajectory
+    # is left
     args = ["protocol1", "--g", "3", "--n", "3", "--r", "20", "--q", "1", "--theta", "0.1",
             "--ndel", "1e300", "--trials", "10", "--format", "json", "--out", str(out)]
     assert run_cli(args) == 0
     assert len(out.read_text().splitlines()) == 10
     assert (tmp_path / "t.jsonl.manifest.json").exists()
-    assert "analytic mean_fi (leading order, all sectors): nan\n" in capsys.readouterr().out
+    assert "analytic mean_fi (exact, all sectors): nan\n" in capsys.readouterr().out
 
 
 def test_parser_and_build_are_made_once_per_process(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -468,7 +469,7 @@ def test_expected_fi_zero_signal_and_homogeneity():
 
 
 def test_expected_fi_is_nan_when_no_sector_survives():
-    # a deletion is near certain every round, so every enumerated sector is below 1e-18
+    # two or more deletions are near certain every round, so no trajectory survives
     params = GnuParams(8, 3, Fraction(22, 3), 12)
     cfg = ProtocolConfig(params, r=32, q=1.5, theta=0.01, n_del=1000.0, seed=1)
     res = expected_fi_p1(cfg)
@@ -949,6 +950,140 @@ def test_round_law_is_evaluated_once_per_code_with_read_only_arrays(monkeypatch)
     assert not any(x.flags.writeable for x in law[1:])
     with pytest.raises(ValueError, match="read-only"):
         law.fac[0, 0] = 0.0
+
+
+def test_round_law_is_evaluated_once_per_code_across_seeds():
+    # no law reads the seed, so three seeds of one configuration share every code's law
+    protocols.round_law.cache_clear()
+    misses = []
+    for seed in (1, 2, 3):
+        expected_fi_p1(criterion8_config(seed))
+        misses.append(protocols.round_law.cache_info().misses)
+    assert misses[0] > 1 and misses == [misses[0]] * 3
+    assert protocols.round_law.cache_info().currsize == misses[0]
+
+
+def test_batch_asks_only_for_reachable_codes_at_n_past_3e9(monkeypatch):
+    # N0 (N0 + 1) passes 2^63 on this code, so a key n (N0 + 1) + s would wrap
+    N0, s0 = 4_000_000_002, 1_999_999_998
+    config = ProtocolConfig(GnuParams(3, 3, Fraction(N0 - s0, 9), s0), r=8, q=1.0, theta=0.1,
+                            n_del=0.3 / (N0 / 8))  # lambda = 0.3
+    asked = []
+    law = protocols.round_law
+    monkeypatch.setattr(protocols, "round_law",
+                        lambda config, N, s: asked.append((N, s)) or law(config, N, s))
+    batch = protocols._run_batch_span(config, 0, 2000)
+    assert batch.n_deletions.max() >= 2 and len(set(asked)) > 2
+    assert all(0 <= N0 - N <= config.r and 0 <= s0 - s <= N0 - N for N, s in asked)
+
+
+# ---------------------------------------------------------------------------
+# the exact expectation
+# ---------------------------------------------------------------------------
+
+
+def _brute_force_p1(config: ProtocolConfig) -> np.ndarray:
+    """Every successful trajectory of ``config``, enumerated round by round: each round's
+    outcomes (t, sigma, syn) from round_law of the code it starts on, under the batch's
+    invalid-regime and code-exhaustion rules.  Rows: probability, FI, no-deletion
+    syn-1 rounds and syn-1 rounds, one column per trajectory."""
+    p, N0 = config.params, config.params.n_qubits
+    found = []
+
+    def walk(rounds, N, s, ma, mb, Phi, dPhi, prob, nodel_syn1, syn1):
+        if rounds == config.r:
+            fi = fi_phase_readout(math.atan2(math.sqrt(mb), math.sqrt(ma)), Phi, dPhi)
+            found.append((prob, float(fi), nodel_syn1, syn1))
+            return
+        law = protocols.round_law(config, N, s)
+        for t, sigma in ((0, 0), (1, 0), (1, 1)):
+            if t and (N - 1 < N0 / 2 or not code_fits(p, N - 1, s - sigma)):
+                continue
+            p_t = law.lam**t * math.exp(-law.lam)
+            for syn in (0, 1):
+                x0, x1 = law.fac[2 * syn : 2 * syn + 2, t + sigma]
+                P = ma * x0 + mb * x1
+                if P > 0.0:
+                    walk(rounds + 1, N - t, s - sigma, ma * x0 / P, mb * x1 / P,
+                         Phi + law.inc[syn, t + sigma], dPhi + law.dinc[syn, t + sigma],
+                         prob * p_t * P, nodel_syn1 + (syn and not t), syn1 + syn)
+
+    walk(0, N0, p.s, 0.5, 0.5, 0.0, 0.0, 1.0, 0, 0)
+    return np.array(found).T
+
+
+@pytest.mark.parametrize("params, n_del", [
+    (GnuParams(3, 3, Fraction(2), 4), 0.05),  # N = 22: five shift-1 deletions exhaust s
+    (GnuParams(3, 5, Fraction(2), 4), 0.05),  # n = 5: rounds also leak to the flag
+    (GnuParams(1, 3, Fraction(2), 2), 0.3),  # N = 8: a fifth deletion leaves fewer than N/2
+], ids=["N22", "N34-n5", "N8"])
+def test_expected_fi_matches_a_round_by_round_brute_force(params, n_del):
+    config = ProtocolConfig(params, r=5, q=1.0, theta=1.5, n_del=n_del)
+    prob, fi, nodel_syn1, syn1 = _brute_force_p1(config)
+    for include, most in ((True, None), (False, None), (True, 1), (False, 1)):
+        sector = (include | (nodel_syn1 == 0)) & (syn1 <= (math.inf if most is None else most))
+        ana = expected_fi_p1(config, include_nodel_syn1=include, max_total_syn1=most)
+        want = prob[sector].sum()
+        assert ana["sector_probability"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert ana["mean_fi"] == pytest.approx((prob * fi)[sector].sum() / want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("config, n_traj", [
+    (ProtocolConfig(GnuParams(3, 3, Fraction(2), 4), r=8, q=1.0, theta=0.3, n_del=0.05, seed=11),
+     100_000),
+    # the LP's optimal path at N = 1000: c = 1/2, q = 3/2, eta = 1, e1 = e2 = 1/10
+    (ProtocolConfig(GnuParams(136, 3, Fraction(704, 408), 296), r=4, q=1.5, theta=1000**-0.5,
+                    n_del=1e-3, seed=5), 100_000),
+    (dataclasses.replace(criterion8_config(seed=4), theta=0.0), 100_000),
+], ids=["N22", "N1000-LP", "N2000-theta0"])
+def test_expected_fi_agrees_with_the_batch(config, n_traj):
+    batch = run_protocol1_batch(config, n_traj)
+    ana = expected_fi_p1(config)
+    ok = float(batch.success.mean())
+    assert abs(batch.mean_fi() - ana["mean_fi"]) <= 4 * batch.se_fi()
+    assert abs(ok - ana["sector_probability"]) <= 4 * math.sqrt(ok * (1.0 - ok) / n_traj)
+
+
+def test_expected_fi_at_the_criterion8_code():
+    ana = expected_fi_p1(criterion8_config(seed=7))
+    assert ana["mean_fi"] == pytest.approx(1.628882e-7, rel=1e-6)
+    assert ana["sector_probability"] == pytest.approx(0.9937035, rel=1e-6)
+
+
+@pytest.mark.parametrize("r", [4, 32])
+@pytest.mark.parametrize("n_del", [1e300, 1e308])
+def test_expected_fi_is_nan_when_deletions_are_certain(r, n_del):
+    cfg = ProtocolConfig(GnuParams(8, 3, Fraction(22, 3), 12), r=r, q=1.5, theta=0.01, n_del=n_del)
+    # lambda = n_del N tau is finite at 1e300 and overflows to inf at 1e308
+    assert math.isinf(cfg.n_del * cfg.params.n_qubits * cfg.tau) == (n_del == 1e308)
+    res = expected_fi_p1(cfg)
+    assert math.isnan(res["mean_fi"]) and res["sector_probability"] == 0.0
+
+
+def test_expected_fi_at_a_deletion_rate_that_underflows_per_qubit(monkeypatch):
+    # n_del tau rounds to 0 while lambda = n_del N tau does not, so one deletion keeps a
+    # subnormal weight: its quiet rounds spread as the ordinary binomial C(M + D, D)
+    cfg = small_config(n_del=5e-324)
+    assert cfg.n_del * cfg.tau == 0.0 < cfg.n_del * cfg.params.n_qubits * cfg.tau
+    gaps = []
+    log_gaps = protocols._log_gaps
+    monkeypatch.setattr(protocols, "_log_gaps", lambda *args: gaps.append(args) or log_gaps(*args))
+    assert expected_fi_p1(cfg) == expected_fi_p1(dataclasses.replace(cfg, n_del=0.0))
+    assert (cfg.r - 1, 1, 0.0) in gaps
+
+
+def test_expected_fi_memory_stays_bounded_at_large_r():
+    r = 65536
+    config = ProtocolConfig(GnuParams(3, 3, Fraction(4), 4), r=r, q=0.0, theta=0.01,
+                            n_del=1.0 / (40 * r))  # one deletion per trajectory on average
+    tracemalloc.start()
+    try:
+        ana = expected_fi_p1(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert math.isfinite(ana["mean_fi"]) and 0.999 < ana["sector_probability"] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ def test_protocol1_stages_reports_every_stage(tmp_path, monkeypatch):
     assert stages.main() == 0
     report = json.loads((tmp_path / stages.OUT).read_text())
     counts = {name: stage["n"] for name, stage in report["stages"].items()}
-    assert counts == {"span_uniforms": 2, "span_kernel": 2, "write_rows": 2, "reference": 1}
+    assert counts == {"span_uniforms": 2, "span_kernel": 2, "write_rows": 2, "reference": 1,
+                      "analytic": 1}
     for stage in report["stages"].values():
         assert 0 < stage["q1_s"] <= stage["median_s"] <= stage["q3_s"]
     assert report["environment"]["spans"] == 2

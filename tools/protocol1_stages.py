@@ -11,11 +11,15 @@ times, for each of the first SPANS full BATCH_SPAN-row spans:
   uniforms just drawn;
 * ``write_rows``: ``cli._write_rows`` of the span into a temporary file;
 
-and then ``reference``: TRAJECTORIES ``run_protocol1`` trajectories.
-The first repeat runs on cold caches (round laws, code frames, the quiet
-chain), the later ones on warm caches.  ``BENCH_protocol1_stages.json``, in
-the current directory, holds each stage's samples in seconds, their median,
-quartiles and count, and the environment.  ``symsense`` is imported from this
+then ``reference``: TRAJECTORIES ``run_protocol1`` trajectories; and then
+``analytic``: the two ``protocols.expected_fi_p1`` calls of ``symsense
+protocol1``, after clearing the ``round_law`` cache, so every repeat times
+them with the laws evaluated afresh (and leaves them cached again).  The
+first repeat runs the other stages on cold caches (round laws, code frames,
+the quiet chain), the later ones on warm caches.
+``BENCH_protocol1_stages.json``, in the current directory, holds each
+stage's samples in seconds, their median, quartiles and count, and the
+environment.  ``symsense`` is imported from this
 checkout's ``src/``.
 """
 
@@ -44,10 +48,12 @@ OUT = "BENCH_protocol1_stages.json"
 
 
 def stage_times() -> dict[str, list[float]]:
-    """Per-stage samples in seconds: one per span and repeat, one per repeat for the reference."""
+    """Per-stage samples in seconds: one per span and repeat, one per repeat for the
+    reference and the analytic expectation."""
     config = protocols.ProtocolConfig(GnuParams(*CODE), r=R, q=Q, theta=THETA, n_del=NDEL,
                                       seed=SEED)
-    times = {"span_uniforms": [], "span_kernel": [], "write_rows": [], "reference": []}
+    times = {"span_uniforms": [], "span_kernel": [], "write_rows": [], "reference": [],
+             "analytic": []}
     draw = protocols._span_uniforms
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,6 +79,11 @@ def stage_times() -> dict[str, list[float]]:
             for index in range(TRAJECTORIES):
                 protocols.run_protocol1(config, protocols.trajectory_rng(SEED, index))
             times["reference"].append(clock() - t0)
+            protocols.round_law.cache_clear()
+            t0 = clock()
+            protocols.expected_fi_p1(config)
+            protocols.expected_fi_p1(config, include_nodel_syn1=False, max_total_syn1=1)
+            times["analytic"].append(clock() - t0)
     return times
 
 
