@@ -9,6 +9,7 @@ A codeword is a plain :class:`~symsense.symcore.SymState`, built once per
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from symsense.symcore import SymState, as_fraction, binom
+from symsense.symcore import SymState, as_fraction
 
 # codewords (and the q-vectors of qec) kept per process, ~32 kB each on the
 # N = 2000 code: 200 Protocol-1 reference trajectories there visit 9 codes
@@ -84,10 +85,21 @@ def code_fits(params: GnuParams, n_qubits, s):
 
 
 @lru_cache(maxsize=None)
+def _lattice_shares(n: int) -> np.ndarray:
+    """C(n, k) / 2^(n-1) for k = 0..n, each one correctly rounded division of exact
+    integers, so that no binomial past the float range is converted.  Shared, read-only."""
+    den = 2 ** (n - 1)
+    binoms = itertools.accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    shares = np.array([c / den for c in binoms])
+    shares.flags.writeable = False
+    return shares
+
+
+@lru_cache(maxsize=None)
 def lattice_profile(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) / 2^((n-1)/2) for k = 0..n: |0_L>'s (even k) and |1_L>'s (odd k)
+    """sqrt(C(n, k) / 2^(n-1)) for k = 0..n: |0_L>'s (even k) and |1_L>'s (odd k)
     amplitudes on the weight lattice of every code with this n.  Shared, read-only."""
-    profile = np.array([math.sqrt(binom(n, k)) for k in range(n + 1)]) * 2.0 ** (-(n - 1) / 2)
+    profile = np.sqrt(_lattice_shares(n))
     profile.flags.writeable = False
     return profile
 
@@ -95,8 +107,9 @@ def lattice_profile(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def plus_weights(n: int) -> np.ndarray:
     """2^-n C(n, k) for k = 0..n: |+_L>'s weights on the lattice of every code with this n,
-    rounded once (``lattice_profile(n)**2 / 2`` rounds twice).  Shared, read-only."""
-    weights = np.array([2.0**-n * binom(n, k) for k in range(n + 1)])
+    half the correctly rounded share (``lattice_profile(n)**2 / 2`` rounds twice).
+    Shared, read-only."""
+    weights = 0.5 * _lattice_shares(n)
     weights.flags.writeable = False
     return weights
 

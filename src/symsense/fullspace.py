@@ -212,11 +212,6 @@ class StandardTableau:
     j_path_doubled: tuple[int, ...]
 
     @property
-    def row2(self) -> tuple[int, ...]:
-        in_row1 = set(self.row1)
-        return tuple(k for k in range(1, self.n_boxes + 1) if k not in in_row1)
-
-    @property
     def diagram(self) -> YoungDiagram2:
         return YoungDiagram2(len(self.row1), self.n_boxes - len(self.row1))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from symsense.codes import GnuParams
-from symsense.symcore import SymState, binom, jz_moments
+from symsense.symcore import SymState, binom, check_float_binomials, jz_moments
 
 
 def qfi_pure(state: SymState) -> float:
@@ -34,14 +34,6 @@ class SLDDecomposition:
     eigval_plus: float
     eigval_minus: float
     b_vector: SymState
-
-    def matrix(self) -> np.ndarray:
-        """Dense (N+1)x(N+1) SLD on the Dicke block."""
-        ep = self.eigvec_plus.amps
-        em = self.eigvec_minus.amps
-        return self.eigval_plus * np.outer(ep, ep.conj()) + self.eigval_minus * np.outer(
-            em, em.conj()
-        )
 
 
 def sld(state: SymState) -> SLDDecomposition:
@@ -73,9 +65,10 @@ def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:
     variant also scores the leak outcome 1 - p+ - p-, summed as its binomial
     tail so that it keeps full relative precision at small theta.  Terms at
     probability zeros are returned as their analytic limits (the division
-    cancels).
+    cancels).  Past n = 1029 the binomial tail is out of float range: ValueError.
     """
     g, n = params.g, params.n
+    check_float_binomials(n)
     x = 0.5 * g * theta
     c, s = math.cos(x), math.sin(x)
     # (dp±/dtheta)^2 / p± with the cancellation done symbolically

@@ -50,9 +50,7 @@ _NORM_ULPS = 4
 class BranchList(list):
     """Channel branches plus the total probability mass pruned as negligible."""
 
-    def __init__(self, items=(), pruned_mass: float = 0.0):
-        super().__init__(items)
-        self.pruned_mass = pruned_mass
+    pruned_mass = 0.0
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 from symsense.symcore import as_fraction
 
+FQEC_STEPS = 51  # values of c on [0, 1/2], per q, in write_fqec_vs_c_csv
+
 
 @dataclass(frozen=True)
 class LPInstance:
@@ -181,13 +183,13 @@ def write_polytope_csv(inst: LPInstance, path, grid: int = 101, span: float = 1.
             )
 
 
-def write_fqec_vs_c_csv(path, qs=(1, 1.25, 1.5), e1=0, e2=0, steps=51):
+def write_fqec_vs_c_csv(path, qs=(1, 1.25, 1.5), e1=0, e2=0):
     """Exponent-vs-prior-knowledge curves for a family of timestep exponents q, c in [0, 1/2]."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["q", "c", "p2_exponent"])
         for q in qs:
-            for i in range(steps):
-                c = Fraction(i, 2 * (steps - 1))
+            for i in range(FQEC_STEPS):
+                c = Fraction(i, 2 * (FQEC_STEPS - 1))
                 inst = LPInstance(c, as_fraction(q), Fraction(1), as_fraction(e1), as_fraction(e2))
                 wr.writerow([float(q), float(c), float(p2_exponent(inst))])

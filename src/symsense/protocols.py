@@ -62,7 +62,7 @@ from symsense.codes import CODEWORD_CACHE, GnuParams, Label, code_fits, lattice_
 from symsense.metrology import fi_phase_readout
 from symsense.noise import delete
 from symsense.qec import code_frame, pflag_closed_form, project_syndrome, zeta, zeta_derivative
-from symsense.symcore import SymState, signal_phases
+from symsense.symcore import SymState, check_float_binomials, signal_phases
 
 BATCH_SPAN = 16384  # trajectories per batch span at r <= 32, serial and pooled runs alike
 SPAN_ROUNDS = 32 * BATCH_SPAN  # trajectory-rounds per span, 24 bytes of uniforms each
@@ -82,6 +82,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.params.n < 3 or self.params.n % 2 == 0:
             raise ValueError(f"the sensing protocol needs an odd n >= 3, got n = {self.params.n}")
+        check_float_binomials(self.params.n)  # the round's p_flag sum, before any span runs
         if self.params.n_qubits >= 2**63:
             raise ValueError("N = g n u + s must be below 2^63, the batch's int64 range")
         if self.r < 1:
@@ -833,7 +834,7 @@ def expected_fi_p1(
 # ---------------------------------------------------------------------------
 
 
-def run_protocol2(config: ProtocolConfig, n_traj: int = 2000) -> dict:
+def run_protocol2(config: ProtocolConfig, n_traj: int) -> dict:
     """Repeat Protocol 1 r^(q-1) times: E[F_P2] = r^(q-1) (1 - f1) E[F_P1 | success],
     where f1 (``failure_rate``) is the share of rows that are flagged or stop as invalid."""
     if config.q < 1:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from symsense.codes import CODEWORD_CACHE, GnuParams, code_fits, lattice_profile, logical_pair
-from symsense.symcore import SymState, apply_signal, binom, deletion_ratios
+from symsense.symcore import SymState, apply_signal, binom, check_float_binomials, deletion_ratios
 
 
 @dataclass(frozen=True)
@@ -292,8 +292,9 @@ def pflag_closed_form(n: int, x: float) -> tuple[float, float, float]:
     """Closed forms (|Pi psi|^2, |Pi_1 psi|^2, p_flag) at x = g Delta / 2, odd n.
 
     ``p_flag`` is the complementary binomial tail over k = 2..n-2, empty (zero)
-    at n = 3.
+    at n = 3; past n = 1029 it is out of float range, and ValueError is raised.
     """
+    check_float_binomials(n)
     c, s = math.cos(x), math.sin(x)
     p_code = c ** (2 * n) + s ** (2 * n)
     p_q = 0.25 * n * math.sin(2 * x) ** 2 * (s ** (2 * n - 4) + c ** (2 * n - 4))

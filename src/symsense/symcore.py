@@ -19,8 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-NORM_ATOL = 1e-12
-
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -54,9 +52,6 @@ class SymState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def is_normalized(self) -> bool:
-        return abs(self.norm_sq() - 1.0) <= NORM_ATOL
-
     def normalized(self) -> "SymState":
         nrm = math.sqrt(self.norm_sq())
         if nrm == 0.0:
@@ -69,19 +64,9 @@ class SymState:
             raise ValueError("states live on different qubit numbers")
         return complex(np.vdot(self.amps, other.amps))
 
-    def fidelity(self, other: "SymState") -> float:
-        return abs(self.inner(other)) ** 2
-
     @property
     def weights(self) -> np.ndarray:
         return np.arange(self.n_qubits + 1)
-
-    @staticmethod
-    def from_weight(n_qubits: int, w: int) -> "SymState":
-        """The Dicke basis state of weight w."""
-        amps = np.zeros(n_qubits + 1, dtype=complex)
-        amps[w] = 1.0
-        return SymState(n_qubits, amps)
 
     @staticmethod
     def random(n_qubits: int, rng: np.random.Generator) -> "SymState":
@@ -97,6 +82,13 @@ class SymState:
 # math.comb is exact for arbitrary n; the toolkit never asks beyond n ~ 4096,
 # where exact integer arithmetic is still cheap.
 binom = math.comb
+
+
+def check_float_binomials(n: int) -> None:
+    """Raise ValueError if some C(n, k) is past the float range, as it is from n = 1030 on
+    (C(1029, 514) ~ 2^1023.7 is the last row that fits): a float sum over them would overflow."""
+    if n > 1029:
+        raise ValueError(f"n must be <= 1029, where every C(n, k) fits a float, got n = {n}")
 
 
 def deletion_ratios(n_qubits: int, t: int, a: int, weights: np.ndarray) -> np.ndarray:

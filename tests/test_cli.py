@@ -666,3 +666,32 @@ def test_verify_docstring_names_only_tests_that_exist():
         tree = ast.parse((Path(__file__).parent / file).read_text())
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert name in defined, f"{file}::{name}"
+
+
+@pytest.mark.parametrize("n", ["1030", "1031"])
+@pytest.mark.parametrize("command", ["qfi", "sld", "delete", "ad", "fi-scan"])
+def test_code_commands_past_the_float_range_of_the_binomials(tmp_path, capsys, command, n):
+    out = [] if command == "sld" else ["--out", str(tmp_path / "out.csv")]
+    steps = ["--steps", "3"] if command in ("ad", "fi-scan") else []
+    code = run_cli([command, "--g", "1", "--n", n, *steps, *out])
+    if command == "fi-scan":  # the three-outcome FI's binomial tail would overflow
+        assert code == 2 and f"got n = {n}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize("n", ["1030", "1031"])
+@pytest.mark.parametrize("command", ["protocol1", "protocol2"])
+def test_protocols_reject_n_past_the_float_range_before_any_pool(capsys, monkeypatch, command, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a span or a worker pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(protocols, "_run_batch_span", no_work)
+    monkeypatch.setattr(protocols, "BATCH_SPAN", 4)  # three spans on two workers would pool
+    monkeypatch.setenv("SYMSENSE_THREADS", "2")
+    args = [command, "--g", "1", "--n", n, "--r", "4", "--q", "1", "--theta", "0.1",
+            "--trials", "10"]
+    assert run_cli(args) == 2
+    assert f"got n = {n}" in capsys.readouterr().err

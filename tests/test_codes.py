@@ -19,6 +19,8 @@ from symsense.codes import (
 from symsense.qec import code_frame, jz_apply
 from symsense.symcore import SymState, apply_signal, jz_moments
 
+from dicke import dicke_state
+
 
 def test_small_codewords_by_hand():
     params = GnuParams(2, 2, Fraction(1), 0)
@@ -42,7 +44,7 @@ def test_zero_one_orthogonal():
     for g, n, u, s in ((3, 4, Fraction(1), 2), (5, 3, Fraction(7, 5), 11)):
         zero, one = logical_pair(GnuParams(g, n, u, s))
         assert abs(zero.inner(one)) < 1e-15
-        assert zero.is_normalized() and one.is_normalized()
+        assert abs(zero.norm_sq() - 1.0) <= 1e-12 and abs(one.norm_sq() - 1.0) <= 1e-12
 
 
 def test_rejects_non_integer_qubit_count():
@@ -73,7 +75,7 @@ def test_projector_overlap_evolved_plus():
 
 def test_projector_overlap_off_lattice_state():
     params = GnuParams(3, 3, Fraction(1), 2)
-    rogue = SymState.from_weight(params.n_qubits, params.s + 1)
+    rogue = dicke_state(params.n_qubits, params.s + 1)
     p_plus, p_minus, p_other = code_projector_overlap(params, rogue)
     assert p_plus == 0.0 and p_minus == 0.0
     assert abs(p_other - 1.0) < 1e-15
@@ -129,8 +131,42 @@ def test_plus_weights_are_the_exact_binomial_shares_rounded_once():
         weights = plus_weights(n)
         assert weights.tolist() == [float(Fraction(math.comb(n, k), 2**n)) for k in range(n + 1)]
         squared_profile += int(np.count_nonzero(weights != lattice_profile(n) ** 2 / 2))
-    # the profile's square root, squared, is a second rounding
-    assert squared_profile == 1100
+    # the profile's square root, squared, is a second rounding: 426 entries at odd n and
+    # 464 at even n (674 while the even-n profile was scaled by an inexact 2^-(n-1)/2)
+    assert squared_profile == 890
+
+
+def test_lattice_helpers_keep_their_bits_where_the_old_float_forms_were_exact():
+    binoms = [1]  # row n of Pascal's triangle, exact
+    for n in range(1, 1030):
+        binoms = [1, *map(sum, zip(binoms, binoms[1:])), 1]
+        # the forms of lattice_profile and plus_weights before C(n, k) / 2^(n-1)
+        profile = np.array([math.sqrt(c) for c in binoms]) * 2.0 ** (-(n - 1) / 2)
+        weights = np.array([2.0**-n * c for c in binoms])
+        if n % 2 == 1 or n == 4:  # an exact power-of-two scale
+            assert lattice_profile(n).tobytes() == profile.tobytes(), n
+        assert plus_weights(n).tobytes() == weights.tobytes(), n
+
+
+def test_lattice_profile_is_correctly_rounded_at_even_n():
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for n in range(2, 201, 2):
+            for k, got in enumerate(lattice_profile(n).tolist()):
+                exact = mp.sqrt(mp.binomial(n, k) / mp.mpf(2) ** (n - 1))
+                worst = max(worst, float(abs(got - exact) / exact))
+    # one rounding of the ratio and one of its root: 1.6e-16 (the old form reached 3.0e-16)
+    assert worst <= 2.0**-52
+
+
+@pytest.mark.parametrize("n", [1030, 1031, 3001])
+def test_lattice_helpers_reach_past_the_float_range_of_the_binomials(n):
+    profile, weights = lattice_profile(n), plus_weights(n)
+    assert np.isfinite(profile).all() and np.isfinite(weights).all()
+    for half in (profile[0::2], profile[1::2]):
+        assert abs(float(half @ half) - 1.0) < 1e-15
+    assert abs(math.fsum(weights.tolist()) - 1.0) < 1e-15
 
 
 def test_jz_sandwich_identities():

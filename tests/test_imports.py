@@ -1,8 +1,9 @@
 """Static checks on the source tree and the demos: every import is used (a
 top-level one by its module, one inside a function by that function), every
-private top-level name of the package is read, every public one is read by
-what runs, every name the package exports exists, and the Protocol-1 round's
-rules and the noise layer's lgamma table are each read in one place."""
+private top-level name of the package is read, every public one and every
+public method or property of its classes is read by what runs, every name the
+package exports exists, and the Protocol-1 round's rules and the noise layer's
+lgamma table are each read in one place."""
 
 import ast
 import importlib
@@ -181,14 +182,97 @@ KEPT_UNREAD = {
 }
 
 
+def what_runs() -> list[str]:
+    """The sources outside the package that run it: the demos, the benchmark and the tools."""
+    paths = [*ROOT.glob("demos/*.py"), *ROOT.glob("bench/**/*.py"), *ROOT.glob("tools/*.py")]
+    return [path.read_text() for path in paths]
+
+
 def test_every_public_top_level_name_is_read_by_what_runs():
     # a reference only the tests read belongs in the tests
     package = {path.name: path.read_text() for path in PACKAGE}
-    others = [path.read_text() for path in [*ROOT.glob("demos/*.py"), *ROOT.glob("bench/**/*.py")]]
-    unread = {entry.split()[1]: entry for entry in unread_public_names(package, others)}
+    unread = {entry.split()[1]: entry for entry in unread_public_names(package, what_runs())}
     exempt = {*symsense.__all__, *KEPT_UNREAD}
     assert [entry for name, entry in unread.items() if name not in exempt] == []
     assert sorted(KEPT_UNREAD) == sorted(set(unread) - set(symsense.__all__))  # no stale entry
+
+
+def unread_public_members(package: dict[str, str], others) -> list[str]:
+    """Public methods and properties (static and class methods too) of the top-level
+    classes of ``package`` that no source of ``others`` and no code of the package
+    outside the member's own body reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    outside = set().union(*(_loads(ast.parse(source)) for source in others))
+    # a class's own statements are separate units, so that a member does not read itself
+    units = [
+        unit
+        for tree in trees.values()
+        for node in tree.body
+        for unit in ([*node.decorator_list, *node.bases, *node.body]
+                     if isinstance(node, ast.ClassDef) else [node])
+    ]
+    loads = [(unit, _loads(unit)) for unit in units]
+    return [
+        f"{module}: {cls.name}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in read for unit, read in loads if unit is not node)
+    ]
+
+
+def test_unread_public_members_are_found():
+    package = {
+        "a": (
+            "@dataclass\n"
+            "class K:\n"
+            "    x: int = 0\n"
+            "    def f(self): return self.f()\n"
+            "    @property\n"
+            "    def p(self): return self.x\n"
+            "    @staticmethod\n"
+            "    def s(): return K.c()\n"
+            "    @classmethod\n"
+            "    def c(cls): pass\n"
+            "    def _q(self): pass\n"
+            "def g(k): return k.p\n"
+        ),
+    }
+    # f is read only inside itself and s not at all; g reads p, s reads c, _q is private
+    # and the field x is no member
+    assert unread_public_members(package, []) == ["a: K.f (line 4)", "a: K.s (line 8)"]
+    assert unread_public_members(package, ["K.s()"]) == ["a: K.f (line 4)"]
+
+
+def test_a_member_that_only_tests_read_is_found():
+    package = {path.name: path.read_text() for path in PACKAGE}
+    before = {entry.split()[1] for entry in unread_public_members(package, what_runs())}
+    planted = "    def planted(self):\n        return 0\n\n    def norm_sq(self)"
+    package["symcore.py"] = package["symcore.py"].replace("    def norm_sq(self)", planted)
+    a_test = "def test_planted():\n    assert SymState(0, [1]).planted() == 0\n"
+    after = {entry.split()[1] for entry in unread_public_members(package, what_runs())}
+    assert after == before | {"SymState.planted"}
+    # only the test's read would keep it
+    kept = {entry.split()[1] for entry in unread_public_members(package, [*what_runs(), a_test])}
+    assert kept == before
+
+
+# public members that no command, check, demo, benchmark or tool reads, and why they stay
+KEPT_UNREAD_MEMBERS = {
+    "BoundCheck.holds": "the verdict of bound_checkers, which is kept for the paper",
+}
+
+
+def test_every_public_member_is_read_by_what_runs():
+    # a member only the tests read belongs in the tests
+    package = {path.name: path.read_text() for path in PACKAGE}
+    unread = {entry.split()[1]: entry for entry in unread_public_members(package, what_runs())}
+    assert [entry for name, entry in unread.items() if name not in KEPT_UNREAD_MEMBERS] == []
+    assert sorted(KEPT_UNREAD_MEMBERS) == sorted(unread)  # no stale entry
 
 
 def readers(source: str, names) -> dict[str, list[str]]:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from symsense.codes import GnuParams, Label, make_logical
-from symsense.metrology import fi_code_basis, fi_phase_readout, qfi_pure, sld
+from symsense.metrology import SLDDecomposition, fi_code_basis, fi_phase_readout, qfi_pure, sld
 from symsense.symcore import SymState, apply_signal
+
+from dicke import dicke_state
 
 
 def test_qfi_of_plus_probe_sweep():
@@ -34,7 +36,7 @@ def test_qfi_of_plus_probe_at_large_n_is_g2n_to_rounding(g, n, u, s):
 
 
 def test_qfi_dicke_and_ghz():
-    assert qfi_pure(SymState.from_weight(10, 3)) == 0.0
+    assert qfi_pure(dicke_state(10, 3)) == 0.0
     N = 64
     ghz = make_logical(GnuParams(N, 1, Fraction(1), 0), Label.PLUS)
     assert abs(qfi_pure(ghz) - N * N) < 1e-10 * N * N
@@ -50,6 +52,12 @@ def test_sld_single_qubit_by_hand():
     assert abs(dec.eigval_minus + 1.0) < 1e-14
 
 
+def _sld_matrix(dec: SLDDecomposition) -> np.ndarray:
+    """The dense (N+1)x(N+1) SLD on the Dicke block, from its rank-two spectral form."""
+    ep, em = dec.eigvec_plus.amps, dec.eigvec_minus.amps
+    return dec.eigval_plus * np.outer(ep, ep.conj()) + dec.eigval_minus * np.outer(em, em.conj())
+
+
 def test_sld_eigvecs_orthonormal():
     rng = np.random.default_rng(3)
     psi = SymState.random(9, rng)
@@ -57,7 +65,7 @@ def test_sld_eigvecs_orthonormal():
     assert abs(dec.eigvec_plus.inner(dec.eigvec_minus)) < 1e-12
     assert abs(dec.eigvec_plus.norm_sq() - 1.0) < 1e-12
     # <psi|L^2|psi> equals the QFI
-    L = dec.matrix()
+    L = _sld_matrix(dec)
     val = np.vdot(psi.amps, L @ (L @ psi.amps)).real
     assert abs(val - qfi_pure(psi)) < 1e-9 * max(1.0, val)
 
@@ -68,7 +76,7 @@ def _lyapunov_residual(psi: SymState) -> float:
     jz = np.diag(0.5 * N - np.arange(N + 1)).astype(complex)
     rho = np.outer(psi.amps, psi.amps.conj())
     drho = -1j * (jz @ rho - rho @ jz)
-    L = sld(psi).matrix()
+    L = _sld_matrix(sld(psi))
     return float(np.max(np.abs(drho - 0.5 * (L @ rho + rho @ L))))
 
 
@@ -89,13 +97,13 @@ def test_sld_vs_finite_difference_derivative():
     rho_m = np.outer(apply_signal(psi, -h).amps, apply_signal(psi, -h).amps.conj())
     drho_fd = (rho_p - rho_m) / (2 * h)
     rho = np.outer(psi.amps, psi.amps.conj())
-    L = sld(psi).matrix()
+    L = _sld_matrix(sld(psi))
     assert np.max(np.abs(drho_fd - 0.5 * (L @ rho + rho @ L))) < 1e-6
 
 
 def test_sld_rejects_zero_variance():
     with pytest.raises(ValueError):
-        sld(SymState.from_weight(5, 2))
+        sld(dicke_state(5, 2))
 
 
 def test_fi_code_basis_n1_saturates_qfi():
@@ -146,6 +154,12 @@ def test_fi_code_basis_suppression_with_n():
         )
         peaks.append(best)
     assert all(a > b for a, b in zip(peaks, peaks[1:]))
+
+
+def test_fi_code_basis_rejects_n_past_the_float_range_of_the_binomials():
+    assert all(map(math.isfinite, fi_code_basis(GnuParams(1, 1029), 0.1)))
+    with pytest.raises(ValueError, match="got n = 1030"):
+        fi_code_basis(GnuParams(1, 1030), 0.1)
 
 
 def test_fi_phase_readout_special_points():

@@ -26,10 +26,12 @@ from symsense.noise import (
 from symsense.symcore import SymState, binom, jz_moments
 from symsense.verify import damping_distance, deletion_distance
 
+from dicke import dicke_state
+
 
 def test_delete_single_dicke_by_hand():
     # one deletion of |D^2_1>: branches a=0 -> |D^1_1>, a=1 -> |D^1_0>, each 1/2
-    outs = delete(SymState.from_weight(2, 1), 1)
+    outs = delete(dicke_state(2, 1), 1)
     assert len(outs) == 2
     for br in outs:
         assert abs(br.weight - 0.5) < 1e-14
@@ -38,7 +40,7 @@ def test_delete_single_dicke_by_hand():
 
 
 def test_delete_all_zeros_product_state():
-    outs = delete(SymState.from_weight(8, 0), 1)
+    outs = delete(dicke_state(8, 0), 1)
     assert len(outs) == 1
     assert outs[0].shift == 0
     assert abs(outs[0].weight - 1.0) < 1e-14
@@ -81,9 +83,9 @@ def test_shared_oracles_catch_a_broken_channel(monkeypatch):
 
 def test_delete_rejects_bad_t():
     with pytest.raises(ValueError):
-        delete(SymState.from_weight(3, 1), 4)
+        delete(dicke_state(3, 1), 4)
     with pytest.raises(ValueError):
-        delete(SymState.from_weight(3, 1), 0)
+        delete(dicke_state(3, 1), 0)
 
 
 def test_ad_gamma_zero_identity():
@@ -96,7 +98,7 @@ def test_ad_gamma_zero_identity():
 
 
 def test_ad_gamma_one_full_decay():
-    outs = amplitude_damp(SymState.from_weight(1, 1), 1.0)
+    outs = amplitude_damp(dicke_state(1, 1), 1.0)
     assert len(outs) == 1
     assert outs[0].damped == 1
     assert abs(outs[0].state.amps[0] - 1.0) < 1e-14
@@ -278,7 +280,7 @@ def _channel_states():
     rng = np.random.default_rng(2024)
     states = {f"random N={N}": SymState.random(N, rng) for N in (1, 7, 50, 300)}
     states["code N=2000"] = make_logical(GnuParams(40, 3, Fraction(53, 6), 940), Label.PLUS)
-    states["Dicke N=40 w=17"] = SymState.from_weight(40, 17)
+    states["Dicke N=40 w=17"] = dicke_state(40, 17)
     holes = SymState.random(60, rng).amps.copy()
     holes[[0, 5, 6, 7, 31, 58]] = 0.0  # interior zeros and a zero end
     holes[20:28] = 0.0

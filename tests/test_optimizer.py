@@ -144,9 +144,9 @@ def test_csv_emitters(tmp_path):
     assert any(r["feasible"] == "1" for r in rows)
 
     fq = tmp_path / "fqec_vs_c.csv"
-    write_fqec_vs_c_csv(fq, steps=11)
+    write_fqec_vs_c_csv(fq)
     rows = list(csv.DictReader(open(fq)))
-    assert len(rows) == 33
+    assert len(rows) == 153
     ref = [r for r in rows if r["q"] == "1.5" and abs(float(r["c"]) - 0.5) < 1e-12]
     assert abs(float(ref[0]["p2_exponent"]) - 11 / 9) < 1e-12
 

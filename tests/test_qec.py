@@ -32,6 +32,8 @@ from symsense.qec import (
 from symsense.symcore import SymState, apply_signal
 from symsense.verify import projection_deviation
 
+from dicke import dicke_state
+
 
 # ---------------------------------------------------------------------------
 # modulo measurement
@@ -87,7 +89,7 @@ def test_deletion_qec_single_deletion_branches():
         assert a == br.shift
         small = params.with_shift(params.s - a, params.n_qubits - 1)
         ideal = make_logical(small, Label.PLUS)
-        fid = corrected.fidelity(ideal)
+        fid = abs(corrected.inner(ideal)) ** 2
         assert fid > 0.99  # amplitude distortion is O(g sqrt(n)/N)
         # post-QEC state is exactly in the smaller codespace
         cw0, cw1 = logical_pair(small)
@@ -99,7 +101,7 @@ def test_deletion_qec_single_deletion_branches():
 
 def test_deletion_qec_rejects_inconsistent_residue():
     params = GnuParams(5, 5, Fraction(1), 4)
-    rogue = SymState.from_weight(params.n_qubits - 1, params.s - 3)
+    rogue = dicke_state(params.n_qubits - 1, params.s - 3)
     with pytest.raises(ValueError):
         deletion_qec(rogue, params, 1)
 
@@ -163,6 +165,12 @@ def test_pflag_n5_quarter_pi():
     delta = math.pi / 2 / params.g
     _, _, pf_num = qec_sense_probabilities(apply_signal(plus, delta), params)
     assert abs(pf_num - 0.625) < 1e-12
+
+
+def test_pflag_rejects_n_past_the_float_range_of_the_binomials():
+    assert all(map(math.isfinite, pflag_closed_form(1029, 0.1)))
+    with pytest.raises(ValueError, match="got n = 1031"):
+        pflag_closed_form(1031, 0.1)
 
 
 def test_projection_probabilities_closed_forms_grid():

@@ -13,11 +13,14 @@ from symsense.symcore import (
     binom,
     binom_exp_sum,
     binom_parity_sum,
+    check_float_binomials,
     deletion_ratios,
     falling_factorial,
     jz_moments,
     stirling2,
 )
+
+from dicke import dicke_state
 
 
 def test_apply_signal_identity():
@@ -28,7 +31,7 @@ def test_apply_signal_identity():
 
 
 def test_apply_signal_single_weight_is_pure_phase():
-    psi = SymState.from_weight(1, 0)
+    psi = dicke_state(1, 0)
     out = apply_signal(psi, math.pi)
     # Jz eigenvalue 1/2: global phase exp(-i pi / 2)
     assert abs(out.amps[0] - np.exp(-0.5j * math.pi)) < 1e-14
@@ -90,8 +93,17 @@ def test_apply_signal_composition():
     assert np.max(np.abs(lhs.amps - rhs.amps)) < 1e-13
 
 
+def test_every_binomial_fits_a_float_up_to_n_1029():
+    assert math.isfinite(float(binom(1029, 514)))
+    with pytest.raises(OverflowError):
+        float(binom(1030, 515))
+    check_float_binomials(1029)
+    with pytest.raises(ValueError, match="got n = 1030"):
+        check_float_binomials(1030)
+
+
 def test_jz_moments_eigenstate():
-    _, _, var = jz_moments(SymState.from_weight(9, 4))
+    _, _, var = jz_moments(dicke_state(9, 4))
     assert var == 0.0
 
 
