@@ -204,6 +204,18 @@ def write_summary_csv(batch: BatchResult, path) -> None:
                      cfg.seed, *summary.values()])
 
 
+# size caps, each checked before any work, from costs measured on two cores:
+# a Dicke vector of N + 1 amplitudes: at N = 999001, qec-delete takes 9.0 s and 201 MB, the
+# other commands under 0.25 s and 100 MB, while --g 10^8 would allocate 4.47 GiB
+MAX_DICKE_LENGTH = 2**20
+# fi-scan's and ad's grid: 0.49 s for fi-scan at the cap, ad 1.2 ms per step at N = 2000
+MAX_STEPS = 10**5
+# protocol3 iterations: exact fractions, whose cost grows as k^2 (0.24 s at k = 1000, with
+# 1614-digit denominators from float error budgets; past k = 2700 or so such a run would
+# print fractions past Python's 4300-digit limit for str of an int)
+MAX_K = 1000
+
+
 def _params_from_args(args) -> GnuParams:
     u = as_fraction(args.u)
     gnu = args.g * args.n * u
@@ -217,13 +229,23 @@ def _params_from_args(args) -> GnuParams:
     return params
 
 
+def _dicke_params(args) -> GnuParams:
+    """The code of a command that builds its Dicke vector, whose N + 1 amplitudes must not
+    pass MAX_DICKE_LENGTH."""
+    params = _params_from_args(args)
+    if params.n_qubits + 1 > MAX_DICKE_LENGTH:
+        raise ValueError(f"the code's Dicke vector of N + 1 = {params.n_qubits + 1} amplitudes "
+                         f"is past the cap of {MAX_DICKE_LENGTH}")
+    return params
+
+
 def _check_steps(args) -> None:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"--steps must be in 1..{MAX_STEPS}, got {args.steps}")
 
 
 def cmd_qfi(args, out=None) -> int:
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     plus = make_logical(params, Label.PLUS)
     print(f"QFI = {qfi_pure(plus):.12g}  (g^2 n = {params.g ** 2 * params.n})")
     with _csv_writer(out, ["w", "amplitude", "codeword"]) as wr:
@@ -237,7 +259,7 @@ def cmd_fi_scan(args, out=None) -> int:
     for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
         if not np.isfinite(theta):
             raise ValueError(f"{flag} must be finite, got {theta!r}")
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     qfi = qfi_pure(make_logical(params, Label.PLUS))
     with _csv_writer(out, ["theta", "fi_two_outcome", "fi_three_outcome", "qfi"]) as wr:
         for theta in np.linspace(args.theta_min, args.theta_max, args.steps):
@@ -247,7 +269,7 @@ def cmd_fi_scan(args, out=None) -> int:
 
 
 def cmd_sld(args) -> int:
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     dec = sld(make_logical(params, Label.PLUS))
     print(f"eigenvalues: {dec.eigval_plus:+.12g} / {dec.eigval_minus:+.12g}")
     print(f"QFI (4 var): {dec.eigval_plus ** 2:.12g}")
@@ -255,7 +277,7 @@ def cmd_sld(args) -> int:
 
 
 def cmd_delete(args, out=None) -> int:
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     if not 1 <= args.t <= params.n_qubits:
         raise ValueError(f"--t must be in 1..{params.n_qubits} (N of the code), got {args.t}")
     plus = make_logical(params, Label.PLUS)
@@ -272,7 +294,7 @@ def cmd_ad(args, out=None) -> int:
     _check_steps(args)
     if not 0.0 <= args.gamma_max <= 1.0:
         raise ValueError(f"--gamma-max must be in [0, 1], got {args.gamma_max}")
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     plus = make_logical(params, Label.PLUS)
     with _csv_writer(out, ["gamma", "qfi_bound", "n_branches"]) as wr:
         for gamma in np.linspace(0.0, args.gamma_max, args.steps):
@@ -283,7 +305,7 @@ def cmd_ad(args, out=None) -> int:
 
 
 def cmd_qec_delete(args) -> int:
-    params = _params_from_args(args)
+    params = _dicke_params(args)
     plus = make_logical(params, Label.PLUS)
     total = 0.0
     for br in delete(plus, args.t):
@@ -343,6 +365,8 @@ def cmd_protocol2(args) -> int:
 
 
 def cmd_protocol3(args) -> int:
+    if args.k > MAX_K:
+        raise ValueError(f"--k must be at most {MAX_K}, got {args.k}")
     from symsense.protocols import run_protocol3
 
     cs = run_protocol3(args.c1, args.k, args.q, args.e1, args.e2)

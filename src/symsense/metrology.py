@@ -33,7 +33,6 @@ class SLDDecomposition:
     eigvec_minus: SymState
     eigval_plus: float
     eigval_minus: float
-    b_vector: SymState
 
 
 def sld(state: SymState) -> SLDDecomposition:
@@ -47,13 +46,11 @@ def sld(state: SymState) -> SLDDecomposition:
     m1, _, var = jz_moments(state)
     if var <= 0.0:
         raise ValueError("SLD direction is undefined for a zero-variance state")
-    w = state.weights
-    b_amps = (state.amps * w - m1 * state.amps) / math.sqrt(var)
-    b = SymState(state.n_qubits, b_amps)
-    plus = SymState(state.n_qubits, (state.amps + 1j * b.amps) / math.sqrt(2.0))
-    minus = SymState(state.n_qubits, (state.amps - 1j * b.amps) / math.sqrt(2.0))
+    b = (state.amps * state.weights - m1 * state.amps) / math.sqrt(var)
+    plus = SymState(state.n_qubits, (state.amps + 1j * b) / math.sqrt(2.0))
+    minus = SymState(state.n_qubits, (state.amps - 1j * b) / math.sqrt(2.0))
     lam = 2.0 * math.sqrt(var)
-    return SLDDecomposition(plus, minus, lam, -lam, b)
+    return SLDDecomposition(plus, minus, lam, -lam)
 
 
 def fi_code_basis(params: GnuParams, theta: float) -> tuple[float, float]:

@@ -13,10 +13,9 @@ binomial sqrt-ratios folded in, returned with their analytic theta-derivatives
 and the deleted state's norm weights.  The phase increment is arg(X_1/X_0) and
 its derivative Im(dX_1/X_1 - dX_0/X_0).  Without a deletion the closed forms
 ``zeta``, ``zeta_derivative`` and ``pflag_closed_form`` of :mod:`symsense.qec`
-take their place.  :func:`round_law` is the one home of these rules, cached
-per code (N, s); the batch, :func:`expected_fi_p1` and the reference's phase
-increments read it, each splitting shift and syndrome by its (|a|^2, |b|^2).
-Two implementations are provided:
+take their place.  :func:`round_law`, cached per code (N, s), is the one home of
+these rules and the deletion thresholds; the batch (by a per-span table),
+:func:`expected_fi_p1` and the reference read it.  Two implementations:
 
 * :func:`run_protocol1` -- exact reference: full Dicke-vector state tracking,
   one trajectory at a time, the signal applied on the state's known support
@@ -24,13 +23,10 @@ Two implementations are provided:
   Its quiet rounds before the first event replay one cached chain of states.
 * :func:`run_protocol1_batch` -- vectorized lattice twin: the trajectories
   of a span advance in lock-step, each as its logical weights
-  (|a|^2, |b|^2).  Every trajectory consumes a pre-drawn (r, 3) uniform block
-  from a Philox stream keyed by (seed, trajectory index), so the two paths
-  replay each other; the batch resets one Philox per span to each key.  A
-  row's quiet rounds before its first deletion or syndrome 1 keep its
-  weights at (1/2, 1/2) and add only to its counts, Phi and dPhi, so each
-  row joins the lock-step at its first event with those rounds' running
-  sums, bit for bit what the rounds would have added.
+  (|a|^2, |b|^2), and join it at their first deletion or syndrome 1.  Every
+  trajectory consumes a pre-drawn (r, 3) uniform block from a Philox stream
+  keyed by (seed, trajectory index), so the two paths replay each other; the
+  batch resets one Philox per span to each key.
 
 The batch has one span loop, :func:`protocol1_spans`.  Its spans run on a
 process pool with one worker per usable CPU by default (SYMSENSE_THREADS=1
@@ -40,20 +36,20 @@ the result.  :func:`run_protocol1_batch` concatenates the spans; the CLI's
 JSONL exporter (:mod:`symsense.cli`) writes each one as it arrives.  This
 module reads and writes no files.
 
-Per-round randomness: uniform[0] resolves the deletion count (inverse CDF of
-the Poisson truncated at >= 2, which aborts), uniform[1] the deletion shift
-sigma, uniform[2] the QEC syndrome.  A trajectory stops as an invalid regime
-before a deletion that would leave fewer than half its starting qubits, and
-after one that leaves a code which no longer fits (N - s < g n, or s < 0).
+Per-round randomness: uniform[0] resolves the deletion count by the law's
+thresholds (t >= 2 aborts), uniform[1] the deletion shift sigma, uniform[2]
+the QEC syndrome.  A trajectory stops as an invalid regime before a deletion
+that would leave fewer than half its starting qubits, and after one that
+leaves a code which no longer fits (N - s < g n, or s < 0).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -206,9 +202,11 @@ def _syndrome_split(mod2, fac, norm):
 
 
 class RoundLaw(NamedTuple):
-    """One code's round, on the outcome axis o: 0 without a deletion, 1 + sigma with one."""
+    """One code's round: deletion thresholds, then by outcome o = 0 (no deletion) or 1 + sigma."""
 
     lam: float  # Poisson mean: t = 0, 1 with e^-lam, lam e^-lam; t >= 2 aborts
+    p0: float  # the round's uniform gives t = 0 below p0 = e^-lam (by math.exp),
+    p01: float  # t = 1 below p01 = p0 (1 + lam), on every path
     A: np.ndarray  # (2,) by sigma, even k: P[sigma | t = 1] = |a|^2 A_sigma + |b|^2 B_sigma
     B: np.ndarray  # (2,) by sigma, odd k
     fac: np.ndarray  # (4, 3): |X|^2 of E_0, E_1 (codespace) and D_0, D_1 (q-space)
@@ -216,47 +214,60 @@ class RoundLaw(NamedTuple):
     dinc: np.ndarray  # (2, 3): its theta-derivative
 
 
-def _cached_without_seed(law):
-    """``law`` cached on its configuration with the seed set to 0: no law reads the seed,
-    so every seed of one configuration shares each code's law."""
-    cached = lru_cache(maxsize=4096)(law)
-    seedless = wraps(law)(lambda config, *code: cached(replace(config, seed=0), *code))
-    seedless.cache_info, seedless.cache_clear = cached.cache_info, cached.cache_clear
-    return seedless
-
-
-@_cached_without_seed
 def round_law(config: ProtocolConfig, n_qubits: int, s: int) -> RoundLaw:
-    """The round on the (N, s) = (``n_qubits``, ``s``) code, cached per configuration
-    without its seed, with read-only arrays: the one home of the round's rules."""
-    p = config.params
-    tau, delta = config.tau, config.delta
+    """The round on the (N, s) = (``n_qubits``, ``s``) code, with read-only arrays: the one
+    home of the round's rules.  :func:`_round_law` caches it on what it reads, the code and
+    the configuration's params, tau, delta and n_del, so every seed shares each code's law."""
+    return _round_law(config.params, config.tau, config.delta, config.n_del, n_qubits, s)
+
+
+@lru_cache(maxsize=4096)
+def _round_law(p, tau, delta, n_del, n_qubits, s) -> RoundLaw:
     X, dX, A, B = one_deletion_ratios(p.g, p.n, n_qubits, s, np.array([0, 1]), delta, tau)
     p_code0, p_q0, _ = pflag_closed_form(p.n, 0.5 * p.g * delta)
     # no deletion: |E_0| = |E_1|, |D_0| = |D_1| at odd n (k -> n - k swaps the lattice halves)
     nodel = ([p_code0, p_code0, p_q0, p_q0], [zeta(p, delta, j) for j in (0, 1)],
              [tau * zeta_derivative(p, delta, j) for j in (0, 1)])
     deleted = (X.real**2 + X.imag**2, *_phase_step(X[0::2], X[1::2], dX[0::2], dX[1::2]))
-    law = RoundLaw(config.n_del * n_qubits * tau, A, B,
+    lam = n_del * n_qubits * tau
+    p0 = math.exp(-lam)
+    law = RoundLaw(lam, p0, p0 * (1.0 + lam), A, B,
                    *(np.c_[x0, x1] for x0, x1 in zip(nodel, deleted)))
-    for x in law[1:]:
+    for x in law[3:]:
         x.flags.writeable = False
     return law
+
+
+class _LawTable:
+    """The laws of the codes rows reach, stacked: entry i of each field of ``law`` is that of
+    ``codes[i]`` (0: the start code), so a per-row rule is a gather by the row's entry."""
+
+    def __init__(self, config: ProtocolConfig):
+        self.config, self.codes = config, [(config.params.n_qubits, config.params.s)]
+        self.laws = [round_law(config, *self.codes[0])]
+        self.law = RoundLaw(*map(np.stack, zip(*self.laws)))
+        self._child = np.full(2, -2)  # at 2 i + sigma: the entry one deletion leaves, -2 unseen
+
+    def after_deletion(self, at: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """The entries of the codes that one deletion of shift ``sigma`` leaves from ``at``,
+        -1 where that code no longer fits (N - s < g n, or s < 0)."""
+        key = 2 * at + sigma
+        for k in set(key[self._child[key] == -2].tolist()):
+            code = (self.codes[k // 2][0] - 1, self.codes[k // 2][1] - k % 2)
+            fits = code_fits(self.config.params, *code)
+            if fits and code not in self.codes:
+                self.codes.append(code)
+                self.laws.append(round_law(self.config, *code))
+                self._child = np.r_[self._child, -2, -2]
+            self._child[k] = self.codes.index(code) if fits else -1
+        if len(self.laws) > len(self.law.lam):
+            self.law = RoundLaw(*map(np.stack, zip(*self.laws)))
+        return self._child[key]
 
 
 # ---------------------------------------------------------------------------
 # exact reference trajectory
 # ---------------------------------------------------------------------------
-
-
-def _poisson_bucket(u: float, lam: float) -> int:
-    """0, 1, or 2 (meaning >= 2) by inverse CDF of Poisson(lam)."""
-    p0 = math.exp(-lam)
-    if u < p0:
-        return 0
-    if u < p0 * (1.0 + lam):
-        return 1
-    return 2
 
 
 def _on_weights(n_qubits: int, weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -301,7 +312,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     The state is evolved exactly (deletion branch, signal, projective QEC).
     The per-round phase increments and their theta-derivatives at the
     realized outcomes are analytic, read from :func:`round_law` of the code
-    the round starts on, as is the round's Poisson mean.
+    the round starts on, as are the round's deletion thresholds.
 
     The state is kept on a known support: the code lattice after a QEC
     round, the branch's non-zero weights after a deletion.  A round writes
@@ -310,17 +321,14 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     ``qec.code_frame``, as ``qec.qec_sense`` does, which equals
     ``apply_signal`` then ``SymState.inner`` bit for bit.
 
-    The rounds before the first deletion or syndrome 1 are quiet, and from
-    |+_L> they form one deterministic chain of states for a given code, delta
-    and r.  :func:`_quiet_chain` runs that chain once, with this loop's own
-    round, and caches P[syn 0] of each round and the state before it.  A
-    trajectory advances through its quiet prefix by comparing its uniforms
-    against p_0 (as ``_poisson_bucket`` computes it) and those P[syn 0],
-    adding the law's zeta_0, its derivative and the count one round at a
-    time, and the loop then starts from the cached state.  The result is bit
-    for bit what the loop would give.  The chain is built on full Dicke
-    vectors, not with the batch's closed-form (1/2, 1/2) shortcut, so the
-    reference stays an oracle independent of the batch.
+    The rounds before the first deletion or syndrome 1 are quiet: a
+    trajectory advances through them by comparing its uniforms against the
+    law's p0 and the P[syn 0] of :func:`_quiet_chain`, adding the law's
+    zeta_0, its derivative and the count one round at a time, and the loop
+    then starts from the chain's cached state, bit for bit what the loop would
+    give.  The chain is built on full Dicke vectors, not with the batch's
+    closed-form (1/2, 1/2) shortcut, so the reference stays an oracle
+    independent of the batch.
     """
     p = config.params
     delta = config.delta
@@ -333,13 +341,11 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     flag = invalid = False
     n_deleted = 0
 
-    # the quiet prefix: rounds with no deletion (u_del below p_0, as in
-    # _poisson_bucket) and syndrome 0, replayed from the cached chain
+    # the quiet prefix (no deletion, syndrome 0), replayed from the cached chain
     law = round_law(config, n_cur, s_cur)  # the current code's round
     p_code, before = _quiet_chain(p, delta, config.r)
-    p0 = math.exp(-law.lam)
     k = 0
-    while k < len(p_code) and uniforms[k][0] < p0 and uniforms[k][2] < p_code[k]:
+    while k < len(p_code) and uniforms[k][0] < law.p0 and uniforms[k][2] < p_code[k]:
         counts[0, 0] += 1
         Phi += float(law.inc[0, 0])
         dPhi += float(law.dinc[0, 0])
@@ -351,7 +357,7 @@ def run_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> Trajector
     support, phases = frame.lattice, lattice_phases
     amps = before[k]
     for u_del, u_sigma, u_syn in uniforms[k:]:
-        t = _poisson_bucket(u_del, law.lam)
+        t = 0 if u_del < law.p0 else 1 if u_del < law.p01 else 2  # 2: t >= 2
         if t >= 2:
             flag = True
             break
@@ -572,12 +578,13 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     """Trajectories [lo, hi) in lock-step over the logical weights (|a|^2, |b|^2) of each row.
 
     A round maps (a, b) -> (a X_0, b X_1) / sqrt(P) with the factors of its
-    outcome from :func:`round_law`, whose probabilities depend on a and b
-    only through |a|^2 and |b|^2: only those are carried, and Phi is the sum
-    of the analytic increments.
+    outcome from its code's law, which each row reads by its entry in the
+    span's :class:`_LawTable`.  Those probabilities depend on a and b only
+    through |a|^2 and |b|^2: only those are carried, and Phi is the sum of the
+    analytic increments.
 
     A row's rounds before its first event are quiet: no deletion (u_del below
-    p_0 at the starting N) and syndrome 0 (u_syn below p_code at Delta).  A
+    the start code's p0) and syndrome 0 (u_syn below p_code at Delta).  A
     quiet round leaves the weights at (1/2, 1/2) exactly and adds zeta_0 and
     its derivative, so each row starts at its first event round with the
     quiet count and the running sums of those increments, which are
@@ -601,12 +608,12 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
 
     # the start code's law holds for quiet rounds and rounds without a deletion; increments by
     # outcome 2 t + syn (t = 1 rows take their one-deletion phases), outcome 4 an aborted row
-    start = round_law(config, N0, p.s)
+    table = _LawTable(config)
+    start = table.laws[0]
     z_inc, z_dinc = (np.r_[x[:, 0], x[:, 0], 0.0] for x in (start.inc, start.dinc))
 
-    # --- quiet rounds: each row's first event round, the rows sorted by it.
-    # p_0 at N0 as the round loop computes it, so the two agree; at a = b, P[syn 0] is p_code
-    loud = (U[:, :, 0] >= np.exp(-start.lam)) | (U[:, :, 2] >= start.fac[0, 0])
+    # --- quiet rounds: each row's first event round, the rows sorted by it (P[syn 0] = p_code)
+    loud = (U[:, :, 0] >= start.p0) | (U[:, :, 2] >= start.fac[0, 0])
     first = np.where(loud.any(axis=1), loud.argmax(axis=1), r)
     order = np.argsort(first, kind="stable")
     first = first[order]
@@ -620,6 +627,7 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
     flag = np.zeros(n_traj, dtype=bool)
     invalid = np.zeros(n_traj, dtype=bool)
     counts = np.zeros((4, n_traj), dtype=np.int64)  # row 2 t + syn
+    entry = np.zeros(n_traj, dtype=np.intp)  # each row's code in the table, -1 once unfit
     counts[0] = first
     Phi = quiet_Phi[first]
     dPhi = quiet_dPhi[first]
@@ -632,12 +640,10 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
             break
         # views of the rows that have joined
         alive_k, flag_k, invalid_k = alive[:k], flag[:k], invalid[:k]
-        n_k, s_k, mod2_k = n_cur[:k], s_cur[:k], mod2[:, :k]
+        n_k, s_k, mod2_k, entry_k = n_cur[:k], s_cur[:k], mod2[:, :k], entry[:k]
         u_del, u_sigma, u_syn = U[:k, i, 0], U[:k, i, 1], U[:k, i, 2]
-        lam = config.n_del * n_k * config.tau
-        p0 = np.exp(-lam)
-        t2 = alive_k & (u_del >= p0 * (1.0 + lam))
-        t1 = alive_k & (u_del >= p0) & ~t2
+        t2 = alive_k & (u_del >= table.law.p01[entry_k])
+        t1 = alive_k & (u_del >= table.law.p0[entry_k]) & ~t2
         low = alive_k & ~t2 & (n_k - t1 < N0 / 2)
         flag_k |= t2
         invalid_k |= low
@@ -649,20 +655,17 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         norm = np.ones(k)
         drow = np.nonzero(t1)[0]
         if drow.size:
-            # each row's code keyed by what it has lost, below (r + 1)^2, so it cannot overflow
-            lost = (N0 - n_k[drow]) * (r + 1) + p.s - s_k[drow]
-            codes, which = np.unique(lost, return_inverse=True)
-            laws = [round_law(config, N0 - code // (r + 1), p.s - code % (r + 1))[1:]
-                    for code in codes.tolist()]
-            A, B, law_fac, law_inc, law_dinc = (np.stack(x)[which] for x in zip(*laws))
+            at = entry_k[drow]
+            A, B = table.law.A[at], table.law.B[at]
             ma, mb = mod2_k[:, drow]
             sigma = (u_sigma[drow] < ma * A[:, 1] + mb * B[:, 1]).astype(np.int64)
             cols = np.arange(drow.size)
-            fac[:, drow] = law_fac[cols, :, 1 + sigma].T
+            fac[:, drow] = table.law.fac[at, :, 1 + sigma].T
             norm[drow] = ma * A[cols, sigma] + mb * B[cols, sigma]
             n_k[drow] -= 1
             s_k[drow] -= sigma
-            unfit = drow[~code_fits(p, n_k[drow], s_k[drow])]
+            entry_k[drow] = table.after_deletion(at, sigma)
+            unfit = drow[entry_k[drow] < 0]
             invalid_k[unfit] = True
             alive_k[unfit] = t1[unfit] = False
 
@@ -685,8 +688,8 @@ def _run_batch_span(config: ProtocolConfig, lo: int, hi: int) -> BatchResult:
         if drow.size and t1[drow].any():
             done = np.nonzero(t1[drow])[0]
             rows = drow[done]
-            at = (done, syn1[rows].astype(np.int64), 1 + sigma[done])
-            inc[rows], dinc[rows] = law_inc[at], law_dinc[at]
+            cell = (at[done], syn1[rows].astype(np.int64), 1 + sigma[done])
+            inc[rows], dinc[rows] = table.law.inc[cell], table.law.dinc[cell]
         Phi[:k] += inc
         dPhi[:k] += dinc
 
@@ -763,8 +766,9 @@ def expected_fi_p1(
     the -1/4 cubic implies for the syn=0 sector.
     """
     p = config.params
-    r, N0, s0, tau = config.r, p.n_qubits, p.s, config.tau
-    start = round_law(config, N0, s0)
+    r, N0, tau = config.r, p.n_qubits, config.tau
+    table = _LawTable(config)
+    start = table.laws[0]
     p_code, p_q = float(start.fac[0, 0]), float(start.fac[2, 0])
     z_inc, z_dinc = start.inc[:, 0], start.dinc[:, 0]  # no deletion, by syn
     eps = config.n_del * tau  # lam(N) = eps N
@@ -773,23 +777,21 @@ def expected_fi_p1(
     log_fact = np.array([math.lgamma(k + 1) for k in range(r + 1)])
 
     # the deletion sequences so far: probability, (|a|^2, |b|^2), Phi, dPhi, syn = 1
-    # rounds and shift lost; outcome o = 2 sigma + syn
+    # rounds and the code's table entry; outcome o = 2 sigma + syn
     prob, mod2, Phi, dPhi = np.ones(1), np.full((1, 2), 0.5), np.zeros(1), np.zeros(1)
-    syn1 = lost = np.zeros(1, dtype=np.int64)
+    syn1 = at = np.zeros(1, dtype=np.int64)
     sigma, syn = np.divmod(np.arange(4), 2)
     weight = weighted_fi = 0.0
     cap = min(r, MAX_DELETION_ROUNDS)
     for D in range(cap + 1):
-        codes, at = np.unique(lost, return_inverse=True)
-        laws = [round_law(config, N0 - D, s0 - int(c)) for c in codes]
-        lam, M = laws[0].lam, r - D
+        law, M = table.laws[at[0]], r - D  # every code after D deletions has one lam
 
         # the M quiet rounds: their spread, then k of them with syn = 1, for every sequence
         ks = np.arange(min(M, k_max) + 1)
         log_k = (log_fact[M] - log_fact[ks] - log_fact[M - ks] + (M - ks) * math.log(p_code)
                  + (ks * math.log(p_q) if k_max > 0 else 0.0))
         keep = log_k >= log_k.max(initial=-math.inf) + LOG_TINY
-        ks, log_k = ks[keep], log_k[keep] - M * lam + _log_gaps(M, D, eps)
+        ks, log_k = ks[keep], log_k[keep] - M * law.lam + _log_gaps(M, D, eps)
         phi_amp = np.arctan2(np.sqrt(mod2[:, 1]), np.sqrt(mod2[:, 0]))[:, None]
         step = max(1, GRID_CELLS // prob.size)
         for lo in range(0, ks.size, step):
@@ -803,17 +805,15 @@ def expected_fi_p1(
         # one more deletion round, unless it would leave fewer than half the qubits
         if D == cap or N0 - D - 1 < N0 / 2:
             break
-        fac, inc, dinc = (np.stack(x)[at] for x in zip(*(law[3:] for law in laws)))
-        pair = fac[:, 2 * syn + [[0], [1]], 1 + sigma]  # (sequence, |X_0|^2 or |X_1|^2, o)
+        pair = table.law.fac[at][:, 2 * syn + [[0], [1]], 1 + sigma]  # (seq, |X_0|^2 or |X_1|^2, o)
         P = mod2[:, :1] * pair[:, 0] + mod2[:, 1:] * pair[:, 1]
-        child_prob = (prob * (lam * math.exp(-lam)))[:, None] * P
-        child_lost, child_syn1 = lost[:, None] + sigma, syn1[:, None] + syn
-        fits = code_fits(p, N0 - D - 1, s0 - child_lost)
-        src, o = np.nonzero((child_prob > 0.0) & fits & (child_syn1 <= limit))
-        prob, lost, syn1 = child_prob[src, o], child_lost[src, o], child_syn1[src, o]
+        child_prob = (prob * (law.lam * law.p0))[:, None] * P
+        child, child_syn1 = table.after_deletion(at[:, None], sigma), syn1[:, None] + syn
+        src, o = np.nonzero((child_prob > 0.0) & (child >= 0) & (child_syn1 <= limit))
         mod2 = mod2[src] * pair[src, :, o] / P[src, o, None]
-        Phi = Phi[src] + inc[src, syn[o], 1 + sigma[o]]
-        dPhi = dPhi[src] + dinc[src, syn[o], 1 + sigma[o]]
+        Phi = Phi[src] + table.law.inc[at[src], syn[o], 1 + sigma[o]]
+        dPhi = dPhi[src] + table.law.dinc[at[src], syn[o], 1 + sigma[o]]
+        prob, syn1, at = child_prob[src, o], child_syn1[src, o], child[src, o]
         if not prob.size:
             break
 

@@ -92,6 +92,52 @@ def test_scan_commands_reject_bad_grid_before_writing(tmp_path, capsys, command,
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started past a size cap")
+
+
+@pytest.mark.parametrize("command", ["fi-scan", "ad"])
+def test_scan_commands_reject_a_grid_past_the_step_cap_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch, command):
+    monkeypatch.setattr(cli, "make_logical", _no_work)
+    steps = str(cli.MAX_STEPS + 1)
+    out = tmp_path / "scan.csv"
+    assert run_cli([command, "--g", "3", "--n", "3", "--steps", steps, "--out", str(out)]) == 2
+    assert f"--steps must be in 1..{cli.MAX_STEPS}, got {steps}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# N = 5 * 3 * 69905 = 2^20 - 1: a Dicke vector of exactly MAX_DICKE_LENGTH amplitudes
+AT_THE_DICKE_CAP = ["--g", "5", "--n", "3", "--u", "69905"]
+
+
+@pytest.mark.parametrize("command", ["qfi", "fi-scan", "sld", "delete", "ad", "qec-delete"])
+def test_dicke_commands_reject_a_vector_past_the_cap_before_building_it(tmp_path, capsys,
+                                                                         monkeypatch, command):
+    monkeypatch.setattr(cli, "make_logical", _no_work)
+    out = [] if command in ("sld", "qec-delete") else ["--out", str(tmp_path / "out.csv")]
+    assert run_cli([command, *AT_THE_DICKE_CAP, "--s", "1", *out]) == 2
+    err = capsys.readouterr().err
+    assert f"N + 1 = {cli.MAX_DICKE_LENGTH + 1} amplitudes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dicke_vector_at_the_cap_is_built(tmp_path, capsys):
+    assert cli.MAX_DICKE_LENGTH == 2**20
+    assert run_cli(["qfi", *AT_THE_DICKE_CAP, "--out", str(tmp_path / "amps.csv")]) == 0
+    assert "QFI = 75" in capsys.readouterr().out  # g^2 n
+
+
+def test_protocol3_takes_k_up_to_the_cap_and_rejects_it_past(capsys, monkeypatch):
+    # float error budgets give the longest fractions; at the cap they still print
+    budgets = ["--e1", "0.1", "--e2", "0.1", "--q", "1.3", "--c1", "0.3"]
+    assert run_cli(["protocol3", "--k", str(cli.MAX_K), *budgets]) == 0
+    assert f"c_{cli.MAX_K + 1} = " in capsys.readouterr().out
+    monkeypatch.setattr(protocols, "run_protocol3", _no_work)
+    assert run_cli(["protocol3", "--k", str(cli.MAX_K + 1)]) == 2
+    assert f"--k must be at most {cli.MAX_K}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t", ["0", "-1", "10", "20"])
 def test_delete_rejects_deletion_count_outside_the_code(tmp_path, capsys, t):
     out = tmp_path / "del.csv"

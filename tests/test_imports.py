@@ -261,24 +261,121 @@ def test_a_member_that_only_tests_read_is_found():
     assert kept == before
 
 
-# public members that no command, check, demo, benchmark or tool reads, and why they stay
+def _last_name(node) -> str | None:
+    """The called or named thing's own name: ``f`` of ``f``, ``m.f`` and ``f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unread_public_fields(package: dict[str, str], others) -> list[str]:
+    """Public fields of the top-level dataclasses and NamedTuples of ``package`` that no
+    source of ``others`` and no package code reads: as an attribute, by ``getattr`` with
+    the field's name as a literal, or by unpacking a call of a package function whose
+    return annotation names the class (an unpacking reads every field)."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    records = {
+        cls.name: (module, [node for node in cls.body if isinstance(node, ast.AnnAssign)])
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and ("dataclass" in map(_last_name, cls.decorator_list)
+             or "NamedTuple" in map(_last_name, cls.bases))
+    }
+    makers = {
+        fn.name: fn.returns.id
+        for tree in trees.values()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and isinstance(fn.returns, ast.Name) and fn.returns.id in records
+    }
+    read, unpacked = set(), set()
+    for node in (n for tree in [*trees.values(), *map(ast.parse, others)] for n in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and _last_name(node) == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+        elif (isinstance(node, ast.Assign) and isinstance(node.targets[0], (ast.Tuple, ast.List))
+              and _last_name(node.value) in makers):
+            unpacked.add(makers[_last_name(node.value)])
+    return [
+        f"{module}: {name}.{field.target.id} (line {field.lineno})"
+        for name, (module, fields) in records.items()
+        for field in fields
+        if not field.target.id.startswith("_")
+        and field.target.id not in read
+        and name not in unpacked
+    ]
+
+
+def test_unread_public_fields_are_found():
+    package = {
+        "a": (
+            "@dataclass(frozen=True)\n"
+            "class K:\n"
+            "    x: int\n"
+            "    y: int\n"
+            "    z: int = 0\n"
+            "    _p: int = 0\n"
+            "    def f(self): return self.x\n"
+            "class T(NamedTuple):\n"
+            "    u: float\n"
+            "    v: float\n"
+            "class S(NamedTuple):\n"
+            "    w: float\n"
+            "def make() -> T: return T(1.0, 2.0)\n"
+            "def other() -> S: return S(3.0)\n"
+            "def use(k):\n"
+            "    u, v = make()\n"
+            "    return getattr(k, 'y'), other()[0], K(1, 2).z\n"
+        ),
+    }
+    # x and z are read as attributes, y by getattr and T's fields by unpacking; S.w is read
+    # only by index, and _p is private
+    assert unread_public_fields(package, []) == ["a: S.w (line 12)"]
+    package["a"] = package["a"].replace("K(1, 2).z", "K(1, 2)")
+    assert unread_public_fields(package, []) == ["a: K.z (line 5)", "a: S.w (line 12)"]
+    assert unread_public_fields(package, ["print(k.z, s.w)"]) == []
+
+
+def test_a_field_that_only_tests_read_is_found():
+    package = {path.name: path.read_text() for path in PACKAGE}
+    before = {entry.split()[1] for entry in unread_public_fields(package, what_runs())}
+    anchor = "    n_deletions: int\n"
+    planted = anchor + "    planted_field: float = 0.0\n"
+    assert package["protocols.py"].count(anchor) == 1
+    package["protocols.py"] = package["protocols.py"].replace(anchor, planted)
+    after = {entry.split()[1] for entry in unread_public_fields(package, what_runs())}
+    assert after == before | {"TrajectoryRecord.planted_field"}
+    a_test = "def test_planted(rec):\n    assert rec.planted_field == 0.0\n"
+    kept = {entry.split()[1] for entry in unread_public_fields(package, [*what_runs(), a_test])}
+    assert kept == before
+
+
+# public members and fields that no command, check, demo, benchmark or tool reads, and why
+# they stay
 KEPT_UNREAD_MEMBERS = {
     "BoundCheck.holds": "the verdict of bound_checkers, which is kept for the paper",
+    "SLDDecomposition.eigvec_plus": "the SLD's eigenvectors: the spectral form the class states",
+    "SLDDecomposition.eigvec_minus": "the SLD's eigenvectors: the spectral form the class states",
+    "TrajectoryRecord.state_phase": "the reference's tracked phase, which the tests compare Phi "
+                                    "against (test_batch_phase_vs_state_phase)",
 }
 
 
 def test_every_public_member_is_read_by_what_runs():
-    # a member only the tests read belongs in the tests
+    # a member or field only the tests read belongs in the tests
     package = {path.name: path.read_text() for path in PACKAGE}
-    unread = {entry.split()[1]: entry for entry in unread_public_members(package, what_runs())}
+    found = [*unread_public_members(package, what_runs()), *unread_public_fields(package, what_runs())]
+    unread = {entry.split()[1]: entry for entry in found}
     assert [entry for name, entry in unread.items() if name not in KEPT_UNREAD_MEMBERS] == []
     assert sorted(KEPT_UNREAD_MEMBERS) == sorted(unread)  # no stale entry
 
 
 def readers(source: str, names) -> dict[str, list[str]]:
     """For each of ``names``, the functions of ``source`` that read it (call it or
-    pass it on), by qualified name such as ``Class.method``, sorted; a read outside
-    any function is ``<module>``."""
+    pass it on) as a name or as an attribute, by qualified name such as
+    ``Class.method``, sorted; a read outside any function is ``<module>``."""
     found = {name: set() for name in names}
 
     def visit(node, scope):
@@ -286,8 +383,10 @@ def readers(source: str, names) -> dict[str, list[str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in found:
-                found[child.id].add(scope or "<module>")
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                name = child.id if isinstance(child, ast.Name) else child.attr
+                if name in found:
+                    found[name].add(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
@@ -305,14 +404,21 @@ def test_readers_are_found():
         "        def c():\n"
         "            return map(f, [])\n"
         "        return c\n"
+        "    def d(self):\n"
+        "        self.h = self.e\n"
+        "        return m.h\n"
     )
-    assert readers(source, ("f", "g", "h")) == {"f": ["K.b.c", "a"], "g": ["<module>"], "h": []}
+    # an attribute load reads its name; the store self.h does not
+    assert readers(source, ("f", "g", "h", "e")) == {
+        "f": ["K.b.c", "a"], "g": ["<module>"], "h": ["K.d"], "e": ["K.d"]
+    }
 
 
 # the closed forms and lattice sums of a Protocol-1 round, and who may read them: the
-# round law (which the full-vector reference reads for its phases) and the abort bound
+# body of the round law (which the full-vector reference reads for its phases) and the
+# abort bound
 ROUND_RULES = ("pflag_closed_form", "zeta", "zeta_derivative", "one_deletion_ratios", "_phase_step")
-ROUND_RULE_READERS = {"round_law", "ProtocolConfig.failure_bound"}
+ROUND_RULE_READERS = {"_round_law", "ProtocolConfig.failure_bound"}
 
 
 def test_the_round_rules_are_read_only_by_the_round_law():
@@ -320,7 +426,19 @@ def test_the_round_rules_are_read_only_by_the_round_law():
     assert {name: sorted(set(scopes) - ROUND_RULE_READERS) for name, scopes in found.items()} == {
         name: [] for name in ROUND_RULES
     }
-    assert all("round_law" in found[name] for name in ROUND_RULES)
+    assert all("_round_law" in found[name] for name in ROUND_RULES)
+
+
+# the deletion rate, and who may read it: the configuration's validation and abort bound,
+# round_law (its cache key) and the law's body, which alone turns it into the Poisson
+# mean lam = n_del N tau, and expected_fi_p1's quiet spread eps = n_del tau
+DELETION_RATE_READERS = ["ProtocolConfig.__post_init__", "ProtocolConfig.failure_bound",
+                         "_round_law", "expected_fi_p1", "round_law"]
+
+
+def test_only_the_round_law_turns_the_deletion_rate_into_the_poisson_mean():
+    found = readers((ROOT / "src/symsense/protocols.py").read_text(), ("n_del",))
+    assert found == {"n_del": DELETION_RATE_READERS}
 
 
 def test_the_lgamma_table_is_read_only_by_the_damping_law():

@@ -45,9 +45,10 @@ def test_qfi_dicke_and_ghz():
 def test_sld_single_qubit_by_hand():
     amps = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     dec = sld(SymState(1, amps))
-    # b = (|D1_1> - |D1_0>)/sqrt(2), eigenvalues +-2 sqrt(1/4) = +-1
+    # b = (|D1_1> - |D1_0>)/sqrt(2), eigenvalues +-2 sqrt(1/4) = +-1; e+- = (psi +- i b)/sqrt(2)
     want_b = np.array([-1.0, 1.0]) / math.sqrt(2.0)
-    assert np.allclose(dec.b_vector.amps, want_b)
+    b = (dec.eigvec_plus.amps - dec.eigvec_minus.amps) / (math.sqrt(2.0) * 1j)
+    assert np.allclose(b, want_b)
     assert abs(dec.eigval_plus - 1.0) < 1e-14
     assert abs(dec.eigval_minus + 1.0) < 1e-14
 

@@ -675,7 +675,9 @@ def _replay_protocol1(config: ProtocolConfig, rng: np.random.Generator) -> proto
     cur, lattice, cw0, cw1, q0, q1 = frame(s_cur, n_cur)
     for i in range(config.r):
         u_del, u_sigma, u_syn = uniforms[i]
-        t = protocols._poisson_bucket(u_del, config.n_del * n_cur * tau)
+        lam = config.n_del * n_cur * tau  # the Poisson's inverse CDF, truncated at t >= 2
+        p0 = math.exp(-lam)
+        t = 0 if u_del < p0 else 1 if u_del < p0 * (1.0 + lam) else 2
         if t >= 2:
             flag = True
             break
@@ -937,7 +939,7 @@ def test_round_law_is_evaluated_once_per_code_with_read_only_arrays(monkeypatch)
 
     monkeypatch.setattr(protocols, "one_deletion_ratios", counted)
     monkeypatch.setenv("SYMSENSE_THREADS", "1")
-    protocols.round_law.cache_clear()
+    protocols._round_law.cache_clear()
     batch = run_protocol1_batch(config, 2 * protocols.BATCH_SPAN)
     records = [run_protocol1(config, trajectory_rng(config.seed, i)) for i in range(200)]
     assert (batch.n_deletions >= 2).any() and any(rec.n_deletions for rec in records)
@@ -947,20 +949,20 @@ def test_round_law_is_evaluated_once_per_code_with_read_only_arrays(monkeypatch)
     assert {(N0, s0)} | ends <= set(evaluated)
 
     law = protocols.round_law(config, N0, s0)
-    assert not any(x.flags.writeable for x in law[1:])
+    assert not any(x.flags.writeable for x in (law.A, law.B, law.fac, law.inc, law.dinc))
     with pytest.raises(ValueError, match="read-only"):
         law.fac[0, 0] = 0.0
 
 
 def test_round_law_is_evaluated_once_per_code_across_seeds():
     # no law reads the seed, so three seeds of one configuration share every code's law
-    protocols.round_law.cache_clear()
+    protocols._round_law.cache_clear()
     misses = []
     for seed in (1, 2, 3):
         expected_fi_p1(criterion8_config(seed))
-        misses.append(protocols.round_law.cache_info().misses)
+        misses.append(protocols._round_law.cache_info().misses)
     assert misses[0] > 1 and misses == [misses[0]] * 3
-    assert protocols.round_law.cache_info().currsize == misses[0]
+    assert protocols._round_law.cache_info().currsize == misses[0]
 
 
 def test_batch_asks_only_for_reachable_codes_at_n_past_3e9(monkeypatch):
@@ -975,6 +977,37 @@ def test_batch_asks_only_for_reachable_codes_at_n_past_3e9(monkeypatch):
     batch = protocols._run_batch_span(config, 0, 2000)
     assert batch.n_deletions.max() >= 2 and len(set(asked)) > 2
     assert all(0 <= N0 - N <= config.r and 0 <= s0 - s <= N0 - N for N, s in asked)
+
+
+def test_batch_and_reference_take_one_deletion_threshold(monkeypatch):
+    # on the protocol1 workload's code, e^-lam at N = 1997 is ...13f by math.exp and ...13e
+    # by np.exp over an array; a row whose u_del is ...13e has no deletion in that round
+    config = criterion8_config(seed=3)
+    N0, tau = config.params.n_qubits, config.tau
+    u = np.zeros((config.r, 3))  # u_syn = 0: syndrome 0 in every round
+    for i in range(3):  # one deletion of shift 0 in each of rounds 1-3
+        lam = config.n_del * (N0 - i) * tau
+        u[i, :2] = math.exp(-lam) * (1.0 + lam / 2), 1.0 - 1e-9
+    lam = config.n_del * (N0 - 3) * tau
+    u[3, 0] = float.fromhex("0x1.f5e07471ef13ep-1")
+    assert math.exp(-lam) == float.fromhex("0x1.f5e07471ef13fp-1")
+    assert np.exp(-np.full(4, lam))[0] == u[3, 0]
+
+    monkeypatch.setattr(protocols, "_span_uniforms", lambda seed, lo, hi, r: u[None].copy())
+    monkeypatch.setattr(protocols, "trajectory_rng",
+                        lambda seed, index: type("Fixed", (), {"random": lambda _, shape: u})())
+    batch = protocols._run_batch_span(config, 0, 1)
+    assert batch.n_deletions.tolist() == [3] and batch.final_shift.tolist() == [config.params.s]
+    assert protocol1_mismatches(batch, [0]) == []
+
+
+def test_a_span_constructs_no_configuration_per_law_lookup(monkeypatch):
+    config = criterion8_config(seed=3)
+    built = []
+    check = ProtocolConfig.__post_init__
+    monkeypatch.setattr(ProtocolConfig, "__post_init__", lambda cfg: built.append(cfg) or check(cfg))
+    batch = protocols._run_batch_span(config, 0, protocols.BATCH_SPAN)
+    assert batch.n_deletions.any() and built == []
 
 
 # ---------------------------------------------------------------------------

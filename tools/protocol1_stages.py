@@ -13,7 +13,7 @@ times, for each of the first SPANS full BATCH_SPAN-row spans:
 
 then ``reference``: TRAJECTORIES ``run_protocol1`` trajectories; and then
 ``analytic``: the two ``protocols.expected_fi_p1`` calls of ``symsense
-protocol1``, after clearing the ``round_law`` cache, so every repeat times
+protocol1``, after clearing the round-law cache, so every repeat times
 them with the laws evaluated afresh (and leaves them cached again).  The
 first repeat runs the other stages on cold caches (round laws, code frames,
 the quiet chain), the later ones on warm caches.
@@ -79,7 +79,7 @@ def stage_times() -> dict[str, list[float]]:
             for index in range(TRAJECTORIES):
                 protocols.run_protocol1(config, protocols.trajectory_rng(SEED, index))
             times["reference"].append(clock() - t0)
-            protocols.round_law.cache_clear()
+            protocols._round_law.cache_clear()
             t0 = clock()
             protocols.expected_fi_p1(config)
             protocols.expected_fi_p1(config, include_nodel_syn1=False, max_total_syn1=1)
